@@ -43,6 +43,7 @@ from .policy import (
     optimal_one_to_one,
 )
 from .samplers import (
+    Matching,
     MatchingScheme,
     OneToMany,
     OneToOne,
@@ -323,7 +324,7 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
 
 def _run_replication(payload) -> dict:
     """One replication; returns a plain dict so it can cross processes."""
-    rep, cfg, nu, truth, q = payload
+    rep, cfg, nu, truth, q, target = payload
     if truth is None:
         truth = generate_low_rank(
             cfg.d1, cfg.d2, cfg.r, cfg.scale,
@@ -347,11 +348,10 @@ def _run_replication(payload) -> dict:
         else:  # policy
             mat_hat = optimal_one_to_one(artifacts.m_hat)
             res = evaluate_policy(artifacts, mat_hat, alpha=cfg.alpha).inference
-            mat_true = optimal_one_to_one(truth.values)
+            mat_true, estimand = target or _policy_target(truth)
             # The statistic standardizes against the value of the matching
             # actually selected; coverage targets the true optimal reward.
             z_target = matching_to_linear_form(mat_hat).inner(truth.values)
-            estimand = matching_to_linear_form(mat_true).inner(truth.values)
             recovered = mat_hat.pairs == mat_true.pairs
         z = (res.point - (z_target if cfg.study == "policy" else estimand)) / res.se
         return {
@@ -368,6 +368,12 @@ def _run_replication(payload) -> dict:
         }
     except NumericalError as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _policy_target(truth: RewardMatrix) -> tuple[Matching, float]:
+    """The truth's optimal matching and its total reward."""
+    mat = optimal_one_to_one(truth.values)
+    return mat, matching_to_linear_form(mat).inner(truth.values)
 
 
 def _effective_workers(cfg: RunConfig) -> int:
@@ -411,7 +417,13 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         rng=np.random.default_rng([config.seed, _SALT_NU]),
     ).nu
 
-    payloads = [(rep, config, nu, truth, q) for rep in range(config.replications)]
+    # A shared truth has one optimal matching: solve it once per study.
+    target = None
+    if truth is not None and config.study == "policy":
+        target = _policy_target(truth)
+
+    payloads = [(rep, config, nu, truth, q, target)
+                for rep in range(config.replications)]
     workers = _effective_workers(config)
     if workers == 1 or not payloads:
         results = [_run_replication(p) for p in payloads]

@@ -68,6 +68,13 @@ def optimal_one_to_one(m_hat) -> Matching:
     assignments the lexicographically smallest one is returned: row 0
     gets the lowest column it can take without losing optimality, then
     row 1, and so on.  Deterministic for any input, ties included.
+
+    Cost: one assignment solve for the optimum, then at most one per
+    row.  That solve forbids the row's known optimal column; if the
+    result falls short of the optimum, no other column can attain it.
+    So a unique optimum costs at most ``d1 + 1`` solves.  Only rows
+    whose certificate fails (an alternative within twice the tie slack)
+    scan their smaller free columns, one solve per candidate.
     """
     m = np.asarray(m_hat, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1:
@@ -87,7 +94,18 @@ def optimal_one_to_one(m_hat) -> Matching:
     for i in range(d1):
         # ref_cols[i - fixed rows] is a column known to attain the
         # optimum for row i; only smaller free columns need testing.
-        for j in remaining:
+        # Every such candidate avoids the edge (i, ref_cols[0]), so the
+        # best assignment without that edge bounds them all.  The extra
+        # tol keeps the shortcut away from the scan's own threshold, so
+        # summation-order rounding cannot change the answer.
+        candidates = remaining
+        if ref_cols[0] != remaining[0]:
+            forbid = m[i:, remaining]
+            forbid[0, remaining.index(ref_cols[0])] = -np.inf
+            _, forbidden_total = _solve(forbid)
+            if fixed_total + forbidden_total < best_total - 2.0 * tol:
+                candidates = [ref_cols[0]]
+        for j in candidates:
             if j == ref_cols[0]:
                 sub_cols = ref_cols[1:]
                 break

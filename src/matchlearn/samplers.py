@@ -497,6 +497,7 @@ def load_batch(path: str | Path) -> ObservationBatch:
             rows = np.array([int(p[0]) for p in pairs], dtype=np.int64)
             cols = np.array([int(p[1]) for p in pairs], dtype=np.int64)
             matching = Matching(d1, d2, rows, cols)
+            matching.check_scheme(scheme)
             records.append(Observation(matching, np.array(y, dtype=float)))
         except (ArgumentError, TypeError, IndexError, ValueError) as exc:
             raise DataFormatError(f"record on line {k + 1}: {exc}") from exc

@@ -341,6 +341,31 @@ def test_run_simulation_worker_pool_matches_serial(tmp_path, monkeypatch):
         ).read_bytes()
 
 
+def test_policy_study_solves_shared_truth_once(tmp_path, monkeypatch):
+    calls = [0]
+    real = harness_mod.optimal_one_to_one
+
+    def counted(m):
+        calls[0] += 1
+        return real(m)
+
+    monkeypatch.setattr(harness_mod, "optimal_one_to_one", counted)
+    overrides = dict(d1=5, d2=8, T=240, m=2, sigma=0.2, replications=4,
+                     study="policy")
+    run_simulation(parse_config(
+        base_config_dict(outputs=str(tmp_path / "serial"), **overrides)
+    ))
+    assert calls[0] == 4 + 1  # one m_hat per replication, one shared truth
+    monkeypatch.setenv("MATCHLEARN_WORKERS", "2")
+    run_simulation(parse_config(
+        base_config_dict(outputs=str(tmp_path / "pooled"), **overrides)
+    ))
+    for name in ("summary.json", "standardized_stats.csv", "coverage.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "pooled" / name
+        ).read_bytes()
+
+
 def test_run_simulation_rejects_bad_worker_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MATCHLEARN_WORKERS", "many")
     cfg = parse_config(base_config_dict(outputs=str(tmp_path / "o")))
@@ -439,6 +464,19 @@ def test_cli_missing_batch_file_is_data_error(capsys, tmp_path):
     )
     assert code == 4
     assert json.loads(err)["error"] == "DataFormatError"
+
+
+def test_cli_infer_rejects_partial_one_to_one_batch(capsys, tmp_path):
+    records = [Observation(Matching(3, 4, [0, 2], [3, 1]), [1.0, 2.0])]
+    path = tmp_path / "partial.jsonl"
+    save_batch(ObservationBatch(OneToOne(), 3, 4, 0.0, records), path)
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    code, _, err = run_cli(
+        capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"]
+    )
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "DataFormatError" and "line 2" in diag["message"]
 
 
 @pytest.fixture()

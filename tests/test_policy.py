@@ -3,7 +3,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import matchlearn.policy as policy_mod
 from matchlearn import (
     ArgumentError,
     DataFormatError,
@@ -106,6 +108,52 @@ def test_beats_random_injections():
     for _ in range(1000):
         cols = rng.permutation(13)[:8]
         assert m[np.arange(8), cols].sum() <= best + 1e-12
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """Count linear_sum_assignment calls made by the policy module."""
+    calls = [0]
+    real = policy_mod.linear_sum_assignment
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(policy_mod, "linear_sum_assignment", counted)
+    return calls
+
+
+def test_unique_optimum_costs_at_most_one_solve_per_row(monkeypatch):
+    m = generate_low_rank(50, 150, 2, 20.0, np.random.default_rng([151, 1])).values
+    calls = count_solves(monkeypatch)
+    got = optimal_one_to_one(m)
+    assert calls[0] <= 50 + 1
+    rows, cols = linear_sum_assignment(m, maximize=True)
+    assert m[np.arange(50), got.cols].sum() == pytest.approx(
+        m[rows, cols].sum(), rel=1e-12
+    )
+
+
+def test_tie_slack_decides_between_near_optimal_assignments():
+    # The identity (lexicographically smallest) totals 3; swapping rows 0
+    # and 1 totals 3 + gap.  Within the slack the identity counts as
+    # optimal; beyond it the swap must win.
+    tol = policy_mod._TIE_RTOL * (1.0 + 3.0 + 1.0)
+    for gap, expected in ((0.5 * tol, [0, 1, 2]), (1.5 * tol, [1, 0, 2]),
+                          (10.0 * tol, [1, 0, 2])):
+        m = np.array([[1.0, 1.0 + gap, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert optimal_one_to_one(m).cols.tolist() == expected
+
+
+def test_policy_size_200_by_600_reaches_the_assignment_optimum():
+    m = generate_low_rank(200, 600, 2, 20.0, np.random.default_rng([157, 1])).values
+    got = optimal_one_to_one(m)
+    assert np.array_equal(got.rows, np.arange(200))
+    assert np.unique(got.cols).size == 200
+    rows, cols = linear_sum_assignment(m, maximize=True)
+    best = float(m[rows, cols].sum())
+    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    assert abs(float(m[np.arange(200), got.cols].sum()) - best) <= tol
 
 
 def test_optimal_one_to_one_validation():

@@ -359,3 +359,19 @@ def test_load_batch_rejects_malformed(tmp_path):
     path.write_text(header + '{"t": 1, "pairs": [[0, 9]], "y": [1.0]}\n')
     with pytest.raises(DataFormatError):
         load_batch(path)  # column out of range
+
+
+def test_load_batch_rejects_records_that_violate_the_scheme(tmp_path):
+    path = tmp_path / "partial.jsonl"
+    header = '{"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": null}\n'
+    full = '{"t": 1, "pairs": [[0, 0], [1, 1], [2, 2]], "y": [1.0, 2.0, 3.0]}\n'
+    partial = '{"t": 2, "pairs": [[0, 3], [2, 1]], "y": [1.0, 2.0]}\n'
+    path.write_text(header + full + partial)
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_batch(path)
+    header = '{"scheme": {"kind": "one_to_many", "K": 1, "p0": 0.5}, "d1": 3, "d2": 4, "sigma": 0.0}\n'
+    path.write_text(header + '{"t": 1, "pairs": [[0, 0], [0, 1]], "y": [1.0, 2.0]}\n')
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_batch(path)
+    path.write_text(header + '{"t": 1, "pairs": [[0, 0], [2, 1]], "y": [1.0, 2.0]}\n')
+    assert len(load_batch(path)) == 1
