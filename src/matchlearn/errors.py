@@ -11,7 +11,14 @@ class MatchlearnError(Exception):
 
 
 class ArgumentError(MatchlearnError, ValueError):
-    """A caller-supplied argument violates a documented precondition."""
+    """A caller-supplied argument violates a documented precondition.
+
+    ``period`` is the offending period when the argument is a batch.
+    """
+
+    def __init__(self, message: str = "", period: int | None = None):
+        self.period = period
+        super().__init__(message)
 
 
 class ConfigError(MatchlearnError, ValueError):

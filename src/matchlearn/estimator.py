@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from .errors import (
     SingularCoreError,
 )
 from .matmodel import RewardMatrix, svd_r
-from .samplers import MatchingScheme, Observation, OneToMany, OneToOne, entrywise_probability
+from .samplers import (MatchingScheme, ObservationBatch, OneToMany, OneToOne,
+                       entrywise_probability)
 
 NU_CONSISTENCY_RTOL = 1e-9
 ORTHONORMALITY_LOOP_TOL = 1e-8
@@ -143,41 +143,26 @@ def partition_batches(T: int, m: int) -> list[tuple[int, int]]:
     return [(p * n0, (p + 1) * n0) for p in range(2 * m)]
 
 
-def _pack(records: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = [rec.matching.rows for rec in records]
-    cols = [rec.matching.cols for rec in records]
-    ys = [rec.y for rec in records]
-    if not rows:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, float))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(ys)
-
-
-def _dims(records: Sequence[Observation]) -> tuple[int, int]:
-    m0 = records[0].matching
-    return m0.d1, m0.d2
-
-
-def aggregate_response(records: Sequence[Observation], nu: float) -> np.ndarray:
+def aggregate_response(batch: ObservationBatch, nu: float) -> np.ndarray:
     """The scaled response aggregate ``(nu N0)^-1 sum_t Y_t o X_t``.
 
     This is both the spectral-initialization target and the matrix whose
     spectrum drives rank selection.
     """
-    if not records:
+    if len(batch) == 0:
         raise ArgumentError("need at least one observation")
     if not (0.0 < nu <= 1.0):
         raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
-    d1, d2 = _dims(records)
-    rows, cols, y = _pack(records)
-    flat = np.bincount(rows * d2 + cols, weights=y, minlength=d1 * d2)
-    return flat.reshape(d1, d2) / (nu * len(records))
+    d1, d2 = batch.d1, batch.d2
+    flat = np.bincount(batch.rows * d2 + batch.cols, weights=batch.y, minlength=d1 * d2)
+    return flat.reshape(d1, d2) / (nu * len(batch))
 
 
 def spectral_init(
-    records: Sequence[Observation], nu: float, r: int
+    batch: ObservationBatch, nu: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-r factor subspaces of the scaled response aggregate."""
-    agg = aggregate_response(records, nu)
+    agg = aggregate_response(batch, nu)
     if not agg.any():
         raise DegenerateInitError(
             "response aggregate is identically zero; cannot initialize factors"
@@ -189,7 +174,7 @@ def spectral_init(
 def solve_G(
     u: np.ndarray,
     v: np.ndarray,
-    records: Sequence[Observation],
+    batch: ObservationBatch,
     r: int,
     min_g_singular: float = 1e-10,
 ) -> np.ndarray:
@@ -201,7 +186,7 @@ def solve_G(
     """
     if u.shape[1] != r or v.shape[1] != r:
         raise ArgumentError("factor widths must equal r")
-    rows, cols, y = _pack(records)
+    rows, cols, y = batch.rows, batch.cols, batch.y
     if rows.size == 0:
         raise ArgumentError("need at least one revealed entry to fit G")
     feats = (u[rows][:, :, None] * v[cols][:, None, :]).reshape(rows.size, r * r)
@@ -227,42 +212,29 @@ def _check_invertible(state: FactorState, min_g_singular: float) -> None:
         )
 
 
-def _loss_gradient(
-    state_estimate: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    y: np.ndarray,
-    d1: int,
-    d2: int,
-) -> np.ndarray:
-    """Gradient of the batch loss with respect to the dense matrix.
+def batch_loss(m_dense: np.ndarray, batch: ObservationBatch) -> float:
+    """Squared-error loss of a dense candidate over a batch's revealed entries."""
+    resid = m_dense[batch.rows, batch.cols] - batch.y
+    return float(resid @ resid)
 
-    Equals ``2 sum_t (X_t o (U G V^T) - Y_t)``; entries unseen in the
-    batch are zero.
+
+def batch_loss_gradient(m_dense: np.ndarray, batch: ObservationBatch) -> np.ndarray:
+    """Gradient of :func:`batch_loss` with respect to the dense matrix.
+
+    Equals ``2 sum_t (X_t o M - Y_t)``; entries unseen in the batch are
+    zero.
     """
-    resid = state_estimate[rows, cols] - y
+    d1, d2 = m_dense.shape
+    rows, cols = batch.rows, batch.cols
+    resid = m_dense[rows, cols] - batch.y
     flat = np.bincount(rows * d2 + cols, weights=2.0 * resid, minlength=d1 * d2)
     return flat.reshape(d1, d2)
 
 
-def batch_loss(m_dense: np.ndarray, records: Sequence[Observation]) -> float:
-    """Squared-error loss of a dense candidate over a batch's revealed entries."""
-    rows, cols, y = _pack(records)
-    resid = m_dense[rows, cols] - y
-    return float(resid @ resid)
-
-
-def batch_loss_gradient(m_dense: np.ndarray, records: Sequence[Observation]) -> np.ndarray:
-    """Gradient of :func:`batch_loss` with respect to the dense matrix."""
-    d1, d2 = m_dense.shape
-    rows, cols, y = _pack(records)
-    return _loss_gradient(m_dense, rows, cols, y, d1, d2)
-
-
 def gradient_step(
     state: FactorState,
-    step_records: Sequence[Observation],
-    refit_records: Sequence[Observation],
+    step_batch: ObservationBatch,
+    refit_batch: ObservationBatch,
     eta: float,
     nu: float,
     n0: int,
@@ -277,7 +249,7 @@ def gradient_step(
 
     with ``(L_G, ., R_G)`` the SVD of the current core; both factors are
     then re-orthonormalized by an SVD retraction and the core is refit
-    by least squares on ``refit_records`` (the next batch, never the one
+    by least squares on ``refit_batch`` (the next batch, never the one
     that produced the gradient).
 
     Returns the new state and the Frobenius norm of the gradient.
@@ -285,9 +257,7 @@ def gradient_step(
     if n0 < 1:
         raise ArgumentError("n0 must be >= 1")
     _check_invertible(state, min_g_singular)
-    d1, d2 = state.U.shape[0], state.V.shape[0]
-    rows, cols, y = _pack(step_records)
-    grad = _loss_gradient(state.estimate, rows, cols, y, d1, d2)
+    grad = batch_loss_gradient(state.estimate, step_batch)
     grad_norm = float(np.linalg.norm(grad))
 
     l_g, _, r_g = state.g_svd
@@ -301,7 +271,7 @@ def gradient_step(
     r = state.G.shape[0]
     u_new = svd_r(u_half, r)[0]
     v_new = svd_r(v_half, r)[0]
-    g_new = solve_G(u_new, v_new, refit_records, r, min_g_singular)
+    g_new = solve_G(u_new, v_new, refit_batch, r, min_g_singular)
     return FactorState.create(u_new, g_new, v_new), grad_norm
 
 
@@ -311,7 +281,7 @@ def _closed_form_nu(scheme: MatchingScheme, d1: int, d2: int) -> float | None:
     return None
 
 
-def fit(batch, config: EstimatorConfig, truth: RewardMatrix | None = None):
+def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | None = None):
     """Run the full fitting loop on an observation batch.
 
     Parameters
@@ -340,8 +310,7 @@ def fit(batch, config: EstimatorConfig, truth: RewardMatrix | None = None):
         )
     ranges = partition_batches(len(batch), config.m)
     n0 = ranges[0][1] - ranges[0][0]
-    records = batch.records
-    slices = [records[a:b] for a, b in ranges]
+    slices = [batch[a:b] for a, b in ranges]
 
     lam_min_sq = float(truth.singular_values[-1] ** 2) if truth is not None else np.nan
     trace_err, trace_gmin, trace_gmax, trace_gnorm = [], [], [], []

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .estimator import EstimatorConfig, fit
 from .matmodel import LinearForm, projection_magnitude, svd_r
-from .samplers import Observation, ObservationBatch
+from .samplers import ObservationBatch
 
 
 @dataclass(frozen=True)
@@ -71,41 +71,26 @@ class DebiasedEstimate:
             raise ArgumentError("debiased estimate must have finite entries")
 
 
-def _pack(records: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.concatenate([rec.matching.rows for rec in records])
-    cols = np.concatenate([rec.matching.cols for rec in records])
-    y = np.concatenate([rec.y for rec in records])
-    return rows, cols, y
+def _ipw_correction(m_init: np.ndarray, batch: ObservationBatch, p_inv) -> np.ndarray:
+    """Shared kernel: T0^-1 sum of (Y - X o M_init) o P_inv over the batch.
 
-
-def _ipw_correction(
-    m_init: np.ndarray, records: Sequence[Observation], p_inv: np.ndarray
-) -> np.ndarray:
-    """Shared kernel: T0^-1 sum of (Y - X o M_init) o P_inv over the slice."""
-    d1, d2 = m_init.shape
-    rows, cols, y = _pack(records)
-    weights = (y - m_init[rows, cols]) * p_inv[rows, cols]
-    flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
-    return flat.reshape(d1, d2) / len(records)
-
-
-def _check_correction_inputs(
-    m_init: np.ndarray, other_half: Sequence[Observation], p_inv: np.ndarray
-) -> None:
-    if p_inv.shape != m_init.shape:
-        raise ArgumentError("p_inv must match the estimate's shape")
-    if not np.all(p_inv >= 1.0):
-        raise ArgumentError("p_inv entries are reciprocal probabilities and must be >= 1")
-    if len(other_half) == 0:
+    ``p_inv`` is a dense matrix of reciprocal propensities, or one
+    scalar for every entry.
+    """
+    if len(batch) == 0:
         raise ArgumentError("need a nonempty correction half")
-    for rec in other_half:
-        if rec.matching.d1 != m_init.shape[0] or rec.matching.d2 != m_init.shape[1]:
-            raise ArgumentError("correction records must match the estimate's dims")
+    if (batch.d1, batch.d2) != m_init.shape:
+        raise ArgumentError("correction records must match the estimate's dims")
+    d1, d2 = m_init.shape
+    rows, cols = batch.rows, batch.cols
+    weights = (batch.y - m_init[rows, cols]) * (p_inv[rows, cols] if np.ndim(p_inv) else p_inv)
+    flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
+    return flat.reshape(d1, d2) / len(batch)
 
 
 def debias(
     m_init: np.ndarray,
-    other_half: Sequence[Observation],
+    other_half: ObservationBatch,
     nu: float,
     source_init: int = 0,
 ) -> DebiasedEstimate:
@@ -114,17 +99,15 @@ def debias(
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
     half; the result is entrywise unbiased for M whatever M_init was,
     because the held-out residuals are independent of it.  Implemented
-    through the inverse-propensity kernel with every reciprocal set to
+    through the inverse-propensity kernel with the scalar reciprocal
     ``1/nu``, so :func:`debias_ipw` under uniform propensities is
     bitwise-identical.
     """
     if not (0.0 < nu <= 1.0):
         raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
     m_init = np.asarray(m_init, dtype=float)
-    p_inv = np.full(m_init.shape, 1.0 / nu)
-    _check_correction_inputs(m_init, other_half, p_inv)
     return DebiasedEstimate(
-        m_unbs=m_init + _ipw_correction(m_init, other_half, p_inv),
+        m_unbs=m_init + _ipw_correction(m_init, other_half, 1.0 / nu),
         source_init=source_init,
         nu_used=nu,
         m_init=m_init,
@@ -133,7 +116,7 @@ def debias(
 
 def debias_ipw(
     m_init: np.ndarray,
-    other_half: Sequence[Observation],
+    other_half: ObservationBatch,
     p_inv: np.ndarray,
     source_init: int = 0,
 ) -> DebiasedEstimate:
@@ -144,7 +127,10 @@ def debias_ipw(
     """
     m_init = np.asarray(m_init, dtype=float)
     p_inv = np.asarray(p_inv, dtype=float)
-    _check_correction_inputs(m_init, other_half, p_inv)
+    if p_inv.shape != m_init.shape:
+        raise ArgumentError("p_inv must match the estimate's shape")
+    if not np.all(p_inv >= 1.0):
+        raise ArgumentError("p_inv entries are reciprocal probabilities and must be >= 1")
     return DebiasedEstimate(
         m_unbs=m_init + _ipw_correction(m_init, other_half, p_inv),
         source_init=source_init,
@@ -173,13 +159,12 @@ def combine_and_estimate(
     artifacts and the top-r factors of the averaged estimate.
     """
     plan = split(len(batch))
-    records = batch.records
-    half1 = records[plan.half1[0] : plan.half1[1]]
-    half2 = records[plan.half2[0] : plan.half2[1]]
+    half1 = batch[plan.half1[0] : plan.half1[1]]
+    half2 = batch[plan.half2[0] : plan.half2[1]]
     fit_config = replace(config, record_trace=False)
 
-    m1_init, _ = fit(replace(batch, records=half1), fit_config)
-    m2_init, _ = fit(replace(batch, records=half2), fit_config)
+    m1_init, _ = fit(half1, fit_config)
+    m2_init, _ = fit(half2, fit_config)
 
     deb1 = debias(m1_init, half2, config.nu, source_init=1)
     deb2 = debias(m2_init, half1, config.nu, source_init=2)
@@ -193,8 +178,8 @@ def combine_and_estimate(
 def estimate_sigma(
     m1_init: np.ndarray,
     m2_init: np.ndarray,
-    half1: Sequence[Observation],
-    half2: Sequence[Observation],
+    half1: ObservationBatch,
+    half2: ObservationBatch,
     t_used: int,
 ) -> float:
     """Held-out residual variance: each half scored against the other's fit.
@@ -208,14 +193,17 @@ def estimate_sigma(
     total = 0.0
     used = 0
     skipped = 0
-    for records, m_init in ((half2, m1_init), (half1, m2_init)):
-        for rec in records:
-            n = rec.matching.size
-            if n == 0:
+    for half, m_init in ((half2, m1_init), (half1, m2_init)):
+        resid = half.y - m_init[half.rows, half.cols]
+        bounds = half.offsets.tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if a == b:
                 skipped += 1
                 continue
-            resid = rec.y - m_init[rec.matching.rows, rec.matching.cols]
-            total += float(resid @ resid) / n
+            # One dot product per period, as the variance is defined:
+            # summing all periods in one pass would round differently.
+            part = resid[a:b]
+            total += float(part @ part) / (b - a)
             used += 1
     if skipped:
         warnings.warn(
@@ -336,12 +324,11 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     """Run the estimation pipeline and bundle the inference inputs."""
     plan = split(len(batch))
     m_hat, halves, (u_hat, v_hat) = combine_and_estimate(batch, config)
-    records = batch.records
     sigma_hat_sq = estimate_sigma(
         halves[0].m_init,
         halves[1].m_init,
-        records[plan.half1[0] : plan.half1[1]],
-        records[plan.half2[0] : plan.half2[1]],
+        batch[plan.half1[0] : plan.half1[1]],
+        batch[plan.half2[0] : plan.half2[1]],
         plan.t_used,
     )
     return EstimationArtifacts(

@@ -19,7 +19,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -146,6 +146,53 @@ def scheme_from_json(obj) -> MatchingScheme:
     raise DataFormatError(f"unknown scheme kind {kind!r}")
 
 
+def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
+    """The one validator of matchings and batches; period t owns ``offsets[t]:offsets[t+1]``.
+
+    Raises ArgumentError with the first offending ``period`` if an index is out of
+    range, a reward is not finite, a column repeats within a period, or a
+    period's row multiplicities violate ``scheme``.
+    """
+    n = offsets.size - 1
+    period = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+
+    def fail(message: str, t) -> None:
+        raise ArgumentError(message + (f" in period {t}" if n > 1 else ""), period=int(t))
+
+    entry_checks = [("row index out of range", (rows < 0) | (rows >= d1)),
+                    ("column index out of range", (cols < 0) | (cols >= d2))]
+    if y is not None:
+        entry_checks.append(("rewards must be finite", ~np.isfinite(y)))
+    for message, bad in entry_checks:
+        if bad.any():
+            fail(message, period[bad.argmax()])
+    keys = np.sort(period * d2 + cols)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        fail("a column appears more than once", repeated[0] // d2)
+    if scheme is None:
+        return
+    counts = np.bincount(period * d1 + rows, minlength=n * d1).reshape(n, d1)
+    if isinstance(scheme, OneToOne):
+        bad, message = counts != 1, "one-to-one matching must use every row once"
+    elif isinstance(scheme, OneToMany):
+        bad, message = counts > scheme.K, f"row multiplicity exceeds K={scheme.K}"
+    elif isinstance(scheme, TwoSided):
+        bad, message = counts > 1, "two-sided matching must use each row at most once"
+    else:
+        raise ArgumentError(f"unknown scheme {scheme!r}")
+    if bad.any():
+        fail(message, bad.any(axis=1).argmax())
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass over parts of already validated data, not checked again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Matching:
     """A set of (row, column) pairs with every column used at most once."""
@@ -156,21 +203,13 @@ class Matching:
     cols: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(self.cols, dtype=np.int64).reshape(-1)
+        rows, cols = (np.array(a, dtype=np.int64).reshape(-1) for a in (self.rows, self.cols))
         if rows.size != cols.size:
             raise ArgumentError("rows and cols must have equal length")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.d1:
-                raise ArgumentError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.d2:
-                raise ArgumentError("column index out of range")
-            if np.unique(cols).size != cols.size:
-                raise ArgumentError("a column appears more than once")
+        _check_periods(self.d1, self.d2, rows, cols, np.array([0, rows.size]))
         for name, arr in (("rows", rows), ("cols", cols)):
-            locked = np.array(arr, copy=True)
-            locked.flags.writeable = False
-            object.__setattr__(self, name, locked)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -180,69 +219,87 @@ class Matching:
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
-    def check_scheme(self, scheme: MatchingScheme) -> None:
-        """Raise if this matching violates the scheme-specific shape."""
-        counts = np.bincount(self.rows, minlength=self.d1)
-        if isinstance(scheme, OneToOne):
-            if not np.all(counts == 1):
-                raise ArgumentError("one-to-one matching must use every row once")
-        elif isinstance(scheme, OneToMany):
-            if counts.max(initial=0) > scheme.K:
-                raise ArgumentError(f"row multiplicity exceeds K={scheme.K}")
-        elif isinstance(scheme, TwoSided):
-            if counts.max(initial=0) > 1:
-                raise ArgumentError("two-sided matching must use each row at most once")
-        else:
-            raise ArgumentError(f"unknown scheme {scheme!r}")
 
-
-@dataclass(frozen=True)
-class Observation:
-    """One time step: a matching and its rewards, aligned pairwise."""
+class Observation(NamedTuple):
+    """One period of a batch: a matching and its rewards, aligned pairwise."""
 
     matching: Matching
     y: np.ndarray
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if y.size != self.matching.size:
-            raise ArgumentError("rewards must align with the matching's pairs")
-        if not np.all(np.isfinite(y)):
-            raise ArgumentError("rewards must be finite")
-        locked = np.array(y, copy=True)
-        locked.flags.writeable = False
-        object.__setattr__(self, "y", locked)
 
-    @property
-    def rewards(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(self.matching.rows, self.matching.cols, self.y)
-        }
+_COLUMNS = (("rows", np.int64), ("cols", np.int64), ("y", float))
 
 
 @dataclass(frozen=True)
 class ObservationBatch:
-    """A sequence of matching/reward records sharing scheme and dims."""
+    """T periods of matchings and rewards sharing scheme and dims, as flat arrays.
+
+    Period t owns entries ``offsets[t]:offsets[t+1]`` of ``rows``,
+    ``cols`` and ``y``.  Construction validates the whole batch once;
+    :meth:`from_periods` builds one from per-period arrays.
+    ``batch[a:b]`` is the batch of periods ``a..b-1``: a view sharing
+    these read-only arrays, neither copied nor validated again.
+    """
 
     scheme: MatchingScheme
     d1: int
     d2: int
     sigma: float
-    records: tuple[Observation, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    y: np.ndarray
+    offsets: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ArgumentError("sigma must be nonnegative")
-        records = tuple(self.records)
-        for rec in records:
-            if (rec.matching.d1, rec.matching.d2) != (self.d1, self.d2):
-                raise ArgumentError("all records must share the batch dims")
-        object.__setattr__(self, "records", records)
+        for name, dtype in _COLUMNS + (("offsets", np.int64),):
+            locked = np.asarray(getattr(self, name), dtype=dtype).reshape(-1).view()
+            locked.flags.writeable = False
+            object.__setattr__(self, name, locked)
+        offsets = self.offsets
+        if offsets[:1].tolist() != [0] or np.any(np.diff(offsets) < 0) \
+                or not offsets[-1] == self.rows.size == self.cols.size == self.y.size:
+            raise ArgumentError("offsets must rise from 0 to the length of rows, cols and y")
+        _check_periods(self.d1, self.d2, self.rows, self.cols, offsets, self.scheme, self.y)
+
+    @classmethod
+    def from_periods(cls, scheme, d1, d2, sigma, periods, seed=None) -> "ObservationBatch":
+        """One validated batch from per-period ``(rows, cols, y)`` triples."""
+        periods = list(periods)
+        if any(not len(r) == len(c) == len(v) for r, c, v in periods):
+            raise ArgumentError("rewards must align with the matching's pairs")
+        rows, cols, y = (np.concatenate([p[k] for p in periods] + [np.empty(0, t)])
+                         for k, (_, t) in enumerate(_COLUMNS))
+        offsets = np.cumsum([0] + [len(p[0]) for p in periods])
+        return cls(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.offsets.size - 1
+
+    def __getitem__(self, periods: slice) -> "ObservationBatch":
+        start, stop, step = periods.indices(len(self))
+        if step != 1:
+            raise ArgumentError("batch slices must be contiguous")
+        lo, hi = self.offsets[start], self.offsets[max(start, stop)]
+        offsets = self.offsets[start : max(start, stop) + 1] - lo
+        offsets.flags.writeable = False
+        return _trusted(
+            ObservationBatch, scheme=self.scheme, d1=self.d1, d2=self.d2,
+            sigma=self.sigma, rows=self.rows[lo:hi], cols=self.cols[lo:hi],
+            y=self.y[lo:hi], offsets=offsets, seed=self.seed,
+        )
+
+    @property
+    def records(self) -> tuple[Observation, ...]:
+        """Per-period observations, built on demand as views of the arrays."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            Observation(_trusted(Matching, d1=self.d1, d2=self.d2,
+                                 rows=self.rows[a:b], cols=self.cols[a:b]), self.y[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])
+        )
 
 
 def sample_truncated_binomial(
@@ -322,6 +379,31 @@ def _sample_truncated_binomial_many(
     return accepted
 
 
+def _draw_pairs(
+    scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One period's (rows, cols) draw from a feasible scheme."""
+    if isinstance(scheme, OneToOne):
+        return np.arange(d1, dtype=np.int64), rng.permutation(d2)[:d1]
+    if isinstance(scheme, OneToMany):
+        degrees = rng.binomial(scheme.K, scheme.p0, size=d1)
+        total = int(degrees.sum())
+        # One uniform draw of `total` distinct columns in random order,
+        # sliced to rows: a uniform partition given the degrees.
+        cols = rng.permutation(d2)[:total]
+        return np.repeat(np.arange(d1, dtype=np.int64), degrees), cols
+    if isinstance(scheme, TwoSided):
+        b_r, b_s = sample_truncated_binomial(
+            d1, scheme.p1, d2, scheme.p2, scheme.c_r, scheme.c_s, scheme.gamma, rng
+        )
+        n = min(b_r, b_s)
+        rows = rng.permutation(d1)[:b_r][:n]
+        cols = rng.permutation(d2)[:b_s][:n]
+        order = np.argsort(rows)
+        return rows[order], cols[order]
+    raise ArgumentError(f"unknown scheme {scheme!r}")
+
+
 def sample_matching(
     scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator
 ) -> Matching:
@@ -332,27 +414,7 @@ def sample_matching(
     two-sided).
     """
     scheme.feasible(d1, d2)
-    if isinstance(scheme, OneToOne):
-        cols = rng.permutation(d2)[:d1]
-        return Matching(d1, d2, np.arange(d1, dtype=np.int64), cols)
-    if isinstance(scheme, OneToMany):
-        degrees = rng.binomial(scheme.K, scheme.p0, size=d1)
-        total = int(degrees.sum())
-        # One uniform draw of `total` distinct columns in random order,
-        # sliced to rows: a uniform partition given the degrees.
-        cols = rng.permutation(d2)[:total]
-        rows = np.repeat(np.arange(d1, dtype=np.int64), degrees)
-        return Matching(d1, d2, rows, cols)
-    if isinstance(scheme, TwoSided):
-        b_r, b_s = sample_truncated_binomial(
-            d1, scheme.p1, d2, scheme.p2, scheme.c_r, scheme.c_s, scheme.gamma, rng
-        )
-        n = min(b_r, b_s)
-        rows = rng.permutation(d1)[:b_r][:n]
-        cols = rng.permutation(d2)[:b_s][:n]
-        order = np.argsort(rows)
-        return Matching(d1, d2, rows[order], cols[order])
-    raise ArgumentError(f"unknown scheme {scheme!r}")
+    return Matching(d1, d2, *_draw_pairs(scheme, d1, d2, rng))
 
 
 @dataclass(frozen=True)
@@ -420,16 +482,14 @@ def observe(
     if sigma < 0.0:
         raise ArgumentError("sigma must be nonnegative")
     d1, d2 = m.shape
+    scheme.feasible(d1, d2)
     values = m.values
-    records = []
+    periods = []
     for _ in range(T):
-        matching = sample_matching(scheme, d1, d2, rng)
-        noise = rng.standard_normal(matching.size)
-        y = values[matching.rows, matching.cols] + sigma * noise
-        records.append(Observation(matching, y))
-    return ObservationBatch(
-        scheme=scheme, d1=d1, d2=d2, sigma=sigma, records=tuple(records), seed=seed
-    )
+        rows, cols = _draw_pairs(scheme, d1, d2, rng)
+        noise = rng.standard_normal(rows.size)
+        periods.append((rows, cols, values[rows, cols] + sigma * noise))
+    return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,66 +505,72 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
         "sigma": batch.sigma,
         "seed": batch.seed,
     }
+    bounds = batch.offsets.tolist()
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t, rec in enumerate(batch.records, start=1):
+        for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
             line = {
                 "t": t,
-                "pairs": [[int(i), int(j)]
-                          for i, j in zip(rec.matching.rows, rec.matching.cols)],
-                "y": [float(v) for v in rec.y],
+                "pairs": np.column_stack((batch.rows[a:b], batch.cols[a:b])).tolist(),
+                "y": batch.y[a:b].tolist(),
             }
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+def _parse_record(line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A record's rows, cols and y from integer ``pairs`` and numeric ``y``, else ValueError."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
+        raise ValueError("missing pairs/y")
+    pairs, y = np.asarray(obj["pairs"]), np.asarray(obj["y"])
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2).astype(np.int64)
+    if pairs.dtype.kind != "i" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("pairs must be a list of [row, col] integer pairs")
+    if y.dtype.kind not in "iuf" or y.shape != (len(pairs),):
+        raise ValueError("y must be a list of one number per pair")
+    # numpy reads booleans mixed with numbers as 0/1: scan lines that spell one.
+    if ("true" in line or "false" in line) and any(
+        type(v) is bool for v in [*obj["y"], *(v for p in obj["pairs"] for v in p)]
+    ):
+        raise ValueError("pairs and y must not hold booleans")
+    return pairs[:, 0], pairs[:, 1], y
+
+
 def load_batch(path: str | Path) -> ObservationBatch:
-    """Inverse of :func:`save_batch` with full structural validation."""
+    """Inverse of :func:`save_batch`; DataFormatError names the first malformed line."""
+    periods, line_of = [], []
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            first = fh.readline()
+            if not first:
+                raise DataFormatError(f"batch file {path} is empty")
+            try:
+                header = json.loads(first)
+            except (ValueError, RecursionError) as exc:
+                raise DataFormatError(f"bad batch header: {exc}") from exc
+            if not isinstance(header, dict) or not {"scheme", "d1", "d2", "sigma"} <= set(header):
+                raise DataFormatError("batch header must carry scheme, d1, d2, sigma")
+            scheme = scheme_from_json(header["scheme"])
+            try:
+                d1, d2 = int(header["d1"]), int(header["d2"])
+                sigma = float(header["sigma"])
+                seed = header.get("seed")
+                seed = None if seed is None else int(seed)
+            except (TypeError, ValueError) as exc:
+                raise DataFormatError(f"bad batch header fields: {exc}") from exc
+            for k, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    periods.append(_parse_record(line))
+                except (ValueError, RecursionError) as exc:
+                    raise DataFormatError(f"bad batch record on line {k}: {exc}") from exc
+                line_of.append(k)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read batch file {path}: {exc}") from exc
-    if not lines:
-        raise DataFormatError(f"batch file {path} is empty")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"bad batch header: {exc}") from exc
-    if not isinstance(header, dict) or not {"scheme", "d1", "d2", "sigma"} <= set(header):
-        raise DataFormatError("batch header must carry scheme, d1, d2, sigma")
-    scheme = scheme_from_json(header["scheme"])
-    try:
-        d1, d2 = int(header["d1"]), int(header["d2"])
-        sigma = float(header["sigma"])
-        seed = header.get("seed")
-        seed = None if seed is None else int(seed)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad batch header fields: {exc}") from exc
-    records = []
-    for k, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"bad batch record on line {k + 1}: {exc}") from exc
-        if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
-            raise DataFormatError(f"record on line {k + 1} missing pairs/y")
-        pairs, y = obj["pairs"], obj["y"]
-        if not isinstance(pairs, list) or not isinstance(y, list) or len(pairs) != len(y):
-            raise DataFormatError(f"record on line {k + 1}: pairs/y misaligned")
-        try:
-            rows = np.array([int(p[0]) for p in pairs], dtype=np.int64)
-            cols = np.array([int(p[1]) for p in pairs], dtype=np.int64)
-            matching = Matching(d1, d2, rows, cols)
-            matching.check_scheme(scheme)
-            records.append(Observation(matching, np.array(y, dtype=float)))
-        except (ArgumentError, TypeError, IndexError, ValueError) as exc:
-            raise DataFormatError(f"record on line {k + 1}: {exc}") from exc
-    try:
-        return ObservationBatch(
-            scheme=scheme, d1=d1, d2=d2, sigma=sigma,
-            records=tuple(records), seed=seed,
-        )
+        return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)
     except ArgumentError as exc:
-        raise DataFormatError(str(exc)) from exc
+        where = "" if exc.period is None else f"record on line {line_of[exc.period]}: "
+        raise DataFormatError(f"{where}{exc}") from exc

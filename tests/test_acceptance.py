@@ -345,7 +345,7 @@ def test_oracle_equivalences():
     batch = observe(truth, OneToOne(), 60, 0.3, rng)
     u = np.linalg.qr(rng.normal(size=(6, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(10, 2)))[0]
-    g = solve_G(u, v, batch.records, 2)
+    g = solve_G(u, v, batch, 2)
     feats = []
     ys = []
     for rec in batch.records:
@@ -370,8 +370,8 @@ def test_oracle_equivalences():
     batch = observe(truth, OneToOne(), 200, 0.5, rng)
     m_init = truth.values + 0.01 * rng.normal(size=truth.shape)
     nu = 1.0 / 16
-    plain = debias(m_init, batch.records, nu, source_init=1)
-    ipw = debias_ipw(m_init, batch.records, np.full((8, 16), 1.0 / nu), source_init=1)
+    plain = debias(m_init, batch, nu, source_init=1)
+    ipw = debias_ipw(m_init, batch, np.full((8, 16), 1.0 / nu), source_init=1)
     assert np.array_equal(plain.m_unbs, ipw.m_unbs)
 
     # Truncated paired-binomial sampler vs the enumerated pmf.
@@ -414,7 +414,7 @@ def test_gradient_matches_finite_differences():
         truth = generate_low_rank(d1, d2, 2, 1.0, rng)
         batch = observe(truth, OneToOne(), 25, 0.5, rng)
         point = rng.normal(size=(d1, d2))
-        grad = batch_loss_gradient(point, batch.records)
+        grad = batch_loss_gradient(point, batch)
         fd = np.zeros_like(grad)
         h = 1e-6
         for i in range(d1):
@@ -422,8 +422,8 @@ def test_gradient_matches_finite_differences():
                 bump = np.zeros_like(point)
                 bump[i, j] = h
                 fd[i, j] = (
-                    batch_loss(point + bump, batch.records)
-                    - batch_loss(point - bump, batch.records)
+                    batch_loss(point + bump, batch)
+                    - batch_loss(point - bump, batch)
                 ) / (2 * h)
         rel = float(
             np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12)

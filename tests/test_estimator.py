@@ -7,13 +7,12 @@ from matchlearn import (
     DegenerateInitError,
     EstimatorConfig,
     FactorState,
-    Matching,
-    Observation,
     ObservationBatch,
     OneToOne,
     RankDeficientDesignError,
     RemainderDroppedWarning,
     SingularCoreError,
+    TwoSided,
     aggregate_response,
     batch_loss,
     batch_loss_gradient,
@@ -38,15 +37,20 @@ def make_problem(d1, d2, r, T, sigma, seed, scale=1.0):
     return truth, batch
 
 
-def tiling_records(truth):
+# A scheme whose matchings may leave rows unmatched, for hand-built
+# batches of partial matchings.
+PARTIAL = TwoSided(0.5, 0.5, 0.1, 0.1, 0.1)
+
+
+def tiling_batch(truth):
     """d2 shifted one-to-one matchings covering every entry exactly once."""
     d1, d2 = truth.shape
     rows = np.arange(d1)
-    recs = []
+    periods = []
     for shift in range(d2):
         cols = (rows + shift) % d2
-        recs.append(Observation(Matching(d1, d2, rows, cols), truth.values[rows, cols]))
-    return recs
+        periods.append((rows, cols, truth.values[rows, cols]))
+    return ObservationBatch.from_periods(OneToOne(), d1, d2, 0.0, periods)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,7 @@ def test_partition_too_few_observations():
 
 def test_spectral_init_exact_on_tiling():
     truth = generate_low_rank(4, 8, 2, 1.0, np.random.default_rng(5))
-    recs = tiling_records(truth)
+    recs = tiling_batch(truth)
     # Each entry is revealed exactly once across d2 matchings, so with
     # nu = 1/d2 the scaled aggregate reproduces the matrix itself.
     agg = aggregate_response(recs, 1.0 / 8)
@@ -93,13 +97,15 @@ def test_spectral_init_exact_on_tiling():
 
 def test_spectral_init_proximity_one_to_one():
     truth, batch = make_problem(5, 10, 1, 2000, 0.0, seed=7)
-    u1, _ = spectral_init(batch.records, 1.0 / 10, 1)
+    u1, _ = spectral_init(batch, 1.0 / 10, 1)
     assert projector_distance(u1, truth.left_factors) <= 0.2
 
 
 def test_spectral_init_zero_aggregate_errors():
     rows = np.arange(3)
-    recs = [Observation(Matching(3, 6, rows, rows + k), np.zeros(3)) for k in range(2)]
+    recs = ObservationBatch.from_periods(
+        OneToOne(), 3, 6, 0.0, [(rows, rows + k, np.zeros(3)) for k in range(2)]
+    )
     with pytest.raises(DegenerateInitError):
         spectral_init(recs, 1.0 / 6, 1)
 
@@ -107,11 +113,11 @@ def test_spectral_init_zero_aggregate_errors():
 def test_spectral_init_argument_validation():
     truth, batch = make_problem(3, 6, 1, 4, 0.0, seed=9)
     with pytest.raises(ArgumentError):
-        spectral_init([], 1.0 / 6, 1)
+        spectral_init(batch[:0], 1.0 / 6, 1)
     with pytest.raises(ArgumentError):
-        spectral_init(batch.records, 0.0, 1)
+        spectral_init(batch, 0.0, 1)
     with pytest.raises(ArgumentError):
-        spectral_init(batch.records, 1.5, 1)
+        spectral_init(batch, 1.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +126,13 @@ def test_spectral_init_argument_validation():
 
 def test_solve_g_recovers_diagonal_core_noiseless():
     truth, batch = make_problem(6, 12, 2, 200, 0.0, seed=11)
-    g = solve_G(truth.left_factors, truth.right_factors, batch.records, 2)
+    g = solve_G(truth.left_factors, truth.right_factors, batch, 2)
     np.testing.assert_allclose(g, np.diag(truth.singular_values), atol=1e-8)
 
 
 def test_solve_g_rank_one_scalar_formula():
     truth, batch = make_problem(4, 8, 1, 30, 0.5, seed=13)
-    g = solve_G(truth.left_factors, truth.right_factors, batch.records, 1)
+    g = solve_G(truth.left_factors, truth.right_factors, batch, 1)
     num = 0.0
     den = 0.0
     for rec in batch.records:
@@ -142,7 +148,7 @@ def test_solve_g_matches_dense_normal_equation_oracle():
     truth, batch = make_problem(4, 6, 2, 40, 1.0, seed=17)
     u = np.linalg.qr(rng.standard_normal((4, 2)))[0]
     v = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-    g = solve_G(u, v, batch.records, 2)
+    g = solve_G(u, v, batch, 2)
 
     # Oracle: assemble the r^2 x r^2 normal equations entry by entry.
     a = np.zeros((4, 4))
@@ -161,7 +167,7 @@ def test_solve_g_matches_dense_normal_equation_oracle():
 def test_solve_g_residual_orthogonality():
     truth, batch = make_problem(5, 10, 2, 60, 1.0, seed=19)
     u, v = truth.left_factors, truth.right_factors
-    g = solve_G(u, v, batch.records, 2)
+    g = solve_G(u, v, batch, 2)
     # Gradient of the objective in G at the solution must vanish.
     grad = np.zeros((2, 2))
     scale = 0.0
@@ -174,8 +180,9 @@ def test_solve_g_residual_orthogonality():
 
 
 def test_solve_g_rank_deficient_design_errors():
-    m = Matching(3, 6, [0, 1], [0, 1])
-    recs = [Observation(m, [1.0, 2.0])] * 4
+    recs = ObservationBatch.from_periods(
+        PARTIAL, 3, 6, 0.0, [([0, 1], [0, 1], [1.0, 2.0])] * 4
+    )
     u = np.linalg.qr(np.random.default_rng(23).standard_normal((3, 2)))[0]
     v = np.linalg.qr(np.random.default_rng(24).standard_normal((6, 2)))[0]
     with pytest.raises(RankDeficientDesignError) as exc_info:
@@ -186,9 +193,9 @@ def test_solve_g_rank_deficient_design_errors():
 def test_solve_g_argument_validation():
     truth, batch = make_problem(4, 8, 2, 10, 0.0, seed=27)
     with pytest.raises(ArgumentError):
-        solve_G(truth.left_factors[:, :1], truth.right_factors, batch.records, 2)
+        solve_G(truth.left_factors[:, :1], truth.right_factors, batch, 2)
     with pytest.raises(ArgumentError):
-        solve_G(truth.left_factors, truth.right_factors, [], 2)
+        solve_G(truth.left_factors, truth.right_factors, batch[:0], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +204,7 @@ def test_solve_g_argument_validation():
 
 def test_gradient_step_fixed_point_at_truth():
     truth, batch = make_problem(6, 12, 2, 400, 0.0, seed=29)
-    recs = batch.records
+    recs = batch
     state = FactorState.create(
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
@@ -211,7 +218,7 @@ def test_gradient_step_fixed_point_at_truth():
 
 def test_gradient_matches_central_differences():
     truth, batch = make_problem(3, 4, 1, 12, 0.8, seed=31)
-    recs = batch.records
+    recs = batch
     m0 = np.random.default_rng(32).uniform(-1.0, 1.0, (3, 4))
     grad = batch_loss_gradient(m0, recs)
     h = 1e-6
@@ -231,7 +238,7 @@ def test_gradient_step_decreases_projector_distance():
     truth = generate_low_rank(d1, d2, r, 1.0, np.random.default_rng([33, 1]))
     n0 = 3000
     batch = observe(truth, OneToOne(), 3 * n0, 0.0, np.random.default_rng([33, 2]))
-    recs = batch.records
+    recs = batch
     pert = np.random.default_rng([33, 3])
     u0 = np.linalg.qr(truth.left_factors + 0.25 * pert.standard_normal((d1, r)))[0]
     v0 = np.linalg.qr(truth.right_factors + 0.25 * pert.standard_normal((d2, r)))[0]
@@ -253,7 +260,7 @@ def test_gradient_step_singular_core_errors():
         truth.left_factors, np.diag([1.0, 0.0]), truth.right_factors
     )
     with pytest.raises(SingularCoreError):
-        gradient_step(state, batch.records[:20], batch.records[20:], 0.5, 1.0 / 8, 20)
+        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8, 20)
 
 
 def test_gradient_step_rejects_bad_n0():
@@ -262,7 +269,7 @@ def test_gradient_step_rejects_bad_n0():
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
     with pytest.raises(ArgumentError):
-        gradient_step(state, batch.records[:20], batch.records[20:], 0.5, 1.0 / 8, 0)
+        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8, 0)
 
 
 def test_factor_state_validates_inputs():
@@ -278,9 +285,9 @@ def test_factor_state_validates_inputs():
 
 def test_batch_loss_hand_computed():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    rec = Observation(Matching(2, 2, [0, 1], [0, 1]), [0.0, 0.0])
-    assert batch_loss(m, [rec]) == pytest.approx(17.0)
-    grad = batch_loss_gradient(m, [rec])
+    rec = ObservationBatch.from_periods(OneToOne(), 2, 2, 0.0, [([0, 1], [0, 1], [0.0, 0.0])])
+    assert batch_loss(m, rec) == pytest.approx(17.0)
+    grad = batch_loss_gradient(m, rec)
     np.testing.assert_allclose(grad, [[2.0, 0.0], [0.0, 8.0]])
 
 
@@ -360,8 +367,8 @@ def test_fit_single_pair_returns_spectral_refit():
     m_hat, trace = fit(batch, cfg, truth=truth)
     assert len(trace) == 1
     assert np.isnan(trace.grad_norm[0])
-    u, v = spectral_init(batch.records[:200], 1.0 / 10, 2)
-    g = solve_G(u, v, batch.records[200:], 2)
+    u, v = spectral_init(batch[:200], 1.0 / 10, 2)
+    g = solve_G(u, v, batch[200:], 2)
     np.testing.assert_array_equal(m_hat, (u @ g) @ v.T)
 
 
@@ -377,10 +384,8 @@ def test_fit_trace_policies():
 
 def test_fit_reports_failing_batch_index():
     rows = np.arange(3)
-    zero_recs = [
-        Observation(Matching(3, 6, rows, (rows + k) % 6), np.zeros(3)) for k in range(8)
-    ]
-    batch = ObservationBatch(OneToOne(), 3, 6, 0.0, tuple(zero_recs))
+    zero_recs = [(rows, (rows + k) % 6, np.zeros(3)) for k in range(8)]
+    batch = ObservationBatch.from_periods(OneToOne(), 3, 6, 0.0, zero_recs)
     cfg = EstimatorConfig(r=1, eta=0.75, m=2, nu=1.0 / 6)
     with pytest.raises(DegenerateInitError, match="batch pair 1"):
         fit(batch, cfg)
@@ -389,10 +394,10 @@ def test_fit_reports_failing_batch_index():
 def test_fit_reports_failure_in_later_batch():
     truth = generate_low_rank(3, 6, 2, 1.0, np.random.default_rng(57))
     good = observe(truth, OneToOne(), 90, 0.0, np.random.default_rng(58)).records
-    stuck = Matching(3, 6, [0, 1], [0, 1])
-    bad = Observation(stuck, truth.values[[0, 1], [0, 1]])
-    records = tuple(good) + (bad,) * 30
-    batch = ObservationBatch(OneToOne(), 3, 6, 0.0, records)
+    good = [(rec.matching.rows, rec.matching.cols, rec.y) for rec in good]
+    bad = ([0, 1], [0, 1], truth.values[[0, 1], [0, 1]])
+    # The stuck periods leave row 2 unmatched, which a partial scheme allows.
+    batch = ObservationBatch.from_periods(PARTIAL, 3, 6, 0.0, good + [bad] * 30)
     cfg = EstimatorConfig(r=2, eta=0.75, m=2, nu=1.0 / 6)
     with pytest.raises(RankDeficientDesignError, match="batch pair 2"):
         fit(batch, cfg)
@@ -403,8 +408,7 @@ def test_fit_estimate_is_rotation_invariant():
     truth = generate_low_rank(d1, d2, r, 1.0, np.random.default_rng([59, 1]))
     n0 = 300
     batch = observe(truth, OneToOne(), 6 * n0, 0.3, np.random.default_rng([59, 2]))
-    recs = batch.records
-    slices = [recs[p * n0 : (p + 1) * n0] for p in range(6)]
+    slices = [batch[p * n0 : (p + 1) * n0] for p in range(6)]
 
     rng = np.random.default_rng([59, 3])
     o1 = np.linalg.qr(rng.standard_normal((r, r)))[0]
@@ -473,7 +477,7 @@ def test_estimate_rank_noisy_rank_three_aggregate():
     truth = generate_low_rank(10, 20, 3, 1.0, np.random.default_rng([21, 0]))
     sigma = truth.singular_values[0] / 50.0
     batch = observe(truth, OneToOne(), 4000, sigma, np.random.default_rng([22, 0]))
-    agg = aggregate_response(batch.records, 1.0 / 20)
+    agg = aggregate_response(batch, 1.0 / 20)
     spectrum = np.linalg.svd(agg, compute_uv=False)
     sel = estimate_rank(spectrum, max_rank=6)
     assert (sel.rank, sel.elbow_found) == (3, True)

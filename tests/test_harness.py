@@ -27,7 +27,7 @@ from matchlearn import (
     run_simulation,
     save_batch,
 )
-from matchlearn.samplers import Matching, Observation, ObservationBatch
+from matchlearn.samplers import ObservationBatch
 
 
 def base_config_dict(**overrides) -> dict:
@@ -466,10 +466,18 @@ def test_cli_missing_batch_file_is_data_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "DataFormatError"
 
 
+def write_one_to_one_batch(path, *records):
+    """A 3x4 one-to-one batch file with the given records, written as text."""
+    header = {"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": None}
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(rec) for rec in records]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_cli_infer_rejects_partial_one_to_one_batch(capsys, tmp_path):
-    records = [Observation(Matching(3, 4, [0, 2], [3, 1]), [1.0, 2.0])]
+    # A one-to-one batch cannot hold a partial matching in memory, so
+    # the file is written as text.
     path = tmp_path / "partial.jsonl"
-    save_batch(ObservationBatch(OneToOne(), 3, 4, 0.0, records), path)
+    write_one_to_one_batch(path, {"t": 1, "pairs": [[0, 3], [2, 1]], "y": [1.0, 2.0]})
     cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
     code, _, err = run_cli(
         capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"]
@@ -477,6 +485,21 @@ def test_cli_infer_rejects_partial_one_to_one_batch(capsys, tmp_path):
     assert code == 4
     diag = json.loads(err)
     assert diag["error"] == "DataFormatError" and "line 2" in diag["message"]
+
+
+def test_cli_infer_rejects_non_integer_pairs(capsys, tmp_path):
+    path = tmp_path / "floats.jsonl"
+    good = {"t": 1, "pairs": [[0, 0], [1, 1], [2, 2]], "y": [1.0, 2.0, 3.0]}
+    write_one_to_one_batch(
+        path, good, {"t": 2, "pairs": [[0, 1], [1.5, 2], [2, 3]], "y": [1.0, 2.0, 3.0]}
+    )
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    code, _, err = run_cli(
+        capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"]
+    )
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "DataFormatError" and "line 3" in diag["message"]
 
 
 @pytest.fixture()
@@ -558,10 +581,10 @@ def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
     records = [
-        Observation(Matching(2, 3, [0, 1], [0, 1]), [0.0, 0.0]),
-        Observation(Matching(2, 3, [0, 1], [1, 2]), [0.0, 0.0]),
+        ([0, 1], [0, 1], [0.0, 0.0]),
+        ([0, 1], [1, 2], [0.0, 0.0]),
     ]
-    batch = ObservationBatch(OneToOne(), 2, 3, 0.0, records)
+    batch = ObservationBatch.from_periods(OneToOne(), 2, 3, 0.0, records)
     path = tmp_path / "zero.jsonl"
     save_batch(batch, path)
     cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=2, m=1, sigma=0.0)

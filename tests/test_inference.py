@@ -9,8 +9,6 @@ from matchlearn import (
     EmptyMatchingWarning,
     EstimatorConfig,
     LinearForm,
-    Matching,
-    Observation,
     ObservationBatch,
     OneToMany,
     OneToOne,
@@ -35,6 +33,11 @@ from matchlearn import (
     standard_error,
 )
 from matchlearn import test_threshold as threshold_test
+
+
+# A scheme whose matchings may leave rows unmatched, for hand-built
+# batches of partial matchings.
+PARTIAL = TwoSided(0.5, 0.5, 0.1, 0.1, 0.1)
 
 
 def make_problem(d1, d2, r, T, sigma, seed, scale=1.0, scheme=OneToOne()):
@@ -77,15 +80,15 @@ def test_split_too_small():
 
 def test_debias_exact_init_noiseless_is_identity():
     truth, batch = make_problem(5, 10, 2, 40, 0.0, seed=71)
-    est = debias(truth.values, batch.records, 1.0 / 10)
+    est = debias(truth.values, batch, 1.0 / 10)
     assert np.array_equal(est.m_unbs, truth.values)
 
 
 def test_debias_hand_computed_single_matching():
     m_init = np.arange(6, dtype=float).reshape(2, 3)
-    rec = Observation(Matching(2, 3, [0, 1], [1, 2]), [10.0, -3.0])
+    rec = ObservationBatch.from_periods(OneToOne(), 2, 3, 0.0, [([0, 1], [1, 2], [10.0, -3.0])])
     nu = 1.0 / 3.0
-    est = debias(m_init, [rec], nu)
+    est = debias(m_init, rec, nu)
     expect = m_init.copy()
     expect[0, 1] += (10.0 - m_init[0, 1]) / nu  # T0 = 1
     expect[1, 2] += (-3.0 - m_init[1, 2]) / nu
@@ -109,7 +112,7 @@ def test_debias_is_unbiased_over_replications(scheme, reps):
     samples = np.empty((reps, 20))
     for rep in range(reps):
         batch = observe(truth, scheme, t0, 1.0, np.random.default_rng([73, 5, rep]))
-        est = debias(m_init, batch.records, nu)
+        est = debias(m_init, batch, nu)
         samples[rep] = est.m_unbs[idx]
     dev = samples.mean(axis=0) - truth.values[idx]
     bound = 4.0 * samples.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -120,30 +123,30 @@ def test_debias_ipw_uniform_is_bitwise_equal():
     truth, batch = make_problem(6, 12, 2, 50, 1.0, seed=79)
     m_init = truth.values + 0.1
     nu = 1.0 / 12
-    a = debias(m_init, batch.records, nu)
-    b = debias_ipw(m_init, batch.records, np.full((6, 12), 1.0 / nu))
+    a = debias(m_init, batch, nu)
+    b = debias_ipw(m_init, batch, np.full((6, 12), 1.0 / nu))
     assert np.array_equal(a.m_unbs, b.m_unbs)
     assert a.nu_used == b.nu_used
 
 
 def test_debias_ipw_hand_computed_entrywise_scaling():
     m_init = np.zeros((2, 2))
-    rec = Observation(Matching(2, 2, [0, 1], [1, 0]), [4.0, 2.0])
+    rec = ObservationBatch.from_periods(OneToOne(), 2, 2, 0.0, [([0, 1], [1, 0], [4.0, 2.0])])
     p_inv = np.array([[1.0, 5.0], [1.0, 1.0]])
-    est = debias_ipw(m_init, [rec], p_inv)
+    est = debias_ipw(m_init, rec, p_inv)
     np.testing.assert_allclose(est.m_unbs, [[0.0, 20.0], [2.0, 0.0]])
 
 
 def test_debias_argument_validation():
     truth, batch = make_problem(4, 8, 1, 10, 0.0, seed=83)
     with pytest.raises(ArgumentError):
-        debias(truth.values, [], 1.0 / 8)
+        debias(truth.values, batch[:0], 1.0 / 8)
     with pytest.raises(ArgumentError):
-        debias(truth.values, batch.records, 0.0)
+        debias(truth.values, batch, 0.0)
     with pytest.raises(ArgumentError):
-        debias_ipw(truth.values, batch.records, np.full((4, 8), 0.5))
+        debias_ipw(truth.values, batch, np.full((4, 8), 0.5))
     with pytest.raises(ArgumentError):
-        debias_ipw(truth.values, batch.records, np.full((4, 9), 2.0))
+        debias_ipw(truth.values, batch, np.full((4, 9), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +194,13 @@ def test_combine_is_symmetric_under_half_swap():
     truth, batch = make_problem(8, 16, 2, 800, 0.5, seed=93)
     cfg = EstimatorConfig(r=2, eta=0.7, m=4, nu=1.0 / 16)
     m_a, _, _ = combine_and_estimate(batch, cfg)
-    swapped = ObservationBatch(
+    swapped = ObservationBatch.from_periods(
         batch.scheme,
         batch.d1,
         batch.d2,
         batch.sigma,
-        batch.records[400:] + batch.records[:400],
+        [(rec.matching.rows, rec.matching.cols, rec.y)
+         for rec in batch.records[400:] + batch.records[:400]],
     )
     m_b, _, _ = combine_and_estimate(swapped, cfg)
     assert np.array_equal(m_a, m_b)
@@ -216,16 +220,16 @@ def test_combine_output_rank_at_most_two_r():
 
 def test_estimate_sigma_zero_for_exact_fit():
     truth, batch = make_problem(5, 10, 2, 40, 0.0, seed=97)
-    recs = batch.records
-    out = estimate_sigma(truth.values, truth.values, recs[20:], recs[:20], 40)
+    out = estimate_sigma(truth.values, truth.values, batch[20:], batch[:20], 40)
     assert out == 0.0
 
 
 def test_estimate_sigma_single_residual_formula():
     m1 = np.zeros((2, 3))
     m2 = np.zeros((2, 3))
-    rec = Observation(Matching(2, 3, [1], [2]), [0.7])
-    out = estimate_sigma(m1, m2, [], [rec], t_used=2)
+    none = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [])
+    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [0.7])])
+    out = estimate_sigma(m1, m2, none, rec, t_used=2)
     assert out == pytest.approx(0.7**2 / 2.0, rel=1e-15)
 
 
@@ -242,14 +246,14 @@ def test_estimate_sigma_concentrates_around_noise_variance():
 
 def test_estimate_sigma_skips_empty_matchings_with_warning():
     m0 = np.zeros((2, 3))
-    empty = Observation(Matching(2, 3, [], []), [])
-    rec = Observation(Matching(2, 3, [0], [0]), [1.0])
+    empty = ([], [], [])
+    batch = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [empty, ([0], [0], [1.0])])
     with pytest.warns(EmptyMatchingWarning):
-        out = estimate_sigma(m0, m0, [], [empty, rec], t_used=2)
+        out = estimate_sigma(m0, m0, batch[:0], batch, t_used=2)
     assert out == pytest.approx(0.5)
     with pytest.raises(UndefinedVarianceError):
         with pytest.warns(EmptyMatchingWarning):
-            estimate_sigma(m0, m0, [empty], [empty], t_used=2)
+            estimate_sigma(m0, m0, batch[:1], batch[:1], t_used=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from matchlearn import (
     DataFormatError,
     InfeasibleTruncationError,
     Matching,
+    ObservationBatch,
     OneToMany,
     OneToOne,
     OutsideTheoryWarning,
@@ -108,10 +109,12 @@ def test_one_to_one_needs_wide_matrix():
 )
 def test_sampled_matchings_satisfy_scheme_invariants(scheme, d1, d2):
     rng = np.random.default_rng(17)
+    periods = []
     for _ in range(2000):
         m = sample_matching(scheme, d1, d2, rng)
         assert np.unique(m.cols).size == m.size
-        m.check_scheme(scheme)
+        periods.append((m.rows, m.cols, np.zeros(m.size)))
+    ObservationBatch.from_periods(scheme, d1, d2, 0.0, periods)  # checks the scheme
 
 
 def test_two_sided_pair_count_is_min_of_arrivals():
@@ -359,6 +362,27 @@ def test_load_batch_rejects_malformed(tmp_path):
     path.write_text(header + '{"t": 1, "pairs": [[0, 9]], "y": [1.0]}\n')
     with pytest.raises(DataFormatError):
         load_batch(path)  # column out of range
+
+
+@pytest.mark.parametrize(
+    "pairs, y",
+    [
+        ('[{"a": 1}]', "[1.0]"),  # a pair given as an object
+        ("[[0, 1, 3]]", "[1.0]"),  # three elements
+        ("[[0.9, 1.7]]", "[1.0]"),  # float indices
+        ('[["1", "2"]]', "[1.0]"),  # string indices
+        ("[[0, true]]", "[1.0]"),  # a boolean index
+        ("[[0, 1]]", '["1.0"]'),  # a string reward
+    ],
+    ids=["object", "three", "float", "string", "bool", "string_y"],
+)
+def test_load_batch_rejects_malformed_pairs(tmp_path, pairs, y):
+    path = tmp_path / "bad.jsonl"
+    header = '{"scheme": {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, "c_s": 0.3, "gamma": 0.2}, "d1": 3, "d2": 4, "sigma": 0.0}\n'
+    good = '{"t": 1, "pairs": [[0, 0]], "y": [1.0]}\n'
+    path.write_text(header + good + f'{{"t": 2, "pairs": {pairs}, "y": {y}}}\n')
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_batch(path)
 
 
 def test_load_batch_rejects_records_that_violate_the_scheme(tmp_path):
