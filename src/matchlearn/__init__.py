@@ -12,6 +12,7 @@ from .errors import (
     InternalConsistencyError,
     MatchlearnError,
     MatchlearnWarning,
+    NonFiniteResultError,
     NumericalError,
     OutsideTheoryWarning,
     RankDeficientDesignError,
@@ -41,25 +42,18 @@ from .samplers import (
 from .matmodel import (
     LinearForm,
     RewardMatrix,
-    SpectralInfo,
     generate_low_rank,
-    incoherence,
-    load_matrix_csv,
-    load_reward_matrix,
     projection_magnitude,
     save_matrix_csv,
-    save_reward_matrix,
     svd_r,
 )
 from .estimator import (
     EstimatorConfig,
     FactorState,
     FitTrace,
-    RankSelection,
     aggregate_response,
     batch_loss,
     batch_loss_gradient,
-    estimate_rank,
     fit,
     gradient_step,
     partition_batches,
@@ -71,19 +65,14 @@ from .inference import (
     EstimationArtifacts,
     InferenceResult,
     SplitPlan,
-    ThresholdTest,
-    combine_and_estimate,
-    compare_matchings,
     confidence_interval,
     debias,
-    debias_ipw,
     estimate_sigma,
     infer_linear_form,
     prepare_inference,
     project_rank_r,
     split,
     standard_error,
-    test_threshold,
 )
 from .policy import (
     PolicyEvaluation,
@@ -97,7 +86,6 @@ from .harness import (
     ReplicationSummary,
     RunConfig,
     config_to_dict,
-    coverage_rate,
     ks_statistic,
     load_config,
     main,

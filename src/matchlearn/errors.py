@@ -67,6 +67,10 @@ class UndefinedVarianceError(NumericalError):
     """No residuals were available to estimate the noise variance."""
 
 
+class NonFiniteResultError(NumericalError):
+    """A computation on finite inputs overflowed to non-finite values."""
+
+
 class DegenerateTestError(NumericalError):
     """A test statistic is undefined because its standard error is zero."""
 

@@ -11,7 +11,7 @@ underpins the downstream debiasing theory.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +19,19 @@ import numpy as np
 from .errors import (
     ArgumentError,
     DegenerateInitError,
-    InternalConsistencyError,
     RankDeficientDesignError,
     RemainderDroppedWarning,
     SingularCoreError,
 )
-from .matmodel import RewardMatrix, svd_r
+from .matmodel import RewardMatrix, _require_finite, svd_r
 from .samplers import (MatchingScheme, ObservationBatch, OneToMany, OneToOne,
                        entrywise_probability)
 
 NU_CONSISTENCY_RTOL = 1e-9
 ORTHONORMALITY_LOOP_TOL = 1e-8
+# The core, or the design of its refit, counts as singular when its
+# smallest singular value (eigenvalue) is below this share of the largest.
+MIN_G_SINGULAR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ class EstimatorConfig:
     m: int
     nu: float
     record_trace: bool = True
-    min_g_singular: float = 1e-10
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.r < 1:
@@ -58,18 +58,16 @@ class EstimatorConfig:
             raise ArgumentError(f"m must be >= 1, got {self.m}")
         if not (0.0 < self.nu <= 1.0):
             raise ArgumentError(f"nu must lie in (0, 1], got {self.nu}")
-        if not (0.0 < self.min_g_singular < 1.0):
-            raise ArgumentError("min_g_singular must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class FactorState:
-    """One Algorithm iterate: orthonormal factors and the r-by-r core."""
+    """One Algorithm iterate: orthonormal factors, the r-by-r core and its SVD."""
 
     U: np.ndarray
     G: np.ndarray
     V: np.ndarray
-    g_svd: tuple[np.ndarray, np.ndarray, np.ndarray]
+    g_svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         r = self.G.shape[0]
@@ -81,15 +79,7 @@ class FactorState:
             dev = np.max(np.abs(q.T @ q - np.eye(r)))
             if dev > ORTHONORMALITY_LOOP_TOL:
                 raise ArgumentError(f"{name} not orthonormal (max deviation {dev:.2e})")
-        l_g, s_g, r_g = self.g_svd
-        recon = np.max(np.abs((l_g * s_g) @ r_g.T - self.G))
-        scale = s_g[0] if s_g.size and s_g[0] > 0 else 1.0
-        if recon > 1e-8 * scale:
-            raise ArgumentError("g_svd inconsistent with G")
-
-    @classmethod
-    def create(cls, u: np.ndarray, g: np.ndarray, v: np.ndarray) -> "FactorState":
-        return cls(U=u, G=g, V=v, g_svd=svd_r(g, g.shape[0]))
+        object.__setattr__(self, "g_svd", svd_r(self.G, r))
 
     @property
     def estimate(self) -> np.ndarray:
@@ -144,11 +134,7 @@ def partition_batches(T: int, m: int) -> list[tuple[int, int]]:
 
 
 def aggregate_response(batch: ObservationBatch, nu: float) -> np.ndarray:
-    """The scaled response aggregate ``(nu N0)^-1 sum_t Y_t o X_t``.
-
-    This is both the spectral-initialization target and the matrix whose
-    spectrum drives rank selection.
-    """
+    """The spectral-initialization target ``(nu N0)^-1 sum_t Y_t o X_t``."""
     if len(batch) == 0:
         raise ArgumentError("need at least one observation")
     if not (0.0 < nu <= 1.0):
@@ -162,7 +148,7 @@ def spectral_init(
     batch: ObservationBatch, nu: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-r factor subspaces of the scaled response aggregate."""
-    agg = aggregate_response(batch, nu)
+    agg = _require_finite(aggregate_response(batch, nu), "response aggregate")
     if not agg.any():
         raise DegenerateInitError(
             "response aggregate is identically zero; cannot initialize factors"
@@ -176,13 +162,12 @@ def solve_G(
     v: np.ndarray,
     batch: ObservationBatch,
     r: int,
-    min_g_singular: float = 1e-10,
 ) -> np.ndarray:
     """Least-squares core: argmin_G sum over revealed (t,i,j) of (u_i^T G v_j - y)^2.
 
     Solved through its r^2 x r^2 normal equations, which stay tiny for
     the ranks this package targets.  The design must be well conditioned:
-    smallest eigenvalue >= ``min_g_singular`` times the largest.
+    smallest eigenvalue >= ``MIN_G_SINGULAR`` times the largest.
     """
     if u.shape[1] != r or v.shape[1] != r:
         raise ArgumentError("factor widths must equal r")
@@ -193,19 +178,19 @@ def solve_G(
     a = feats.T @ feats
     b = feats.T @ y
     eigs = np.linalg.eigvalsh(a)
-    if eigs[-1] <= 0.0 or eigs[0] < min_g_singular * eigs[-1]:
+    if eigs[-1] <= 0.0 or eigs[0] < MIN_G_SINGULAR * eigs[-1]:
         cond = float("inf") if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
         raise RankDeficientDesignError(
             f"core design is rank deficient (condition {cond:.3e}); "
             "the batch does not pin down all r^2 core entries",
             condition=cond,
         )
-    return np.linalg.solve(a, b).reshape(r, r)
+    return _require_finite(np.linalg.solve(a, b), "core refit").reshape(r, r)
 
 
-def _check_invertible(state: FactorState, min_g_singular: float) -> None:
+def _check_invertible(state: FactorState) -> None:
     s_g = state.g_svd[1]
-    if s_g[0] <= 0.0 or s_g[-1] < min_g_singular * s_g[0]:
+    if s_g[0] <= 0.0 or s_g[-1] < MIN_G_SINGULAR * s_g[0]:
         raise SingularCoreError(
             f"core spectrum ({s_g[-1]:.3e} .. {s_g[0]:.3e}) is numerically "
             "singular; SNR too low or rank over-specified"
@@ -238,7 +223,6 @@ def gradient_step(
     eta: float,
     nu: float,
     n0: int,
-    min_g_singular: float = 1e-10,
 ) -> tuple[FactorState, float]:
     """One calibrated gradient step plus the follow-up core refit.
 
@@ -256,7 +240,7 @@ def gradient_step(
     """
     if n0 < 1:
         raise ArgumentError("n0 must be >= 1")
-    _check_invertible(state, min_g_singular)
+    _check_invertible(state)
     grad = batch_loss_gradient(state.estimate, step_batch)
     grad_norm = float(np.linalg.norm(grad))
 
@@ -269,10 +253,10 @@ def gradient_step(
     v_half = (state.V - coef * np.linalg.solve(state.G, gu.T).T) @ r_g
 
     r = state.G.shape[0]
-    u_new = svd_r(u_half, r)[0]
-    v_new = svd_r(v_half, r)[0]
-    g_new = solve_G(u_new, v_new, refit_batch, r, min_g_singular)
-    return FactorState.create(u_new, g_new, v_new), grad_norm
+    u_new = svd_r(_require_finite(u_half, "gradient step"), r)[0]
+    v_new = svd_r(_require_finite(v_half, "gradient step"), r)[0]
+    g_new = solve_G(u_new, v_new, refit_batch, r)
+    return FactorState(u_new, g_new, v_new), grad_norm
 
 
 def _closed_form_nu(scheme: MatchingScheme, d1: int, d2: int) -> float | None:
@@ -316,13 +300,6 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     trace_err, trace_gmin, trace_gmax, trace_gnorm = [], [], [], []
 
     def log_state(state: FactorState, grad_norm: float) -> None:
-        if config.debug_checks:
-            for name, q in (("U", state.U), ("V", state.V)):
-                dev = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
-                if dev > ORTHONORMALITY_LOOP_TOL:
-                    raise InternalConsistencyError(
-                        f"{name} lost orthonormality in-loop (deviation {dev:.2e})"
-                    )
         if not config.record_trace:
             return
         if truth is not None:
@@ -337,8 +314,8 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
 
     try:
         u, v = spectral_init(slices[0], config.nu, config.r)
-        g = solve_G(u, v, slices[1], config.r, config.min_g_singular)
-        state = FactorState.create(u, g, v)
+        g = solve_G(u, v, slices[1], config.r)
+        state = FactorState(u, g, v)
     except ArgumentError:
         raise
     except Exception as exc:
@@ -355,7 +332,6 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
                 config.eta,
                 config.nu,
                 n0,
-                config.min_g_singular,
             )
         except Exception as exc:
             exc.args = (f"batch pair {p + 1}: {exc}",) + exc.args[1:]
@@ -373,40 +349,3 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
             grad_norm=np.array(trace_gnorm),
         )
     return m_init, trace
-
-
-@dataclass(frozen=True)
-class RankSelection:
-    """Result of the scree-elbow heuristic."""
-
-    rank: int
-    elbow_found: bool
-
-
-def estimate_rank(singular_values, max_rank: int) -> RankSelection:
-    """Scree-elbow rank selection on a nonincreasing spectrum.
-
-    Picks ``argmax_k s_k / s_{k+1}`` over ``k <= max_rank`` provided the
-    winning ratio is at least 3; otherwise returns ``max_rank`` with
-    ``elbow_found=False``, the "no clear elbow, choose a slightly larger
-    rank" policy.
-    """
-    s = np.asarray(singular_values, dtype=float).reshape(-1)
-    if s.size == 0:
-        raise ArgumentError("spectrum must be nonempty")
-    if np.any(s < 0.0) or np.any(np.diff(s) > 1e-12 * max(s[0], 1.0)):
-        raise ArgumentError("spectrum must be nonnegative and nonincreasing")
-    if max_rank < 1:
-        raise ArgumentError("max_rank must be >= 1")
-    k_max = min(max_rank, s.size - 1)
-    if k_max < 1:
-        return RankSelection(rank=min(max_rank, s.size), elbow_found=False)
-    heads = s[:k_max]
-    tails = s[1 : k_max + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(tails > 0.0, heads / tails,
-                          np.where(heads > 0.0, np.inf, 1.0))
-    best = int(np.argmax(ratios))
-    if ratios[best] >= 3.0:
-        return RankSelection(rank=best + 1, elbow_found=True)
-    return RankSelection(rank=max_rank, elbow_found=False)

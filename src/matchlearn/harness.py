@@ -65,7 +65,6 @@ __all__ = [
     "resolve_q",
     "run_simulation",
     "ks_statistic",
-    "coverage_rate",
     "main",
 ]
 
@@ -322,6 +321,18 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
 # Replication engine
 # ---------------------------------------------------------------------------
 
+def _nu_for(cfg: RunConfig) -> float:
+    return entrywise_probability(
+        cfg.scheme, cfg.d1, cfg.d2,
+        rng=np.random.default_rng([cfg.seed, _SALT_NU]),
+    ).nu
+
+
+def _estimator_config(cfg: RunConfig, nu: float, record_trace: bool) -> EstimatorConfig:
+    return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu,
+                           record_trace=record_trace)
+
+
 def _run_replication(payload) -> dict:
     """One replication; returns a plain dict so it can cross processes."""
     rep, cfg, nu, truth, q, target = payload
@@ -333,13 +344,10 @@ def _run_replication(payload) -> dict:
     rng = np.random.default_rng(cfg.seed ^ rep)
     try:
         batch = observe(truth, cfg.scheme, cfg.T, cfg.sigma, rng)
+        ecfg = _estimator_config(cfg, nu, record_trace=cfg.study == "convergence")
         if cfg.study == "convergence":
-            ecfg = EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu,
-                                   record_trace=True)
             _, trace = fit(batch, ecfg, truth=truth)
             return {"rep": rep, "ok": True, "trace": trace}
-        ecfg = EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu,
-                               record_trace=False)
         artifacts = prepare_inference(batch, ecfg)
         if cfg.study == "inference":
             res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
@@ -412,10 +420,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         )
     q = resolve_q(config.q_spec, config.d1, config.d2,
                   np.random.default_rng([config.seed, _SALT_Q]))
-    nu = entrywise_probability(
-        config.scheme, config.d1, config.d2,
-        rng=np.random.default_rng([config.seed, _SALT_NU]),
-    ).nu
+    nu = _nu_for(config)
 
     # A shared truth has one optimal matching: solve it once per study.
     target = None
@@ -545,17 +550,6 @@ def ks_statistic(samples) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def coverage_rate(ci_list, truth: float) -> float:
-    """Fraction of closed intervals [lo, hi] containing ``truth``."""
-    arr = np.asarray(ci_list, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise ArgumentError(f"expected a nonempty list of (lo, hi), got {arr.shape}")
-    truth = float(truth)
-    if not np.isfinite(truth):
-        raise ArgumentError("truth must be finite")
-    return float(np.mean((arr[:, 0] <= truth) & (truth <= arr[:, 1])))
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -638,18 +632,6 @@ def _resolve_out(args, cfg: RunConfig) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _nu_for(cfg: RunConfig) -> float:
-    return entrywise_probability(
-        cfg.scheme, cfg.d1, cfg.d2,
-        rng=np.random.default_rng([cfg.seed, _SALT_NU]),
-    ).nu
-
-
-def _estimator_config(cfg: RunConfig, nu: float, record_trace: bool):
-    return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu,
-                           record_trace=record_trace)
 
 
 def _cmd_simulate(args) -> int:

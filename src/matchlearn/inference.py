@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -23,7 +22,7 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .estimator import EstimatorConfig, fit
-from .matmodel import LinearForm, projection_magnitude, svd_r
+from .matmodel import LinearForm, _require_finite, projection_magnitude, svd_r
 from .samplers import ObservationBatch
 
 
@@ -63,29 +62,11 @@ class DebiasedEstimate:
 
     m_unbs: np.ndarray
     source_init: int
-    nu_used: float
     m_init: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.m_unbs)):
             raise ArgumentError("debiased estimate must have finite entries")
-
-
-def _ipw_correction(m_init: np.ndarray, batch: ObservationBatch, p_inv) -> np.ndarray:
-    """Shared kernel: T0^-1 sum of (Y - X o M_init) o P_inv over the batch.
-
-    ``p_inv`` is a dense matrix of reciprocal propensities, or one
-    scalar for every entry.
-    """
-    if len(batch) == 0:
-        raise ArgumentError("need a nonempty correction half")
-    if (batch.d1, batch.d2) != m_init.shape:
-        raise ArgumentError("correction records must match the estimate's dims")
-    d1, d2 = m_init.shape
-    rows, cols = batch.rows, batch.cols
-    weights = (batch.y - m_init[rows, cols]) * (p_inv[rows, cols] if np.ndim(p_inv) else p_inv)
-    flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
-    return flat.reshape(d1, d2) / len(batch)
 
 
 def debias(
@@ -98,43 +79,23 @@ def debias(
 
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
     half; the result is entrywise unbiased for M whatever M_init was,
-    because the held-out residuals are independent of it.  Implemented
-    through the inverse-propensity kernel with the scalar reciprocal
-    ``1/nu``, so :func:`debias_ipw` under uniform propensities is
-    bitwise-identical.
+    because the held-out residuals are independent of it.
     """
     if not (0.0 < nu <= 1.0):
         raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
     m_init = np.asarray(m_init, dtype=float)
+    if len(other_half) == 0:
+        raise ArgumentError("need a nonempty correction half")
+    if (other_half.d1, other_half.d2) != m_init.shape:
+        raise ArgumentError("correction records must match the estimate's dims")
+    d1, d2 = m_init.shape
+    rows, cols = other_half.rows, other_half.cols
+    weights = (other_half.y - m_init[rows, cols]) * (1.0 / nu)
+    flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
+    m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
     return DebiasedEstimate(
-        m_unbs=m_init + _ipw_correction(m_init, other_half, 1.0 / nu),
+        m_unbs=_require_finite(m_unbs, "debiased estimate"),
         source_init=source_init,
-        nu_used=nu,
-        m_init=m_init,
-    )
-
-
-def debias_ipw(
-    m_init: np.ndarray,
-    other_half: ObservationBatch,
-    p_inv: np.ndarray,
-    source_init: int = 0,
-) -> DebiasedEstimate:
-    """Entrywise inverse-propensity debiasing.
-
-    ``p_inv`` holds reciprocal observation probabilities, so every entry
-    must be at least 1.
-    """
-    m_init = np.asarray(m_init, dtype=float)
-    p_inv = np.asarray(p_inv, dtype=float)
-    if p_inv.shape != m_init.shape:
-        raise ArgumentError("p_inv must match the estimate's shape")
-    if not np.all(p_inv >= 1.0):
-        raise ArgumentError("p_inv entries are reciprocal probabilities and must be >= 1")
-    return DebiasedEstimate(
-        m_unbs=m_init + _ipw_correction(m_init, other_half, p_inv),
-        source_init=source_init,
-        nu_used=1.0 / float(p_inv.max()),
         m_init=m_init,
     )
 
@@ -145,34 +106,6 @@ def project_rank_r(
     """Best rank-r approximation plus its singular factors."""
     u, s, v = svd_r(np.asarray(m_unbs, dtype=float), r)
     return (u * s) @ v.T, u, v
-
-
-def combine_and_estimate(
-    batch: ObservationBatch, config: EstimatorConfig
-) -> tuple[np.ndarray, tuple[DebiasedEstimate, DebiasedEstimate], tuple[np.ndarray, np.ndarray]]:
-    """Full split/fit/debias/project/average pipeline.
-
-    Fits the gradient-descent estimator separately on each half
-    (``config.m`` batch pairs per half), cross-debiases each initial
-    estimate with the other half's residuals, projects both back to
-    rank r, and returns the average together with both halves' debiased
-    artifacts and the top-r factors of the averaged estimate.
-    """
-    plan = split(len(batch))
-    half1 = batch[plan.half1[0] : plan.half1[1]]
-    half2 = batch[plan.half2[0] : plan.half2[1]]
-    fit_config = replace(config, record_trace=False)
-
-    m1_init, _ = fit(half1, fit_config)
-    m2_init, _ = fit(half2, fit_config)
-
-    deb1 = debias(m1_init, half2, config.nu, source_init=1)
-    deb2 = debias(m2_init, half1, config.nu, source_init=2)
-    m1, _, _ = project_rank_r(deb1.m_unbs, config.r)
-    m2, _, _ = project_rank_r(deb2.m_unbs, config.r)
-    m_hat = 0.5 * (m1 + m2)
-    u_hat, _, v_hat = svd_r(m_hat, config.r)
-    return m_hat, (deb1, deb2), (u_hat, v_hat)
 
 
 def estimate_sigma(
@@ -213,7 +146,7 @@ def estimate_sigma(
         )
     if used == 0:
         raise UndefinedVarianceError("no revealed entries; noise variance is undefined")
-    return total / t_used
+    return _require_finite(total, "residual variance") / t_used
 
 
 def standard_error(sigma_hat_sq: float, proj_mag_hat: float, t: int, nu: float) -> float:
@@ -235,15 +168,6 @@ def confidence_interval(point: float, se: float, alpha: float) -> tuple[float, f
     return point - z * se, point + z * se
 
 
-@dataclass(frozen=True)
-class ThresholdTest:
-    """Outcome of a one-parameter z test against a reward threshold."""
-
-    z: float
-    p_value: float
-    reject_at: tuple[float, ...]
-
-
 def _p_value(z: float, direction: str) -> float:
     if direction == "greater":
         return float(1.0 - ndtr(z))
@@ -254,21 +178,6 @@ def _p_value(z: float, direction: str) -> float:
     raise ArgumentError(
         f"direction must be 'greater', 'less', or 'two-sided', got {direction!r}"
     )
-
-
-def test_threshold(
-    point: float,
-    se: float,
-    v0: float,
-    direction: str = "greater",
-    alphas: Sequence[float] = (0.1, 0.05, 0.01),
-) -> ThresholdTest:
-    """z test of H0: <M, Q> = v0 against the given alternative."""
-    if se <= 0.0:
-        raise DegenerateTestError("standard error is zero; the test is degenerate")
-    z = (point - v0) / se
-    p = _p_value(z, direction)
-    return ThresholdTest(z=float(z), p_value=p, reject_at=tuple(a for a in alphas if p <= a))
 
 
 @dataclass(frozen=True)
@@ -321,21 +230,35 @@ class EstimationArtifacts:
 
 
 def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> EstimationArtifacts:
-    """Run the estimation pipeline and bundle the inference inputs."""
+    """The split/fit/debias/project/average pipeline plus the noise variance.
+
+    Fits the gradient-descent estimator separately on each half
+    (``config.m`` batch pairs per half), cross-debiases each initial
+    estimate with the other half's residuals, projects both back to
+    rank r, and averages them into ``m_hat``; ``u_hat``, ``v_hat`` are
+    its top-r factors.  Each half scored against the other's fit gives
+    the noise variance.
+    """
     plan = split(len(batch))
-    m_hat, halves, (u_hat, v_hat) = combine_and_estimate(batch, config)
-    sigma_hat_sq = estimate_sigma(
-        halves[0].m_init,
-        halves[1].m_init,
-        batch[plan.half1[0] : plan.half1[1]],
-        batch[plan.half2[0] : plan.half2[1]],
-        plan.t_used,
-    )
+    half1 = batch[plan.half1[0] : plan.half1[1]]
+    half2 = batch[plan.half2[0] : plan.half2[1]]
+    fit_config = replace(config, record_trace=False)
+
+    m1_init, _ = fit(half1, fit_config)
+    m2_init, _ = fit(half2, fit_config)
+
+    deb1 = debias(m1_init, half2, config.nu, source_init=1)
+    deb2 = debias(m2_init, half1, config.nu, source_init=2)
+    m1, _, _ = project_rank_r(deb1.m_unbs, config.r)
+    m2, _, _ = project_rank_r(deb2.m_unbs, config.r)
+    m_hat = 0.5 * (m1 + m2)
+    u_hat, _, v_hat = svd_r(m_hat, config.r)
+    sigma_hat_sq = estimate_sigma(deb1.m_init, deb2.m_init, half1, half2, plan.t_used)
     return EstimationArtifacts(
         m_hat=m_hat,
         u_hat=u_hat,
         v_hat=v_hat,
-        halves=halves,
+        halves=(deb1, deb2),
         sigma_hat_sq=sigma_hat_sq,
         t_used=plan.t_used,
         nu=config.nu,
@@ -374,16 +297,3 @@ def infer_linear_form(
         p_value=_p_value(float(z), direction),
         alpha=alpha,
     )
-
-
-def compare_matchings(
-    artifacts: EstimationArtifacts,
-    q1: LinearForm,
-    q2: LinearForm,
-    alpha: float = 0.05,
-) -> InferenceResult:
-    """Two-sided test of H0: <M, Q1> = <M, Q2> via the difference form."""
-    q = q1.subtract(q2)
-    if q.size == 0:
-        raise DegenerateTestError("the two linear forms are identical")
-    return infer_linear_form(artifacts, q, alpha=alpha, direction="two-sided")

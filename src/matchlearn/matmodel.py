@@ -20,6 +20,7 @@ from .errors import (
     DataFormatError,
     DegenerateSpectrumWarning,
     InternalConsistencyError,
+    NonFiniteResultError,
 )
 
 ORTHONORMALITY_TOL = 1e-10
@@ -34,6 +35,13 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
         raise ArgumentError(f"{name} must be a 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ArgumentError(f"{name} contains non-finite entries")
+    return a
+
+
+def _require_finite(a, what: str):
+    """``a`` itself, or NonFiniteResultError: a result computed from finite inputs overflowed."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteResultError(f"{what} overflowed to non-finite values")
     return a
 
 
@@ -141,34 +149,6 @@ class RewardMatrix:
         s = np.asarray(s, dtype=float)
         return cls((u * s) @ np.asarray(v, dtype=float).T, s.size, u, s, v)
 
-    @classmethod
-    def from_values(cls, values, r: int) -> "RewardMatrix":
-        u, s, v = svd_r(values, r)
-        return cls((u * s) @ v.T, r, u, s, v)
-
-
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Spectral summary of a reward matrix used by the error theory."""
-
-    mu: float
-    kappa: float
-    lambda_min: float
-    lambda_max: float
-    alpha_d: float
-
-    @classmethod
-    def from_reward_matrix(cls, m: RewardMatrix) -> "SpectralInfo":
-        d1, d2 = m.shape
-        s = m.singular_values
-        return cls(
-            mu=incoherence(m.left_factors, m.right_factors),
-            kappa=float(s[0] / s[-1]),
-            lambda_min=float(s[-1]),
-            lambda_max=float(s[0]),
-            alpha_d=d2 / d1,
-        )
-
 
 def generate_low_rank(
     d1: int, d2: int, r: int, scale: float, rng: np.random.Generator
@@ -187,23 +167,6 @@ def generate_low_rank(
     a = rng.uniform(-scale, scale, size=(d1, d2))
     u, s, v = svd_r(a, r)
     return RewardMatrix.from_factors(u, s, v)
-
-
-def incoherence(u, v) -> float:
-    """Incoherence of the row/column subspaces spanned by ``u`` and ``v``.
-
-    Returns ``max(sqrt(d1/r) * max_i ||u_i||, sqrt(d2/r) * max_j ||v_j||)``,
-    the usual coherence parameter; it is 1 for perfectly spread subspaces
-    and ``sqrt(d/r)`` for the most aligned ones.
-    """
-    u = _as_float_matrix(u, "u")
-    v = _as_float_matrix(v, "v")
-    if u.shape[1] != v.shape[1]:
-        raise ArgumentError("u and v must have the same number of columns")
-    r = u.shape[1]
-    mu_u = np.sqrt(u.shape[0] / r) * np.max(np.linalg.norm(u, axis=1))
-    mu_v = np.sqrt(v.shape[0] / r) * np.max(np.linalg.norm(v, axis=1))
-    return float(max(mu_u, mu_v))
 
 
 @dataclass(frozen=True)
@@ -382,43 +345,6 @@ def projection_magnitude(u, v, q: LinearForm) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def save_reward_matrix(m: RewardMatrix, csv_path: str | Path) -> None:
-    """Write ``m`` as a row-major CSV plus a JSON sidecar ``{d1, d2, r}``."""
-    csv_path = Path(csv_path)
-    save_matrix_csv(m.values, csv_path)
-    sidecar = {"d1": m.shape[0], "d2": m.shape[1], "r": m.rank}
-    csv_path.with_suffix(csv_path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n"
-    )
-
-
-def load_reward_matrix(csv_path: str | Path) -> RewardMatrix:
-    """Inverse of :func:`save_reward_matrix`; factors are recomputed."""
-    csv_path = Path(csv_path)
-    sidecar_path = csv_path.with_suffix(csv_path.suffix + ".json")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-        d1, d2, r = int(sidecar["d1"]), int(sidecar["d2"]), int(sidecar["r"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad reward-matrix sidecar {sidecar_path}: {exc}") from exc
-    values = load_matrix_csv(csv_path)
-    if values.shape != (d1, d2):
-        raise DataFormatError(
-            f"CSV shape {values.shape} disagrees with sidecar ({d1}, {d2})"
-        )
-    return RewardMatrix.from_values(values, r)
-
-
 def save_matrix_csv(values, path: str | Path) -> None:
     values = _as_float_matrix(values, "values")
     np.savetxt(path, values, delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path: str | Path) -> np.ndarray:
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(f"bad matrix CSV {path}: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise DataFormatError(f"matrix CSV {path} contains non-finite entries")
-    return values

@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ArgumentError, DataFormatError
 from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
 from .matmodel import LinearForm
-from .samplers import Matching
+from .samplers import Matching, _int_pairs
 
 __all__ = [
     "PolicyEvaluation",
@@ -158,14 +158,11 @@ def matching_from_json(text: str) -> Matching:
     missing = {"d1", "d2", "pairs"} - obj.keys()
     if missing:
         raise DataFormatError(f"matching JSON missing keys: {sorted(missing)}")
-    pairs = obj["pairs"]
-    if not isinstance(pairs, list) or any(
-        not isinstance(p, list) or len(p) != 2 for p in pairs
-    ):
-        raise DataFormatError("matching JSON 'pairs' must be a list of [i, j]")
-    rows = [p[0] for p in pairs]
-    cols = [p[1] for p in pairs]
     try:
-        return Matching(int(obj["d1"]), int(obj["d2"]), rows, cols)
+        pairs = _int_pairs(obj["pairs"])
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"matching JSON 'pairs': {exc}") from None
+    try:
+        return Matching(int(obj["d1"]), int(obj["d2"]), pairs[:, 0], pairs[:, 1])
     except (ArgumentError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid matching contents: {exc}") from None

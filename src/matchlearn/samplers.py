@@ -517,23 +517,32 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+def _int_pairs(pairs, maybe_bool: bool = True) -> np.ndarray:
+    """JSON ``pairs`` as an (n, 2) int64 array, else ValueError.
+
+    Every pair must be a list of exactly two JSON integers.  numpy reads
+    booleans mixed with numbers as 0/1, so they are looked for one by
+    one unless ``maybe_bool`` is false (the text spells no boolean).
+    """
+    arr = np.asarray(pairs)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2).astype(np.int64)
+    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 2 \
+            or maybe_bool and any(type(v) is bool for p in pairs for v in p):
+        raise ValueError("pairs must be a list of [row, col] integer pairs")
+    return arr
+
+
 def _parse_record(line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A record's rows, cols and y from integer ``pairs`` and numeric ``y``, else ValueError."""
     obj = json.loads(line)
     if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
         raise ValueError("missing pairs/y")
-    pairs, y = np.asarray(obj["pairs"]), np.asarray(obj["y"])
-    if pairs.shape == (0,):
-        pairs = pairs.reshape(0, 2).astype(np.int64)
-    if pairs.dtype.kind != "i" or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("pairs must be a list of [row, col] integer pairs")
-    if y.dtype.kind not in "iuf" or y.shape != (len(pairs),):
+    maybe_bool = "true" in line or "false" in line
+    pairs, y = _int_pairs(obj["pairs"], maybe_bool), np.asarray(obj["y"])
+    if y.dtype.kind not in "iuf" or y.shape != (len(pairs),) \
+            or maybe_bool and any(type(v) is bool for v in obj["y"]):
         raise ValueError("y must be a list of one number per pair")
-    # numpy reads booleans mixed with numbers as 0/1: scan lines that spell one.
-    if ("true" in line or "false" in line) and any(
-        type(v) is bool for v in [*obj["y"], *(v for p in obj["pairs"] for v in p)]
-    ):
-        raise ValueError("pairs and y must not hold booleans")
     return pairs[:, 0], pairs[:, 1], y
 
 

@@ -33,7 +33,6 @@ from matchlearn import (
     batch_loss,
     batch_loss_gradient,
     debias,
-    debias_ipw,
     entrywise_probability,
     fit,
     generate_low_rank,
@@ -129,8 +128,7 @@ def convergence_runs(shared_truth):
                     np.random.default_rng([SEED, 3, rep]),
                 )
                 config = EstimatorConfig(
-                    r=R, eta=eta, m=10, nu=nu,
-                    record_trace=True, debug_checks=True,
+                    r=R, eta=eta, m=10, nu=nu, record_trace=True,
                 )
                 _, trace = fit(batch, config, truth=shared_truth)
                 rows.append(trace.rel_max_err_sq)
@@ -363,16 +361,18 @@ def test_oracle_equivalences():
         w, s, vt = np.linalg.svd(m, full_matrices=False)
         assert np.max(np.abs(projected - (w[:, :r] * s[:r]) @ vt[:r])) <= 1e-10
 
-    # Inverse-propensity correction with uniform weights equals the
-    # uniform-propensity correction, bitwise.
+    # Debiasing vs the dense correction M_init + (T0 nu)^-1 sum_t X_t o (Y_t - M_init).
     rng = np.random.default_rng([SEED, 65])
     truth = generate_low_rank(8, 16, 2, 1.0, rng)
     batch = observe(truth, OneToOne(), 200, 0.5, rng)
     m_init = truth.values + 0.01 * rng.normal(size=truth.shape)
     nu = 1.0 / 16
-    plain = debias(m_init, batch, nu, source_init=1)
-    ipw = debias_ipw(m_init, batch, np.full((8, 16), 1.0 / nu), source_init=1)
-    assert np.array_equal(plain.m_unbs, ipw.m_unbs)
+    dense = np.zeros(truth.shape)
+    for rec in batch.records:
+        i, j = rec.matching.rows, rec.matching.cols
+        dense[i, j] += rec.y - m_init[i, j]
+    oracle = m_init + dense / (len(batch) * nu)
+    assert np.max(np.abs(debias(m_init, batch, nu).m_unbs - oracle)) <= 1e-10
 
     # Truncated paired-binomial sampler vs the enumerated pmf.
     d1, p1, d2, p2, c_r, c_s, gamma = 6, 0.6, 10, 0.6, 0.3, 0.3, 0.3

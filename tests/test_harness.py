@@ -11,14 +11,16 @@ from matchlearn import (
     ConfigError,
     EstimatorConfig,
     LinearForm,
+    ObservationBatch,
     OneToMany,
     OneToOne,
     ReplicationFailureError,
     RunConfig,
     config_to_dict,
-    coverage_rate,
+    fit,
     generate_low_rank,
     ks_statistic,
+    load_batch,
     load_config,
     main,
     observe,
@@ -27,7 +29,6 @@ from matchlearn import (
     run_simulation,
     save_batch,
 )
-from matchlearn.samplers import ObservationBatch
 
 
 def base_config_dict(**overrides) -> dict:
@@ -79,29 +80,6 @@ def test_ks_statistic_validation():
         ks_statistic([])
     with pytest.raises(ArgumentError):
         ks_statistic([0.0, np.inf])
-
-
-# ---------------------------------------------------------------------------
-# coverage_rate
-# ---------------------------------------------------------------------------
-
-def test_coverage_rate_degenerate_intervals_cover():
-    assert coverage_rate([(2.0, 2.0)] * 5, 2.0) == 1.0
-
-
-def test_coverage_rate_none_cover():
-    assert coverage_rate([(0.0, 1.0), (3.0, 4.0)], 2.0) == 0.0
-
-
-def test_coverage_rate_closed_boundary():
-    assert coverage_rate([(1.0, 2.0), (2.0, 3.0), (5.0, 6.0)], 2.0) == pytest.approx(
-        2.0 / 3.0
-    )
-
-
-def test_coverage_rate_validation():
-    with pytest.raises(ArgumentError):
-        coverage_rate([], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +503,9 @@ def test_cli_estimate_emits_files(capsys, tmp_path, saved_batch):
     assert set(doc["files"]) == {"m_init.csv", "trace.csv"}
     m_init = np.loadtxt(tmp_path / "e" / "m_init.csv", delimiter=",")
     assert np.max(np.abs(m_init - truth.values)) <= 5e-5
+    # The CSV's %.17g digits read back as the very doubles the fit produced.
+    expected, _ = fit(load_batch(batch_path), EstimatorConfig(r=2, eta=0.75, m=8, nu=1.0 / 12))
+    assert np.array_equal(m_init, expected)
 
 
 def test_cli_estimate_rejects_dim_mismatch(capsys, tmp_path, saved_batch):
@@ -593,3 +574,18 @@ def test_cli_numerical_failure_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert json.loads(err)["error"] == "DegenerateInitError"
+
+
+@pytest.mark.parametrize("big_periods", [[25], list(range(40))], ids=["one_period", "all"])
+def test_cli_overflow_is_numerical_failure(capsys, tmp_path, big_periods):
+    # Finite rewards of 1e308 overflow inside debias (one period) or the
+    # fit (every period): a numerical failure, not a bad argument.
+    rng = np.random.default_rng(0)
+    records = [(np.arange(2), rng.permutation(4)[:2],
+                [1e308, 1e308] if t in big_periods else [1.0, 2.0]) for t in range(40)]
+    path = tmp_path / "big.jsonl"
+    save_batch(ObservationBatch.from_periods(OneToOne(), 2, 4, 0.0, records), path)
+    cfg_path = write_config(tmp_path, d1=2, d2=4, r=1, T=40, m=1, sigma=0.0)
+    code, _, err = run_cli(capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"])
+    assert code == 3
+    assert json.loads(err)["error"] == "NonFiniteResultError"

@@ -1,4 +1,6 @@
 """Tests for debiasing, projection, and linear-form inference."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,15 @@ from matchlearn import (
     EmptyMatchingWarning,
     EstimatorConfig,
     LinearForm,
+    NonFiniteResultError,
     ObservationBatch,
     OneToMany,
     OneToOne,
     RemainderDroppedWarning,
     TwoSided,
     UndefinedVarianceError,
-    combine_and_estimate,
-    compare_matchings,
     confidence_interval,
     debias,
-    debias_ipw,
     entrywise_probability,
     estimate_sigma,
     generate_low_rank,
@@ -32,7 +32,6 @@ from matchlearn import (
     split,
     standard_error,
 )
-from matchlearn import test_threshold as threshold_test
 
 
 # A scheme whose matchings may leave rows unmatched, for hand-built
@@ -75,7 +74,7 @@ def test_split_too_small():
 
 
 # ---------------------------------------------------------------------------
-# debias / debias_ipw
+# debias
 # ---------------------------------------------------------------------------
 
 def test_debias_exact_init_noiseless_is_identity():
@@ -119,24 +118,6 @@ def test_debias_is_unbiased_over_replications(scheme, reps):
     assert np.all(np.abs(dev) <= bound)
 
 
-def test_debias_ipw_uniform_is_bitwise_equal():
-    truth, batch = make_problem(6, 12, 2, 50, 1.0, seed=79)
-    m_init = truth.values + 0.1
-    nu = 1.0 / 12
-    a = debias(m_init, batch, nu)
-    b = debias_ipw(m_init, batch, np.full((6, 12), 1.0 / nu))
-    assert np.array_equal(a.m_unbs, b.m_unbs)
-    assert a.nu_used == b.nu_used
-
-
-def test_debias_ipw_hand_computed_entrywise_scaling():
-    m_init = np.zeros((2, 2))
-    rec = ObservationBatch.from_periods(OneToOne(), 2, 2, 0.0, [([0, 1], [1, 0], [4.0, 2.0])])
-    p_inv = np.array([[1.0, 5.0], [1.0, 1.0]])
-    est = debias_ipw(m_init, rec, p_inv)
-    np.testing.assert_allclose(est.m_unbs, [[0.0, 20.0], [2.0, 0.0]])
-
-
 def test_debias_argument_validation():
     truth, batch = make_problem(4, 8, 1, 10, 0.0, seed=83)
     with pytest.raises(ArgumentError):
@@ -144,9 +125,31 @@ def test_debias_argument_validation():
     with pytest.raises(ArgumentError):
         debias(truth.values, batch, 0.0)
     with pytest.raises(ArgumentError):
-        debias_ipw(truth.values, batch, np.full((4, 8), 0.5))
-    with pytest.raises(ArgumentError):
-        debias_ipw(truth.values, batch, np.full((4, 9), 2.0))
+        debias(truth.values[:, :7], batch, 1.0 / 8)
+
+
+def overflowing_batch(big_periods):
+    """A 2x4 one-to-one batch with T=40; ``big_periods`` carry two rewards of 1e308."""
+    rng = np.random.default_rng(0)
+    periods = [(np.arange(2), rng.permutation(4)[:2],
+                [1e308, 1e308] if t in big_periods else [1.0, 2.0]) for t in range(40)]
+    return ObservationBatch.from_periods(OneToOne(), 2, 4, 0.0, periods)
+
+
+def test_debias_overflow_is_a_numerical_error():
+    # Finite rewards whose correction overflows fail as numerics, not as
+    # a bad argument.
+    batch = overflowing_batch([25])
+    with pytest.raises(NonFiniteResultError, match="debiased estimate"):
+        debias(np.zeros((2, 4)), batch, 0.25)
+    with pytest.raises(NonFiniteResultError):
+        prepare_inference(batch, EstimatorConfig(r=1, eta=0.5, m=1, nu=0.25))
+
+
+def test_fit_overflow_is_a_numerical_error():
+    batch = overflowing_batch(range(40))
+    with pytest.raises(NonFiniteResultError, match="batch pair 1"):
+        prepare_inference(batch, EstimatorConfig(r=1, eta=0.5, m=1, nu=0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +182,21 @@ def test_project_rank_r_zero_matrix_flags_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# combine_and_estimate
+# prepare_inference: split, fit, debias, project, average
 # ---------------------------------------------------------------------------
 
 def test_combine_noiseless_ample_data_is_nearly_exact():
     truth, batch = make_problem(20, 40, 2, 16000, 0.0, seed=91)
     cfg = EstimatorConfig(r=2, eta=0.75, m=10, nu=1.0 / 40)
-    m_hat, halves, (u_hat, v_hat) = combine_and_estimate(batch, cfg)
-    assert np.max(np.abs(m_hat - truth.values)) <= 1e-6
-    assert halves[0].source_init == 1 and halves[1].source_init == 2
+    art = prepare_inference(batch, cfg)
+    assert np.max(np.abs(art.m_hat - truth.values)) <= 1e-6
+    assert art.halves[0].source_init == 1 and art.halves[1].source_init == 2
 
 
 def test_combine_is_symmetric_under_half_swap():
     truth, batch = make_problem(8, 16, 2, 800, 0.5, seed=93)
     cfg = EstimatorConfig(r=2, eta=0.7, m=4, nu=1.0 / 16)
-    m_a, _, _ = combine_and_estimate(batch, cfg)
+    m_a = prepare_inference(batch, cfg).m_hat
     swapped = ObservationBatch.from_periods(
         batch.scheme,
         batch.d1,
@@ -202,16 +205,25 @@ def test_combine_is_symmetric_under_half_swap():
         [(rec.matching.rows, rec.matching.cols, rec.y)
          for rec in batch.records[400:] + batch.records[:400]],
     )
-    m_b, _, _ = combine_and_estimate(swapped, cfg)
+    m_b = prepare_inference(swapped, cfg).m_hat
     assert np.array_equal(m_a, m_b)
 
 
 def test_combine_output_rank_at_most_two_r():
     truth, batch = make_problem(50, 150, 2, 600, 1.0, seed=95, scale=20.0)
     cfg = EstimatorConfig(r=2, eta=0.7, m=6, nu=1.0 / 150)
-    m_hat, _, _ = combine_and_estimate(batch, cfg)
-    s = np.linalg.svd(m_hat, compute_uv=False)
+    s = np.linalg.svd(prepare_inference(batch, cfg).m_hat, compute_uv=False)
     assert s[4] <= 1e-9 * s[0]
+
+
+def test_odd_t_warns_once():
+    truth, batch = make_problem(6, 12, 2, 121, 0.5, seed=94)
+    cfg = EstimatorConfig(r=2, eta=0.7, m=3, nu=1.0 / 12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prepare_inference(batch, cfg)
+    dropped = [w for w in caught if issubclass(w.category, RemainderDroppedWarning)]
+    assert len(dropped) == 1, [str(w.message) for w in dropped]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +243,13 @@ def test_estimate_sigma_single_residual_formula():
     rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [0.7])])
     out = estimate_sigma(m1, m2, none, rec, t_used=2)
     assert out == pytest.approx(0.7**2 / 2.0, rel=1e-15)
+
+
+def test_estimate_sigma_overflow_is_a_numerical_error():
+    m0 = np.zeros((2, 3))
+    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [1e200])])
+    with pytest.raises(NonFiniteResultError, match="residual variance"):
+        estimate_sigma(m0, m0, rec, rec, t_used=2)
 
 
 def test_estimate_sigma_concentrates_around_noise_variance():
@@ -257,7 +276,7 @@ def test_estimate_sigma_skips_empty_matchings_with_warning():
 
 
 # ---------------------------------------------------------------------------
-# standard_error / confidence_interval / test_threshold
+# standard_error / confidence_interval
 # ---------------------------------------------------------------------------
 
 def test_standard_error_unit_case():
@@ -313,33 +332,8 @@ def test_confidence_interval_validation():
         confidence_interval(0.0, -1.0, 0.05)
 
 
-def test_threshold_at_null_value():
-    res = threshold_test(2.0, 1.0, 2.0, "greater")
-    assert res.z == 0.0
-    assert res.p_value == pytest.approx(0.5, rel=1e-12)
-    assert res.reject_at == ()
-
-
-def test_threshold_one_sided_quantile():
-    res = threshold_test(1.6448536, 1.0, 0.0, "greater")
-    assert res.p_value == pytest.approx(0.05, abs=1e-6)
-    assert 0.1 in res.reject_at and 0.01 not in res.reject_at
-
-
-def test_threshold_two_sided_quantile():
-    res = threshold_test(-1.959964, 1.0, 0.0, "two-sided")
-    assert res.p_value == pytest.approx(0.05, abs=1e-6)
-
-
-def test_threshold_validation():
-    with pytest.raises(DegenerateTestError):
-        threshold_test(1.0, 0.0, 0.0)
-    with pytest.raises(ArgumentError):
-        threshold_test(1.0, 1.0, 0.0, "sideways")
-
-
 # ---------------------------------------------------------------------------
-# infer_linear_form / compare_matchings
+# infer_linear_form: intervals, threshold tests and comparisons
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -347,6 +341,43 @@ def fitted_artifacts():
     truth, batch = make_problem(15, 30, 2, 1200, 0.5, seed=103)
     cfg = EstimatorConfig(r=2, eta=0.7, m=4, nu=1.0 / 30)
     return truth, prepare_inference(batch, cfg)
+
+
+ENTRY = LinearForm.from_triplets(15, 30, [(2, 5, 1.0)])
+
+
+def test_threshold_at_null_value(fitted_artifacts):
+    _, art = fitted_artifacts
+    point = infer_linear_form(art, ENTRY).point
+    res = infer_linear_form(art, ENTRY, null_value=point, direction="greater")
+    assert res.z == 0.0
+    assert res.p_value == pytest.approx(0.5, rel=1e-12)
+
+
+def test_threshold_one_sided_quantile(fitted_artifacts):
+    _, art = fitted_artifacts
+    base = infer_linear_form(art, ENTRY)
+    v0 = base.point - 1.6448536 * base.se
+    res = infer_linear_form(art, ENTRY, null_value=v0, direction="greater")
+    assert res.p_value == pytest.approx(0.05, abs=1e-6)
+    less = infer_linear_form(art, ENTRY, null_value=v0, direction="less")
+    assert less.p_value == pytest.approx(0.95, abs=1e-6)
+
+
+def test_threshold_two_sided_quantile(fitted_artifacts):
+    _, art = fitted_artifacts
+    base = infer_linear_form(art, ENTRY)
+    v0 = base.point + 1.959964 * base.se
+    res = infer_linear_form(art, ENTRY, null_value=v0, direction="two-sided")
+    assert res.p_value == pytest.approx(0.05, abs=1e-6)
+
+
+def test_threshold_validation(fitted_artifacts):
+    _, art = fitted_artifacts
+    with pytest.raises(DegenerateTestError):
+        infer_linear_form(art, LinearForm.from_triplets(15, 30, []))
+    with pytest.raises(ArgumentError):
+        infer_linear_form(art, ENTRY, direction="sideways")
 
 
 def test_infer_linear_form_is_self_consistent(fitted_artifacts):
@@ -374,7 +405,7 @@ def test_compare_identical_matchings_is_degenerate(fitted_artifacts):
     _, art = fitted_artifacts
     q = LinearForm.from_triplets(15, 30, [(0, 0, 1.0), (1, 4, 1.0)])
     with pytest.raises(DegenerateTestError):
-        compare_matchings(art, q, q)
+        infer_linear_form(art, q.subtract(q))
 
 
 def test_compare_nearby_matchings_sparsity(fitted_artifacts):
@@ -382,7 +413,7 @@ def test_compare_nearby_matchings_sparsity(fitted_artifacts):
     shared = [(i, i, 1.0) for i in range(14)]
     q1 = LinearForm.from_triplets(15, 30, shared + [(14, 14, 1.0)])
     q2 = LinearForm.from_triplets(15, 30, shared + [(14, 20, 1.0)])
-    res = compare_matchings(art, q1, q2)
+    res = infer_linear_form(art, q1.subtract(q2))
     assert res.q.size <= 4
     assert res.alpha == 0.05
 

@@ -10,12 +10,8 @@ from matchlearn import (
     DegenerateSpectrumWarning,
     LinearForm,
     RewardMatrix,
-    SpectralInfo,
     generate_low_rank,
-    incoherence,
-    load_reward_matrix,
     projection_magnitude,
-    save_reward_matrix,
     svd_r,
 )
 
@@ -144,7 +140,7 @@ def test_eckart_young_optimality_against_sampled_competitors():
 
 
 # ---------------------------------------------------------------------------
-# RewardMatrix / SpectralInfo
+# RewardMatrix
 # ---------------------------------------------------------------------------
 
 def test_reward_matrix_validates_invariants():
@@ -167,47 +163,6 @@ def test_reward_matrix_is_immutable():
     m = generate_low_rank(4, 6, 2, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         m.values[0, 0] = 99.0
-
-
-def test_spectral_info_fields():
-    m = generate_low_rank(10, 30, 2, 20.0, np.random.default_rng(4))
-    info = SpectralInfo.from_reward_matrix(m)
-    s = m.singular_values
-    assert info.lambda_max == s[0] and info.lambda_min == s[-1]
-    assert info.kappa == pytest.approx(s[0] / s[-1])
-    assert info.kappa >= 1.0
-    assert info.alpha_d == 3.0
-    assert info.mu >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# incoherence
-# ---------------------------------------------------------------------------
-
-def test_incoherence_canonical_basis_columns():
-    d1, d2, r = 6, 9, 2
-    u = np.eye(d1)[:, :r]
-    v = np.eye(d2)[:, :r]
-    # Each occupied row has norm 1, so the max row norm is 1 on both sides.
-    assert incoherence(u, v) == pytest.approx(np.sqrt(d2 / r))
-
-
-def test_incoherence_full_orthogonal_is_one():
-    rng = np.random.default_rng(8)
-    q1 = random_orthonormal(5, 5, rng)
-    q2 = random_orthonormal(5, 5, rng)
-    assert incoherence(q1, q2) == pytest.approx(1.0)
-
-
-def test_incoherence_matches_row_scan_oracle():
-    rng = np.random.default_rng(15)
-    u = random_orthonormal(8, 2, rng)
-    v = random_orthonormal(12, 2, rng)
-    oracle = max(
-        np.sqrt(8 / 2) * max(np.sqrt(row @ row) for row in u),
-        np.sqrt(12 / 2) * max(np.sqrt(row @ row) for row in v),
-    )
-    assert incoherence(u, v) == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +306,3 @@ def test_projection_magnitude_dim_mismatch():
     v = random_orthonormal(5, 2, rng)
     with pytest.raises(ArgumentError):
         projection_magnitude(u, v, LinearForm.from_triplets(5, 5, [(0, 0, 1.0)]))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_reward_matrix_csv_round_trip(tmp_path):
-    m = generate_low_rank(4, 6, 2, 10.0, np.random.default_rng(61))
-    path = tmp_path / "m.csv"
-    save_reward_matrix(m, path)
-    sidecar = json.loads((tmp_path / "m.csv.json").read_text())
-    assert sidecar == {"d1": 4, "d2": 6, "r": 2}
-    back = load_reward_matrix(path)
-    assert back.rank == 2
-    assert np.max(np.abs(back.values - m.values)) <= 1e-12 * m.singular_values[0]
-
-
-def test_load_reward_matrix_rejects_shape_mismatch(tmp_path):
-    m = generate_low_rank(4, 6, 2, 10.0, np.random.default_rng(61))
-    path = tmp_path / "m.csv"
-    save_reward_matrix(m, path)
-    (tmp_path / "m.csv.json").write_text('{"d1": 3, "d2": 6, "r": 2}')
-    with pytest.raises(DataFormatError):
-        load_reward_matrix(path)

@@ -205,6 +205,15 @@ def test_matching_json_rejects_malformed_input():
         matching_from_json('{"d1": 2, "d2": 2, "pairs": [[0, 0], [1, 0]]}')
 
 
+@pytest.mark.parametrize(
+    "pairs", ["[[0.9, 1.7]]", '[["1", "2"]]', "[[true, 1]]", "[[0, 1], [1, false]]"],
+    ids=["float", "string", "bool", "mixed_bool"],
+)
+def test_matching_json_takes_integer_pairs_only(pairs):
+    with pytest.raises(DataFormatError):
+        matching_from_json(f'{{"d1": 3, "d2": 4, "pairs": {pairs}}}')
+
+
 # ---------------------------------------------------------------------------
 # evaluate_policy
 # ---------------------------------------------------------------------------
