@@ -34,7 +34,6 @@ from .samplers import (
     load_batch,
     observe,
     sample_matching,
-    sample_truncated_binomial,
     save_batch,
     scheme_from_json,
     scheme_to_json,

@@ -76,7 +76,7 @@ class DegenerateTestError(NumericalError):
 
 
 class InfeasibleTruncationError(ArgumentError):
-    """Rejection sampling hit its cap: the truncation region has no mass."""
+    """A two-sided truncation region holds no arrival counts; raised before any draw."""
 
 
 class ReplicationFailureError(NumericalError):

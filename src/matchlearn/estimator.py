@@ -24,8 +24,7 @@ from .errors import (
     SingularCoreError,
 )
 from .matmodel import RewardMatrix, _require_finite, svd_r
-from .samplers import (MatchingScheme, ObservationBatch, OneToMany, OneToOne,
-                       entrywise_probability)
+from .samplers import ObservationBatch, entrywise_probability
 
 NU_CONSISTENCY_RTOL = 1e-9
 ORTHONORMALITY_LOOP_TOL = 1e-8
@@ -148,7 +147,8 @@ def spectral_init(
     batch: ObservationBatch, nu: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-r factor subspaces of the scaled response aggregate."""
-    agg = _require_finite(aggregate_response(batch, nu), "response aggregate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        agg = _require_finite(aggregate_response(batch, nu), "response aggregate")
     if not agg.any():
         raise DegenerateInitError(
             "response aggregate is identically zero; cannot initialize factors"
@@ -176,7 +176,6 @@ def solve_G(
         raise ArgumentError("need at least one revealed entry to fit G")
     feats = (u[rows][:, :, None] * v[cols][:, None, :]).reshape(rows.size, r * r)
     a = feats.T @ feats
-    b = feats.T @ y
     eigs = np.linalg.eigvalsh(a)
     if eigs[-1] <= 0.0 or eigs[0] < MIN_G_SINGULAR * eigs[-1]:
         cond = float("inf") if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
@@ -185,7 +184,9 @@ def solve_G(
             "the batch does not pin down all r^2 core entries",
             condition=cond,
         )
-    return _require_finite(np.linalg.solve(a, b), "core refit").reshape(r, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.linalg.solve(a, feats.T @ y)
+    return _require_finite(g, "core refit").reshape(r, r)
 
 
 def _check_invertible(state: FactorState) -> None:
@@ -241,28 +242,22 @@ def gradient_step(
     if n0 < 1:
         raise ArgumentError("n0 must be >= 1")
     _check_invertible(state)
-    grad = batch_loss_gradient(state.estimate, step_batch)
-    grad_norm = float(np.linalg.norm(grad))
-
     l_g, _, r_g = state.g_svd
     coef = eta / (2.0 * n0 * nu)
-    # grad @ V @ G^-1 and grad^T @ U @ G^-T via solves against the core.
-    gv = grad @ state.V
-    gu = grad.T @ state.U
-    u_half = (state.U - coef * np.linalg.solve(state.G.T, gv.T).T) @ l_g
-    v_half = (state.V - coef * np.linalg.solve(state.G, gu.T).T) @ r_g
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = batch_loss_gradient(state.estimate, step_batch)
+        grad_norm = float(np.linalg.norm(grad))
+        # grad @ V @ G^-1 and grad^T @ U @ G^-T via solves against the core.
+        gv = grad @ state.V
+        gu = grad.T @ state.U
+        u_half = (state.U - coef * np.linalg.solve(state.G.T, gv.T).T) @ l_g
+        v_half = (state.V - coef * np.linalg.solve(state.G, gu.T).T) @ r_g
 
     r = state.G.shape[0]
     u_new = svd_r(_require_finite(u_half, "gradient step"), r)[0]
     v_new = svd_r(_require_finite(v_half, "gradient step"), r)[0]
     g_new = solve_G(u_new, v_new, refit_batch, r)
     return FactorState(u_new, g_new, v_new), grad_norm
-
-
-def _closed_form_nu(scheme: MatchingScheme, d1: int, d2: int) -> float | None:
-    if isinstance(scheme, (OneToOne, OneToMany)):
-        return entrywise_probability(scheme, d1, d2).nu
-    return None
 
 
 def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | None = None):
@@ -272,8 +267,9 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     ----------
     batch : ObservationBatch
     config : EstimatorConfig
-        ``config.nu`` must match the batch scheme's closed-form value
-        when one exists (one-to-one, one-to-many).
+        ``config.nu`` must match the entrywise probability of the
+        batch's scheme (:func:`matchlearn.samplers.entrywise_probability`)
+        to a relative ``NU_CONSISTENCY_RTOL``.
     truth : RewardMatrix, optional
         When supplied, the trace records the relative squared max-norm
         error ``||M^(p) - M||_max^2 / lambda_min^2`` after every batch
@@ -286,11 +282,11 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     trace : FitTrace or None
         None when ``config.record_trace`` is false.
     """
-    closed = _closed_form_nu(batch.scheme, batch.d1, batch.d2)
-    if closed is not None and abs(config.nu - closed) > NU_CONSISTENCY_RTOL * closed:
+    nu = entrywise_probability(batch.scheme, batch.d1, batch.d2).nu
+    if abs(config.nu - nu) > NU_CONSISTENCY_RTOL * nu:
         raise ArgumentError(
             f"config.nu={config.nu!r} inconsistent with the batch scheme's "
-            f"entrywise probability {closed!r}"
+            f"entrywise probability {nu!r}"
         )
     ranges = partition_batches(len(batch), config.m)
     n0 = ranges[0][1] - ranges[0][0]

@@ -6,10 +6,10 @@ batch from its own salted stream, fits, and runs inference; aggregates
 (KS distance to the standard normal, CI coverage, matching recovery)
 are written as CSV/JSON so runs with the same seed are byte-identical.
 
-Streams are salted so that the matrix, the inference target, the MC
-probability estimate, and the per-replication batches never overlap:
-``default_rng([seed, salt])`` for the shared draws and
-``default_rng(seed ^ rep)`` for replication ``rep``.
+Streams are salted so that the matrix, the inference target and the
+per-replication batches never overlap: ``default_rng([seed, salt])``
+for the shared draws and ``default_rng(seed ^ rep)`` for replication
+``rep``.  The entrywise probability is exact and draws nothing.
 """
 from __future__ import annotations
 
@@ -78,7 +78,6 @@ HISTOGRAM_RANGE = (-4.0, 4.0)
 # Salts for the draws shared by all replications.
 _SALT_MATRIX = 1
 _SALT_Q = 2
-_SALT_NU = 3
 
 
 @dataclass(frozen=True)
@@ -322,10 +321,7 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
 # ---------------------------------------------------------------------------
 
 def _nu_for(cfg: RunConfig) -> float:
-    return entrywise_probability(
-        cfg.scheme, cfg.d1, cfg.d2,
-        rng=np.random.default_rng([cfg.seed, _SALT_NU]),
-    ).nu
+    return entrywise_probability(cfg.scheme, cfg.d1, cfg.d2).nu
 
 
 def _estimator_config(cfg: RunConfig, nu: float, record_trace: bool) -> EstimatorConfig:
@@ -603,8 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-r", dest="c_r", type=float, default=None)
     p.add_argument("--c-s", dest="c_s", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_nu)
     return parser
 
@@ -722,11 +716,7 @@ def _cmd_nu(args) -> int:
         if missing:
             raise ConfigError([f"two_sided needs {' '.join(missing)}"])
         scheme = TwoSided(args.p1, args.p2, args.c_r, args.c_s, args.gamma)
-    est = entrywise_probability(
-        scheme, args.d1, args.d2, mc_samples=args.mc_samples,
-        rng=np.random.default_rng([args.seed, _SALT_NU]),
-    )
-    print(json.dumps({"nu": est.nu, "mc_se": est.mc_se}, sort_keys=True))
+    print(json.dumps({"nu": entrywise_probability(scheme, args.d1, args.d2).nu}))
     return 0
 
 

@@ -90,9 +90,10 @@ def debias(
         raise ArgumentError("correction records must match the estimate's dims")
     d1, d2 = m_init.shape
     rows, cols = other_half.rows, other_half.cols
-    weights = (other_half.y - m_init[rows, cols]) * (1.0 / nu)
-    flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
-    m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (other_half.y - m_init[rows, cols]) * (1.0 / nu)
+        flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
+        m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
     return DebiasedEstimate(
         m_unbs=_require_finite(m_unbs, "debiased estimate"),
         source_init=source_init,
@@ -126,18 +127,19 @@ def estimate_sigma(
     total = 0.0
     used = 0
     skipped = 0
-    for half, m_init in ((half2, m1_init), (half1, m2_init)):
-        resid = half.y - m_init[half.rows, half.cols]
-        bounds = half.offsets.tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if a == b:
-                skipped += 1
-                continue
-            # One dot product per period, as the variance is defined:
-            # summing all periods in one pass would round differently.
-            part = resid[a:b]
-            total += float(part @ part) / (b - a)
-            used += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for half, m_init in ((half2, m1_init), (half1, m2_init)):
+            resid = half.y - m_init[half.rows, half.cols]
+            bounds = half.offsets.tolist()
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if a == b:
+                    skipped += 1
+                    continue
+                # One dot product per period, as the variance is defined:
+                # summing all periods in one pass would round differently.
+                part = resid[a:b]
+                total += float(part @ part) / (b - a)
+                used += 1
     if skipped:
         warnings.warn(
             f"skipped {skipped} empty matching(s) in the variance estimate",

@@ -224,17 +224,6 @@ class LinearForm:
             return 0.0
         return float(np.dot(self.weights, m[self.rows, self.cols]))
 
-    def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
-    def fro_norm_sq(self) -> float:
-        return float(np.dot(self.weights, self.weights))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dims)
-        out[self.rows, self.cols] = self.weights
-        return out
-
     def subtract(self, other: "LinearForm") -> "LinearForm":
         """Entrywise difference ``self - other`` with exact-zero cancellation."""
         if self.dims != other.dims:
@@ -258,12 +247,6 @@ class LinearForm:
         return cls(d1, d2, np.array(rows, dtype=np.int64),
                    np.array(cols, dtype=np.int64), np.array(weights, dtype=float))
 
-    @classmethod
-    def from_dense(cls, dense) -> "LinearForm":
-        dense = _as_float_matrix(dense, "dense")
-        rows, cols = np.nonzero(dense)
-        return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
-
     def to_json(self) -> str:
         entries = [
             {"i": int(i), "j": int(j), "w": float(w)}
@@ -275,7 +258,7 @@ class LinearForm:
     def from_json(cls, text: str, d1: int, d2: int) -> "LinearForm":
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataFormatError(f"linear form is not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise DataFormatError("linear form JSON must be an array of objects")
@@ -283,11 +266,35 @@ class LinearForm:
         for k, e in enumerate(entries):
             if not isinstance(e, dict) or not {"i", "j", "w"} <= set(e):
                 raise DataFormatError(f"linear form entry {k} missing i/j/w")
-            triplets.append((int(e["i"]), int(e["j"]), float(e["w"])))
+            try:
+                i, j = _int_pairs([[e["i"], e["j"]]])[0].tolist()
+            except ValueError:
+                raise DataFormatError(
+                    f"linear form entry {k}: i and j must be JSON integers") from None
+            w = np.asarray(e["w"])
+            if w.shape or w.dtype.kind not in "iuf" or not np.isfinite(w):
+                raise DataFormatError(f"linear form entry {k}: w must be a finite JSON number")
+            triplets.append((i, j, float(w)))
         try:
             return cls.from_triplets(d1, d2, triplets)
         except ArgumentError as exc:
             raise DataFormatError(str(exc)) from exc
+
+
+def _int_pairs(pairs, maybe_bool: bool = True) -> np.ndarray:
+    """JSON ``pairs`` as an (n, 2) int64 array, else ValueError.
+
+    Every pair must be a list of exactly two JSON integers.  numpy reads
+    booleans mixed with numbers as 0/1, so they are looked for one by
+    one unless ``maybe_bool`` is false (the text spells no boolean).
+    """
+    arr = np.asarray(pairs)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2).astype(np.int64)
+    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 2 \
+            or maybe_bool and any(type(v) is bool for p in pairs for v in p):
+        raise ValueError("pairs must be a list of [row, col] integer pairs")
+    return arr
 
 
 def _locked_int(a: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ArgumentError, DataFormatError
 from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
-from .matmodel import LinearForm
-from .samplers import Matching, _int_pairs
+from .matmodel import LinearForm, _int_pairs
+from .samplers import Matching
 
 __all__ = [
     "PolicyEvaluation",

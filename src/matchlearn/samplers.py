@@ -8,7 +8,9 @@ Three mechanisms generate the per-period matchings:
   distinct across the whole matching;
 * two-sided: random arrivals on both sides drawn from a truncated
   bivariate binomial, then a uniform matching of the smaller arrived
-  side into the larger.
+  side into the larger.  :meth:`TwoSided.arrival_pmf` tabulates that
+  law exactly; both the arrival draws and the entrywise probability
+  come from the table.
 
 All samplers are pure given an ``rng`` handle; parallel replications
 must use independent streams (seed xor replication index).
@@ -22,6 +24,7 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 import numpy as np
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import (
     ArgumentError,
@@ -29,9 +32,7 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix
-
-REJECTION_CAP = 10**6
+from .matmodel import RewardMatrix, _int_pairs
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,41 @@ class TwoSided:
             )
 
     def feasible(self, d1: int, d2: int) -> None:
+        self.arrival_pmf(d1, d2)
+
+    def arrival_pmf(self, d1: int, d2: int) -> np.ndarray:
+        """Joint pmf of the arrival counts: entry ``[b_r, b_s]`` is P(B_r = b_r, B_s = b_s).
+
+        Independent Bin(d1, p1) x Bin(d2, p2) restricted to the
+        truncation region of the (d1+1) x (d2+1) grid and normalised in
+        log space, so a region of tiny total mass does not underflow.
+        Raises InfeasibleTruncationError, before any draw, when the
+        region holds no cell.
+        """
         if d1 < 1 or d2 < 1:
             raise ArgumentError("dimensions must be positive")
+        b_r, b_s = np.arange(d1 + 1)[:, None], np.arange(d2 + 1)
+        kept = (b_r >= self.c_r * d1) & (b_s >= self.c_s * d2) & (
+            (b_r >= (1.0 + self.gamma) * b_s) | (b_s >= (1.0 + self.gamma) * b_r))
+        if not kept.any():
+            raise InfeasibleTruncationError(
+                f"no arrival counts (B_r, B_s) with d1={d1}, d2={d2} satisfy the "
+                f"truncation c_r={self.c_r}, c_s={self.c_s}, gamma={self.gamma}"
+            )
+        log_pmf = np.where(kept, _binom_logpmf(d1, self.p1)[:, None]
+                           + _binom_logpmf(d2, self.p2), -np.inf)
+        return np.exp(log_pmf - logsumexp(log_pmf))
+
+
+def _binom_logpmf(n: int, p: float) -> np.ndarray:
+    """log P(Bin(n, p) = k) for k = 0..n, by scipy.stats.binom's formula.
+
+    Written out over scipy.special, which the package already loads;
+    importing scipy.stats would add much to its start-up time and memory.
+    """
+    k = np.arange(n + 1)
+    return (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+            + xlogy(k, p) + xlog1py(n - k, -p))
 
 
 MatchingScheme = Union[OneToOne, OneToMany, TwoSided]
@@ -302,87 +336,31 @@ class ObservationBatch:
         )
 
 
-def sample_truncated_binomial(
-    d1: int,
-    p1: float,
-    d2: int,
-    p2: float,
-    c_r: float,
-    c_s: float,
-    gamma: float,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Draw one (B_r, B_s) pair from the truncated bivariate binomial.
+def _arrival_cdf(scheme: MatchingScheme, d1: int, d2: int) -> np.ndarray | None:
+    """Check that ``scheme`` can draw d1 x d2 matchings; return the
+    arrival CDF :func:`_draw_pairs` inverts for two-sided (the cumulated
+    :meth:`TwoSided.arrival_pmf` in row-major order), else None."""
+    if not isinstance(scheme, TwoSided):
+        scheme.feasible(d1, d2)
+        return None
+    cdf = np.cumsum(scheme.arrival_pmf(d1, d2))
+    return cdf / cdf[-1]
 
-    Rejection sampling from independent Bin(d1, p1) x Bin(d2, p2): a
-    draw is kept iff ``B_r >= c_r*d1``, ``B_s >= c_s*d2``, and the two
-    counts are (1+gamma)-separated on one side or the other.  After
-    ``REJECTION_CAP`` consecutive rejections the region is declared
-    empty (up to numerically negligible mass).
+
+def _draw_arrivals(arrival_cdf: np.ndarray, d2: int, rng: np.random.Generator) -> tuple[int, int]:
+    """One (B_r, B_s) draw: a uniform inverted through the arrival CDF.
+
+    The CDF's index ``b_r * (d2 + 1) + b_s`` is split back into the two
+    counts; a cell of zero mass is never drawn.
     """
-    out = _sample_truncated_binomial_many(
-        1, d1, p1, d2, p2, c_r, c_s, gamma, rng
-    )
-    return int(out[0, 0]), int(out[0, 1])
-
-
-def _sample_truncated_binomial_many(
-    n: int,
-    d1: int,
-    p1: float,
-    d2: int,
-    p2: float,
-    c_r: float,
-    c_s: float,
-    gamma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    if d1 < 1 or d2 < 1:
-        raise ArgumentError("dimensions must be positive")
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not (0.0 < p < 1.0):
-            raise ArgumentError(f"{name} must lie in (0, 1), got {p}")
-    for name, c in (("c_r", c_r), ("c_s", c_s)):
-        if not (0.0 <= c < 1.0):
-            raise ArgumentError(f"{name} must lie in [0, 1), got {c}")
-    if gamma < 0.0:
-        raise ArgumentError(f"gamma must be nonnegative, got {gamma}")
-
-    accepted = np.empty((n, 2), dtype=np.int64)
-    got = 0
-    consecutive_rejections = 0
-    chunk = 1
-    while got < n:
-        k1 = rng.binomial(d1, p1, size=chunk)
-        k2 = rng.binomial(d2, p2, size=chunk)
-        keep = (
-            (k1 >= c_r * d1)
-            & (k2 >= c_s * d2)
-            & ((k1 >= (1.0 + gamma) * k2) | (k2 >= (1.0 + gamma) * k1))
-        )
-        hits = np.flatnonzero(keep)
-        if hits.size == 0:
-            consecutive_rejections += chunk
-            if consecutive_rejections >= REJECTION_CAP:
-                raise InfeasibleTruncationError(
-                    f"no acceptable (B_r, B_s) after {consecutive_rejections} "
-                    "consecutive rejections; truncation region appears empty"
-                )
-        else:
-            take = hits[: n - got]
-            accepted[got : got + take.size, 0] = k1[take]
-            accepted[got : got + take.size, 1] = k2[take]
-            got += take.size
-            # Rejections after the last acceptance carry into the next chunk.
-            consecutive_rejections = int(chunk - 1 - hits[-1])
-        chunk = min(chunk * 8, 8192)
-    return accepted
+    return divmod(int(np.searchsorted(arrival_cdf, rng.random(), side="right")), d2 + 1)
 
 
 def _draw_pairs(
-    scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator
+    scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator,
+    arrival_cdf: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One period's (rows, cols) draw from a feasible scheme."""
+    """One period's (rows, cols) draw; ``arrival_cdf`` from :func:`_arrival_cdf`."""
     if isinstance(scheme, OneToOne):
         return np.arange(d1, dtype=np.int64), rng.permutation(d2)[:d1]
     if isinstance(scheme, OneToMany):
@@ -393,12 +371,9 @@ def _draw_pairs(
         cols = rng.permutation(d2)[:total]
         return np.repeat(np.arange(d1, dtype=np.int64), degrees), cols
     if isinstance(scheme, TwoSided):
-        b_r, b_s = sample_truncated_binomial(
-            d1, scheme.p1, d2, scheme.p2, scheme.c_r, scheme.c_s, scheme.gamma, rng
-        )
-        n = min(b_r, b_s)
-        rows = rng.permutation(d1)[:b_r][:n]
-        cols = rng.permutation(d2)[:b_s][:n]
+        n = min(_draw_arrivals(arrival_cdf, d2, rng))
+        rows = rng.permutation(d1)[:n]
+        cols = rng.permutation(d2)[:n]
         order = np.argsort(rows)
         return rows[order], cols[order]
     raise ArgumentError(f"unknown scheme {scheme!r}")
@@ -413,53 +388,32 @@ def sample_matching(
     the drawn arrival counts (degrees for one-to-many, (B_r, B_s) for
     two-sided).
     """
-    scheme.feasible(d1, d2)
-    return Matching(d1, d2, *_draw_pairs(scheme, d1, d2, rng))
+    arrival_cdf = _arrival_cdf(scheme, d1, d2)
+    return Matching(d1, d2, *_draw_pairs(scheme, d1, d2, rng, arrival_cdf))
 
 
 @dataclass(frozen=True)
 class NuEstimate:
-    """Entrywise observation probability, with MC error when estimated."""
+    """Entrywise observation probability of a scheme."""
 
     nu: float
-    mc_se: float = 0.0
 
 
-def entrywise_probability(
-    scheme: MatchingScheme,
-    d1: int,
-    d2: int,
-    mc_samples: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> NuEstimate:
+def entrywise_probability(scheme: MatchingScheme, d1: int, d2: int) -> NuEstimate:
     """Probability that any fixed entry (i, j) is observed in one period.
 
-    Closed form for one-to-one (``1/d2``) and one-to-many (``K*p0/d2``);
-    for two-sided it is ``E[min(B_r, B_s)]/(d1*d2)``, estimated by Monte
-    Carlo over ``mc_samples`` truncated-binomial draws, with the MC
-    standard error reported alongside.
+    ``1/d2`` for one-to-one, ``K*p0/d2`` for one-to-many and, for
+    two-sided, ``E[min(B_r, B_s)]/(d1*d2)`` summed exactly over
+    :meth:`TwoSided.arrival_pmf`.
     """
+    if isinstance(scheme, TwoSided):
+        matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
+        return NuEstimate(nu=float(np.sum(scheme.arrival_pmf(d1, d2) * matched)) / (d1 * d2))
     scheme.feasible(d1, d2)
     if isinstance(scheme, OneToOne):
         return NuEstimate(nu=1.0 / d2)
     if isinstance(scheme, OneToMany):
         return NuEstimate(nu=scheme.K * scheme.p0 / d2)
-    if isinstance(scheme, TwoSided):
-        if mc_samples < 1:
-            raise ArgumentError("mc_samples must be >= 1 for two-sided schemes")
-        if rng is None:
-            raise ArgumentError("two-sided schemes need an rng for MC estimation")
-        draws = _sample_truncated_binomial_many(
-            mc_samples, d1, scheme.p1, d2, scheme.p2,
-            scheme.c_r, scheme.c_s, scheme.gamma, rng,
-        )
-        mins = np.minimum(draws[:, 0], draws[:, 1]).astype(float)
-        nu = float(mins.mean() / (d1 * d2))
-        if mc_samples >= 2:
-            se = float(mins.std(ddof=1) / np.sqrt(mc_samples) / (d1 * d2))
-        else:
-            se = float("nan")
-        return NuEstimate(nu=nu, mc_se=se)
     raise ArgumentError(f"unknown scheme {scheme!r}")
 
 
@@ -482,11 +436,11 @@ def observe(
     if sigma < 0.0:
         raise ArgumentError("sigma must be nonnegative")
     d1, d2 = m.shape
-    scheme.feasible(d1, d2)
+    arrival_cdf = _arrival_cdf(scheme, d1, d2)
     values = m.values
     periods = []
     for _ in range(T):
-        rows, cols = _draw_pairs(scheme, d1, d2, rng)
+        rows, cols = _draw_pairs(scheme, d1, d2, rng, arrival_cdf)
         noise = rng.standard_normal(rows.size)
         periods.append((rows, cols, values[rows, cols] + sigma * noise))
     return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)
@@ -515,22 +469,6 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
                 "y": batch.y[a:b].tolist(),
             }
             fh.write(json.dumps(line, sort_keys=True) + "\n")
-
-
-def _int_pairs(pairs, maybe_bool: bool = True) -> np.ndarray:
-    """JSON ``pairs`` as an (n, 2) int64 array, else ValueError.
-
-    Every pair must be a list of exactly two JSON integers.  numpy reads
-    booleans mixed with numbers as 0/1, so they are looked for one by
-    one unless ``maybe_bool`` is false (the text spells no boolean).
-    """
-    arr = np.asarray(pairs)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2).astype(np.int64)
-    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 2 \
-            or maybe_bool and any(type(v) is bool for p in pairs for v in p):
-        raise ValueError("pairs must be a list of [row, col] integer pairs")
-    return arr
 
 
 def _parse_record(line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

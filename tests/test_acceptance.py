@@ -45,9 +45,9 @@ from matchlearn import (
     project_rank_r,
     projection_magnitude,
     sample_matching,
-    sample_truncated_binomial,
     solve_G,
 )
+from matchlearn.samplers import _arrival_cdf, _draw_arrivals
 
 SEED = 20260819
 
@@ -331,7 +331,8 @@ def test_oracle_equivalences():
         )
         u_perp = np.linalg.svd(u, full_matrices=True)[0][:, r:]
         v_perp = np.linalg.svd(v, full_matrices=True)[0][:, r:]
-        dense = q.to_dense()
+        dense = np.zeros((d1, d2))
+        dense[q.rows, q.cols] = q.weights
         oracle = np.linalg.norm(
             dense - u_perp @ (u_perp.T @ dense @ v_perp) @ v_perp.T
         )
@@ -374,32 +375,30 @@ def test_oracle_equivalences():
     oracle = m_init + dense / (len(batch) * nu)
     assert np.max(np.abs(debias(m_init, batch, nu).m_unbs - oracle)) <= 1e-10
 
-    # Truncated paired-binomial sampler vs the enumerated pmf.
+    # Truncated paired-binomial arrival draws vs the enumerated pmf.
     d1, p1, d2, p2, c_r, c_s, gamma = 6, 0.6, 10, 0.6, 0.3, 0.3, 0.3
     pmf = _truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma)
     rng = np.random.default_rng([SEED, 66])
+    cdf = _arrival_cdf(TwoSided(p1, p2, c_r, c_s, gamma), d1, d2)
     counts = np.zeros_like(pmf)
     for _ in range(50_000):
-        b1, b2 = sample_truncated_binomial(d1, p1, d2, p2, c_r, c_s, gamma, rng)
+        b1, b2 = _draw_arrivals(cdf, d2, rng)
         counts[b1, b2] += 1
     tv = 0.5 * float(np.abs(counts / 50_000 - pmf).sum())
     assert tv <= 0.02, tv
 
-    # Monte Carlo reveal probability vs enumeration, within 3 stderr.
+    # Exact reveal probability vs enumeration.
     scheme = SCHEMES["two_sided"]
     exact = _exact_nu_two_sided(scheme, D1, D2)
-    est = entrywise_probability(
-        scheme, D1, D2, mc_samples=40_000, rng=np.random.default_rng([SEED, 67])
-    )
-    gap = abs(est.nu - exact)
-    assert gap <= 3 * est.mc_se, (gap, est.mc_se)
+    gap = abs(entrywise_probability(scheme, D1, D2).nu - exact)
+    assert gap <= 1e-12 * exact, (gap, exact)
 
     elapsed = time.time() - start
     ok = elapsed < 10.0
     _report(
         "oracle-equivalence", ok,
         f"assignment/projection/core-solve/rank-projection/ipw/"
-        f"sampler-pmf(tv={tv:.3f})/reveal-prob(gap={gap:.1e}<=3se={3*est.mc_se:.1e}) "
+        f"sampler-pmf(tv={tv:.3f})/reveal-prob(gap={gap:.1e}<=1e-12*nu) "
         f"all agree, elapsed={elapsed:.1f}s (<10s)",
     )
     assert elapsed < 10.0

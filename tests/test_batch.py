@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from matchlearn import (
     ArgumentError,
     DataFormatError,
+    LinearForm,
     ObservationBatch,
     OneToMany,
     OneToOne,
@@ -233,3 +234,41 @@ def test_load_batch_accepts_or_raises_data_format_error(
     code = main(["infer", str(path), str(config), "--q", "entry(0,0)"])
     capsys.readouterr()
     assert code == (0 if accepted else 4)
+
+
+# An entry of a 2 x 4 form that is valid for distinct (i, j) keys.
+_near_valid_entry = st.fixed_dictionaries(
+    {"i": st.integers(0, 1), "j": st.integers(0, 3), "w": st.floats(-10, 10)})
+_entry = st.one_of(
+    _near_valid_entry,
+    st.fixed_dictionaries({"i": _scalars, "j": _scalars, "w": _scalars}),
+    st.dictionaries(st.sampled_from(["i", "j", "w"]), _scalars, max_size=3),
+    _scalars,
+    st.lists(_scalars, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.one_of(st.lists(_near_valid_entry, max_size=3), st.lists(_entry, max_size=3)))
+def test_q_file_accepts_or_raises_data_format_error(entries, valid_lines, tmp_path, capsys):
+    text = json.dumps(entries)
+    try:
+        q = LinearForm.from_json(text, 2, 4)
+    except DataFormatError:
+        accepted = False
+    else:
+        accepted = True
+        # Nothing was coerced: indices were JSON integers, weights numbers.
+        assert q.size == len(entries)
+        assert all(type(e["i"]) is int and type(e["j"]) is int
+                   and type(e["w"]) in (int, float) for e in entries)
+    event("accepted" if accepted else "rejected")
+    batch, config, q_path = (tmp_path / name for name in ("b.jsonl", "c.json", "q.json"))
+    batch.write_text("\n".join([json.dumps(_HEADER)] + valid_lines) + "\n")
+    config.write_text(json.dumps(_CONFIG))
+    q_path.write_text(text)
+    code = main(["infer", str(batch), str(config), "--q", str(q_path)])
+    capsys.readouterr()
+    # An accepted form may still be all zeros: a degenerate test, exit 3.
+    assert code in ((0, 3) if accepted else (4,))

@@ -17,6 +17,7 @@ from matchlearn import (
     aggregate_response,
     batch_loss,
     batch_loss_gradient,
+    entrywise_probability,
     fit,
     generate_low_rank,
     gradient_step,
@@ -377,6 +378,16 @@ def test_fit_rejects_mismatched_nu():
         fit(batch, cfg)
 
 
+def test_fit_rejects_mismatched_nu_on_a_two_sided_batch():
+    truth = generate_low_rank(4, 8, 1, 1.0, np.random.default_rng(59))
+    batch = observe(truth, PARTIAL, 16, 0.0, np.random.default_rng(60))
+    nu = entrywise_probability(PARTIAL, 4, 8).nu
+    with pytest.raises(ArgumentError, match="inconsistent"):
+        fit(batch, EstimatorConfig(r=1, eta=0.75, m=2, nu=nu * (1 + 1e-6)))
+    m_hat, _ = fit(batch, EstimatorConfig(r=1, eta=0.75, m=2, nu=nu))
+    assert np.all(np.isfinite(m_hat))
+
+
 def test_fit_single_pair_returns_spectral_refit():
     truth, batch = make_problem(5, 10, 2, 400, 0.2, seed=49)
     cfg = EstimatorConfig(r=2, eta=0.75, m=1, nu=1.0 / 10)
@@ -414,7 +425,7 @@ def test_fit_reports_failure_in_later_batch():
     bad = ([0, 1], [0, 1], truth.values[[0, 1], [0, 1]])
     # The stuck periods leave row 2 unmatched, which a partial scheme allows.
     batch = ObservationBatch.from_periods(PARTIAL, 3, 6, 0.0, good + [bad] * 30)
-    cfg = EstimatorConfig(r=2, eta=0.75, m=2, nu=1.0 / 6)
+    cfg = EstimatorConfig(r=2, eta=0.75, m=2, nu=entrywise_probability(PARTIAL, 3, 6).nu)
     with pytest.raises(RankDeficientDesignError, match="batch pair 2"):
         fit(batch, cfg)
 

@@ -16,7 +16,9 @@ from matchlearn import (
     OneToOne,
     ReplicationFailureError,
     RunConfig,
+    TwoSided,
     config_to_dict,
+    entrywise_probability,
     fit,
     generate_low_rank,
     ks_statistic,
@@ -380,7 +382,6 @@ def test_cli_nu_one_to_one(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["nu"] == pytest.approx(1.0 / 750, rel=1e-15)
-    assert doc["mc_se"] == 0.0
 
 
 def test_cli_nu_one_to_many(capsys):
@@ -390,16 +391,18 @@ def test_cli_nu_one_to_many(capsys):
     assert json.loads(out)["nu"] == pytest.approx(3 * 0.8 / 40, rel=1e-15)
 
 
-def test_cli_nu_two_sided_reports_mc_error(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["nu", "--scheme", "two_sided", "--d1", "20", "--d2", "60",
-         "--p1", "0.8", "--p2", "0.8", "--c-r", "0.3", "--c-s", "0.3",
-         "--gamma", "0.2", "--mc-samples", "20000", "--seed", "5"],
-    )
+def test_cli_nu_two_sided_is_exact(capsys):
+    argv = ["nu", "--scheme", "two_sided", "--d1", "20", "--d2", "60",
+            "--p1", "0.8", "--p2", "0.8", "--c-r", "0.3", "--c-s", "0.3",
+            "--gamma", "0.2"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    doc = json.loads(out)
-    assert 0.0 < doc["nu"] < 1.0 and doc["mc_se"] > 0.0
+    exact = entrywise_probability(TwoSided(0.8, 0.8, 0.3, 0.3, 0.2), 20, 60).nu
+    assert json.loads(out) == {"nu": exact}
+    # The Monte Carlo knobs are gone.
+    for extra in (["--mc-samples", "20000"], ["--seed", "5"]):
+        code, _, err = run_cli(capsys, argv + extra)
+        assert code == 2 and json.loads(err)["error"] == "ConfigError"
 
 
 def test_cli_nu_missing_scheme_args(capsys):
@@ -540,6 +543,21 @@ def test_cli_infer_with_q_file(capsys, tmp_path, saved_batch):
     doc = json.loads(out)
     expected = truth.values[0, 0] + truth.values[3, 7]
     assert doc["point"] == pytest.approx(expected, abs=1e-4)
+
+
+@pytest.mark.parametrize("text", ['[{"i": "abc", "j": 1, "w": 1}]',
+                                  '[{"i": 0.9, "j": "2", "w": true}]'],
+                         ids=["string_index", "coercible"])
+def test_cli_infer_rejects_malformed_q_file(capsys, tmp_path, saved_batch, text):
+    _, batch_path, cfg_path = saved_batch
+    q_path = tmp_path / "q.json"
+    q_path.write_text(text)
+    code, _, err = run_cli(
+        capsys, ["infer", str(batch_path), str(cfg_path), "--q", str(q_path)]
+    )
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "DataFormatError" and "entry 0" in diag["message"]
 
 
 def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):

@@ -105,7 +105,7 @@ def test_debias_is_unbiased_over_replications(scheme, reps):
     # A deliberately wrong starting point: the correction must remove
     # its bias on average no matter how poor the initial estimate is.
     m_init = truth.values + 0.3 * np.random.default_rng([73, 2]).standard_normal((d1, d2))
-    nu = entrywise_probability(scheme, d1, d2, rng=np.random.default_rng([73, 3])).nu
+    nu = entrywise_probability(scheme, d1, d2).nu
     probe = np.random.default_rng([73, 4])
     idx = (probe.integers(0, d1, 20), probe.integers(0, d2, 20))
     samples = np.empty((reps, 20))

@@ -21,6 +21,12 @@ def random_orthonormal(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def form_from_dense(dense: np.ndarray) -> LinearForm:
+    """The form weighting every nonzero entry of ``dense`` by its value."""
+    rows, cols = np.nonzero(dense)
+    return LinearForm(*dense.shape, rows, cols, dense[rows, cols])
+
+
 # ---------------------------------------------------------------------------
 # generate_low_rank
 # ---------------------------------------------------------------------------
@@ -172,8 +178,6 @@ def test_reward_matrix_is_immutable():
 def test_linear_form_basic_accessors():
     q = LinearForm.from_triplets(3, 4, [(0, 1, 2.0), (2, 3, -1.5)])
     assert q.dims == (3, 4)
-    assert q.l1_norm() == pytest.approx(3.5)
-    assert q.fro_norm_sq() == pytest.approx(4.0 + 2.25)
     m = np.arange(12, dtype=float).reshape(3, 4)
     assert q.inner(m) == pytest.approx(2.0 * m[0, 1] - 1.5 * m[2, 3])
 
@@ -191,16 +195,14 @@ def test_linear_form_empty_is_legal():
     q = LinearForm.from_triplets(3, 4, [])
     assert q.size == 0
     assert q.inner(np.ones((3, 4))) == 0.0
-    assert q.l1_norm() == 0.0
 
 
 def test_linear_form_subtract_cancels_shared_entries():
     q1 = LinearForm.from_triplets(3, 4, [(0, 0, 1.0), (1, 2, 1.0)])
     q2 = LinearForm.from_triplets(3, 4, [(1, 2, 1.0), (2, 3, 1.0)])
     d = q1.subtract(q2)
-    assert set(zip(d.rows.tolist(), d.cols.tolist())) == {(0, 0), (2, 3)}
-    dense = d.to_dense()
-    assert dense[0, 0] == 1.0 and dense[2, 3] == -1.0
+    entries = dict(zip(zip(d.rows.tolist(), d.cols.tolist()), d.weights.tolist()))
+    assert entries == {(0, 0): 1.0, (2, 3): -1.0}
 
 
 def test_linear_form_json_round_trip():
@@ -223,6 +225,32 @@ def test_linear_form_from_json_rejects_malformed():
         LinearForm.from_json('[{"i": 0, "j": 9, "w": 1.0}]', 3, 3)
 
 
+@pytest.mark.parametrize("entry", [
+    '{"i": "abc", "j": 1, "w": 1}',
+    '{"i": 0.9, "j": 2, "w": 1}',
+    '{"i": 0, "j": "2", "w": 1}',
+    '{"i": true, "j": 1, "w": 1}',
+    '{"i": 0, "j": [1], "w": 1}',
+    '{"i": 0, "j": 100000000000000000000000, "w": 1}',
+    '{"i": 0, "j": 1, "w": true}',
+    '{"i": 0, "j": 1, "w": "1"}',
+    '{"i": 0, "j": 1, "w": null}',
+    '{"i": 0, "j": 1, "w": NaN}',
+    '{"i": 0, "j": 1, "w": 1e999}',
+], ids=["string_i", "float_i", "string_j", "bool_i", "list_j", "huge_j",
+        "bool_w", "string_w", "null_w", "nan_w", "inf_w"])
+def test_linear_form_from_json_takes_integer_indices_and_numeric_weights(entry):
+    # Entry 1 is malformed; the error names it.
+    text = f'[{{"i": 0, "j": 0, "w": 1.0}}, {entry}]'
+    with pytest.raises(DataFormatError, match="entry 1"):
+        LinearForm.from_json(text, 3, 3)
+
+
+def test_linear_form_from_json_accepts_integer_weights():
+    q = LinearForm.from_json('[{"i": 2, "j": 1, "w": 3}]', 3, 3)
+    assert (q.rows.tolist(), q.cols.tolist(), q.weights.tolist()) == ([2], [1], [3.0])
+
+
 # ---------------------------------------------------------------------------
 # projection_magnitude
 # ---------------------------------------------------------------------------
@@ -242,7 +270,7 @@ def test_projection_magnitude_single_entry_formula():
 def test_projection_magnitude_fixes_tangent_element():
     rng = np.random.default_rng(31)
     m = generate_low_rank(5, 7, 2, 1.0, rng)
-    q = LinearForm.from_dense(m.values)
+    q = form_from_dense(m.values)
     assert projection_magnitude(m.left_factors, m.right_factors, q) == pytest.approx(
         np.linalg.norm(m.values), rel=1e-10
     )
@@ -258,7 +286,7 @@ def test_projection_magnitude_matches_complement_oracle():
     dense = np.where(mask, rng.standard_normal((6, 9)), 0.0)
     if not dense.any():
         dense[0, 0] = 1.0
-    q = LinearForm.from_dense(dense)
+    q = form_from_dense(dense)
     # Oracle: explicit complement construction of the tangent projection.
     oracle = np.linalg.norm(dense - u_perp @ u_perp.T @ dense @ v_perp @ v_perp.T)
     assert projection_magnitude(u, v, q) == pytest.approx(oracle, rel=1e-10)
@@ -271,7 +299,7 @@ def test_projection_magnitude_pythagoras():
     u, u_perp = u_full[:, :2], u_full[:, 2:]
     v, v_perp = v_full[:, :2], v_full[:, 2:]
     dense = rng.standard_normal((5, 8))
-    q = LinearForm.from_dense(dense)
+    q = form_from_dense(dense)
     proj = projection_magnitude(u, v, q)
     residual = np.linalg.norm(u_perp.T @ dense @ v_perp)
     assert proj**2 + residual**2 == pytest.approx(np.linalg.norm(dense) ** 2,
@@ -284,7 +312,7 @@ def test_projection_magnitude_rotation_invariant():
     v = random_orthonormal(10, 3, rng)
     dense = np.where(rng.random((7, 10)) < 0.25, rng.standard_normal((7, 10)), 0.0)
     dense[2, 2] = 1.0
-    q = LinearForm.from_dense(dense)
+    q = form_from_dense(dense)
     base = projection_magnitude(u, v, q)
     for _ in range(5):
         o1 = random_orthonormal(3, 3, rng)

@@ -1,4 +1,7 @@
 """Tests for matching mechanisms, observation probability, and reward draws."""
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -18,11 +21,11 @@ from matchlearn import (
     load_batch,
     observe,
     sample_matching,
-    sample_truncated_binomial,
     save_batch,
     scheme_from_json,
     scheme_to_json,
 )
+from matchlearn.samplers import _arrival_cdf, _draw_arrivals
 
 
 def make_two_sided(**kwargs) -> TwoSided:
@@ -43,6 +46,29 @@ def truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma) -> np.ndarray:
     )
     pmf = np.where(region, pmf, 0.0)
     return pmf / pmf.sum()
+
+
+def exact_truncated_moments(scheme: TwoSided, d1: int, d2: int) -> tuple[Fraction, Fraction]:
+    """The truncation region's mass under the untruncated product law, and
+    nu = E[min(B_r, B_s)]/(d1 d2), in exact rational arithmetic: the
+    oracle for regions of any mass."""
+    p1, p2 = Fraction(scheme.p1), Fraction(scheme.p2)
+    mass = weighted = Fraction(0)
+    for k1 in range(d1 + 1):
+        for k2 in range(d2 + 1):
+            if (k1 >= scheme.c_r * d1 and k2 >= scheme.c_s * d2
+                    and (k1 >= (1 + scheme.gamma) * k2 or k2 >= (1 + scheme.gamma) * k1)):
+                w = (comb(d1, k1) * p1**k1 * (1 - p1) ** (d1 - k1)
+                     * comb(d2, k2) * p2**k2 * (1 - p2) ** (d2 - k2))
+                mass += w
+                weighted += w * min(k1, k2)
+    return mass, weighted / mass / (d1 * d2)
+
+
+def draw_arrivals(scheme: TwoSided, d1: int, d2: int, n: int, rng) -> np.ndarray:
+    """n (B_r, B_s) draws through the sampler's own inverse-CDF draw."""
+    cdf = _arrival_cdf(scheme, d1, d2)
+    return np.array([_draw_arrivals(cdf, d2, rng) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +144,15 @@ def test_sampled_matchings_satisfy_scheme_invariants(scheme, d1, d2):
 
 
 def test_two_sided_pair_count_is_min_of_arrivals():
-    # Same seed: the matching sampler's first consumption is exactly the
-    # truncated-binomial draw, so the arrival counts can be replayed.
+    # Same seed: the matching sampler's first consumption is one uniform,
+    # inverted through the arrival CDF, so the arrival counts can be
+    # replayed from the enumerated pmf.
     scheme = make_two_sided()
+    cdf = np.cumsum(truncated_pmf_grid(6, scheme.p1, 14, scheme.p2,
+                                       scheme.c_r, scheme.c_s, scheme.gamma))
     for seed in range(200):
-        b_r, b_s = sample_truncated_binomial(
-            6, scheme.p1, 14, scheme.p2, scheme.c_r, scheme.c_s, scheme.gamma,
-            np.random.default_rng(seed),
-        )
+        u = np.random.default_rng(seed).random()
+        b_r, b_s = divmod(int(np.searchsorted(cdf, u * cdf[-1], side="right")), 15)
         m = sample_matching(scheme, 6, 14, np.random.default_rng(seed))
         assert m.size == min(b_r, b_s)
         # Rows are hit at most once on the two-sided mechanism.
@@ -133,18 +160,17 @@ def test_two_sided_pair_count_is_min_of_arrivals():
 
 
 # ---------------------------------------------------------------------------
-# sample_truncated_binomial
+# truncated-binomial arrival draws
 # ---------------------------------------------------------------------------
 
 def test_truncated_binomial_matches_enumerated_pmf():
     d1, p1, d2, p2, c_r, c_s, gamma = 10, 0.8, 40, 0.8, 0.5, 0.5, 0.2
     oracle = truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma)
-    rng = np.random.default_rng(29)
     n = 50000
+    draws = draw_arrivals(TwoSided(p1, p2, c_r, c_s, gamma), d1, d2, n,
+                          np.random.default_rng(29))
     empirical = np.zeros_like(oracle)
-    for _ in range(n):
-        b_r, b_s = sample_truncated_binomial(d1, p1, d2, p2, c_r, c_s, gamma, rng)
-        empirical[b_r, b_s] += 1
+    np.add.at(empirical, (draws[:, 0], draws[:, 1]), 1)
     empirical /= n
     tv = 0.5 * np.sum(np.abs(empirical - oracle))
     assert tv <= 0.02
@@ -152,28 +178,39 @@ def test_truncated_binomial_matches_enumerated_pmf():
 
 def test_truncated_binomial_respects_floors():
     d1, p1, d2, p2, c_r, c_s, gamma = 8, 0.6, 20, 0.7, 0.4, 0.3, 0.3
-    rng = np.random.default_rng(31)
-    for _ in range(500):
-        b_r, b_s = sample_truncated_binomial(d1, p1, d2, p2, c_r, c_s, gamma, rng)
+    draws = draw_arrivals(TwoSided(p1, p2, c_r, c_s, gamma), d1, d2, 500,
+                          np.random.default_rng(31))
+    for b_r, b_s in draws:
         assert b_r >= int(np.ceil(c_r * d1))
         assert b_s >= int(np.ceil(c_s * d2))
         assert b_r >= (1 + gamma) * b_s or b_s >= (1 + gamma) * b_r
 
 
 def test_truncated_binomial_infeasible_region_errors():
+    # B_r = B_s = 10 is the only cell above both floors, and it is not
+    # separated: the region is empty, and every entry point says so
+    # before it draws anything.
+    scheme = TwoSided(0.8, 0.8, 0.999, 0.999, 1.0)
+    m = generate_low_rank(10, 10, 1, 1.0, np.random.default_rng(0))
     rng = np.random.default_rng(37)
+    state = rng.bit_generator.state
     with pytest.raises(InfeasibleTruncationError):
-        sample_truncated_binomial(10, 0.8, 10, 0.8, 0.999, 0.999, 1.0, rng)
+        sample_matching(scheme, 10, 10, rng)
+    with pytest.raises(InfeasibleTruncationError):
+        observe(m, scheme, 5, 1.0, rng)
+    with pytest.raises(InfeasibleTruncationError):
+        entrywise_probability(scheme, 10, 10)
+    assert rng.bit_generator.state == state
 
 
 def test_truncated_binomial_rejects_bad_parameters():
-    rng = np.random.default_rng(0)
+    # TwoSided holds the only copy of the arrival parameters' checks.
     with pytest.raises(ArgumentError):
-        sample_truncated_binomial(10, 0.0, 10, 0.5, 0.1, 0.1, 0.2, rng)
+        TwoSided(0.0, 0.5, 0.1, 0.1, 0.2)
     with pytest.raises(ArgumentError):
-        sample_truncated_binomial(10, 0.5, 10, 0.5, 1.0, 0.1, 0.2, rng)
+        TwoSided(0.5, 0.5, 1.0, 0.1, 0.2)
     with pytest.raises(ArgumentError):
-        sample_truncated_binomial(10, 0.5, 10, 0.5, 0.1, 0.1, -0.5, rng)
+        TwoSided(0.5, 0.5, 0.1, 0.1, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,37 +218,27 @@ def test_truncated_binomial_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 
 def test_nu_one_to_one_closed_form():
-    est = entrywise_probability(OneToOne(), 100, 750)
-    assert est.nu == 1.0 / 750
-    assert est.mc_se == 0.0
+    assert entrywise_probability(OneToOne(), 100, 750).nu == 1.0 / 750
 
 
 def test_nu_one_to_many_closed_form():
     est = entrywise_probability(OneToMany(K=5, p0=0.8), 100, 750)
     assert est.nu == pytest.approx(4.0 / 750, rel=1e-15)
-    assert est.mc_se == 0.0
 
 
 def test_nu_two_sided_matches_enumerated_expectation():
-    d1, d2 = 10, 40
-    scheme = make_two_sided()
-    oracle_pmf = truncated_pmf_grid(d1, scheme.p1, d2, scheme.p2,
-                                    scheme.c_r, scheme.c_s, scheme.gamma)
-    k1 = np.arange(d1 + 1)[:, None]
-    k2 = np.arange(d2 + 1)[None, :]
-    exact = float(np.sum(oracle_pmf * np.minimum(k1, k2)) / (d1 * d2))
-    est = entrywise_probability(scheme, d1, d2, mc_samples=100_000,
-                                rng=np.random.default_rng(41))
-    assert est.mc_se > 0.0
-    assert abs(est.nu - exact) <= 3 * est.mc_se
-
-
-def test_nu_two_sided_requires_rng_and_samples():
-    with pytest.raises(ArgumentError):
-        entrywise_probability(make_two_sided(), 10, 40, mc_samples=0,
-                              rng=np.random.default_rng(0))
-    with pytest.raises(ArgumentError):
-        entrywise_probability(make_two_sided(), 10, 40)
+    # The last region holds a total mass below 1e-300, which a pmf
+    # normalised in linear space would lose to underflow.
+    cases = [
+        (make_two_sided(), 10, 40),
+        (TwoSided(0.6, 0.7, 0.4, 0.3, 0.3), 8, 20),
+        (TwoSided(1e-40, 0.5, 0.9, 0.1, 0.1), 10, 10),
+    ]
+    for scheme, d1, d2 in cases:
+        mass, exact = exact_truncated_moments(scheme, d1, d2)
+        nu = entrywise_probability(scheme, d1, d2).nu
+        assert nu == pytest.approx(float(exact), rel=1e-12, abs=0)
+    assert mass < Fraction(1, 10**300)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +293,7 @@ def test_observe_noise_scales_linearly_with_sigma():
 )
 def test_observation_frequency_matches_nu(scheme, d1, d2, T):
     m = generate_low_rank(d1, d2, 1, 1.0, np.random.default_rng(59))
-    est = entrywise_probability(scheme, d1, d2, mc_samples=200_000,
-                                rng=np.random.default_rng(60))
+    est = entrywise_probability(scheme, d1, d2)
     batch = observe(m, scheme, T, 0.0, np.random.default_rng(61))
     i, j = d1 - 1, d2 - 1
     count = sum(
