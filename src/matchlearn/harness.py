@@ -35,7 +35,14 @@ from .errors import (
 )
 from .estimator import EstimatorConfig, FitTrace, fit
 from .inference import infer_linear_form, prepare_inference
-from .matmodel import LinearForm, RewardMatrix, generate_low_rank, save_matrix_csv
+from .matmodel import (
+    LinearForm,
+    RewardMatrix,
+    _json_int,
+    _json_real,
+    generate_low_rank,
+    save_matrix_csv,
+)
 from .policy import (
     evaluate_policy,
     matching_to_json,
@@ -239,14 +246,14 @@ def parse_config(obj: dict) -> RunConfig:
     ):
         if name in obj:
             value = obj[name]
-            if cast is int and (isinstance(value, bool) or not isinstance(value, int)):
-                problems.append(f"{name} must be an integer, got {value!r}")
+            if cast in (int, float):
+                try:
+                    kwargs[name] = (_json_int if cast is int else _json_real)(value, name)
+                except ValueError as exc:
+                    problems.append(str(exc))
                 continue
             if cast is bool and not isinstance(value, bool):
                 problems.append(f"{name} must be a boolean, got {value!r}")
-                continue
-            if cast is float and not isinstance(value, (int, float)):
-                problems.append(f"{name} must be a number, got {value!r}")
                 continue
             if cast is str and not isinstance(value, str):
                 problems.append(f"{name} must be a string, got {value!r}")

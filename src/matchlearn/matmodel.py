@@ -9,11 +9,13 @@ bit-identical factors.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ArgumentError,
@@ -71,6 +73,19 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Notes
     -----
+    With ``r == min(n, m)`` this is one dense LAPACK SVD.  Otherwise it is
+    Rayleigh-Ritz on the short side (Halko, Martinsson & Tropp 2011, with
+    the exact Gram matrix as the sketch): ``b`` is ``a``, short side first,
+    scaled by a power of two to ``max|b| < 1`` so that ``b b^T`` neither
+    overflows nor underflows; ``Q`` holds the top ``r + 1`` eigenvectors of
+    ``b b^T`` from a partial eigensolve; the SVD of the ``(r+1) x long``
+    matrix ``Q^T b`` gives the singular values (not square roots of
+    eigenvalues, which lose the small ones' precision) and the long-side
+    vectors, and ``Q`` maps its left vectors to the short-side ones.  Cost:
+    one O(short^2 * long) matrix product plus the partial eigensolve,
+    against a full SVD's bidiagonalisation of all of ``a``; at 500 x 1500
+    and r = 2, about 33 ms against 190 ms on one core of a 2-vCPU VM.
+
     For each column of ``U`` the entry of largest absolute value is made
     positive (the matching column of ``V`` is flipped along), which pins
     the sign ambiguity of singular vectors.  If the r-th and (r+1)-th
@@ -80,10 +95,18 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = _as_float_matrix(a, "a")
     n, m = a.shape
-    if not (1 <= r <= min(n, m)):
+    k = min(n, m)
+    if not (1 <= r <= k):
         raise ArgumentError(f"r={r} outside [1, min{a.shape}]")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if r < s.size:
+    if r == k:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T
+    else:
+        exp = np.frexp(np.max(np.abs(a)))[1]
+        b = np.ldexp(a.T if n > m else a, -exp)
+        q = scipy.linalg.eigh(b @ b.T, subset_by_index=[k - r - 1, k - 1],
+                              overwrite_a=True, check_finite=False)[1]
+        ub, s, vt = np.linalg.svd(q.T @ b, full_matrices=False)
         lead = s[0] if s[0] > 0.0 else 1.0
         if (s[r - 1] - s[r]) <= SPECTRUM_TIE_RTOL * lead:
             warnings.warn(
@@ -93,7 +116,11 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 DegenerateSpectrumWarning,
                 stacklevel=2,
             )
-    u, s, v = u[:, :r], s[:r].copy(), vt[:r].T
+        u, v = q @ ub[:, :r], vt[:r].T
+        if n > m:
+            u, v = v, u
+        with np.errstate(over="ignore"):  # overflow reaches callers' finite checks
+            s = np.ldexp(s[:r], exp)
     # Sign convention: largest-|.| entry of each left vector is positive.
     idx = np.argmax(np.abs(u), axis=0)
     flip = u[idx, np.arange(r)] < 0.0
@@ -295,6 +322,20 @@ def _int_pairs(pairs, maybe_bool: bool = True) -> np.ndarray:
             or maybe_bool and any(type(v) is bool for p in pairs for v in p):
         raise ValueError("pairs must be a list of [row, col] integer pairs")
     return arr
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ValueError (bool, float and str are not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else ValueError (bool and str are not)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _locked_int(a: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix, _int_pairs
+from .matmodel import RewardMatrix, _int_pairs, _json_int, _json_real
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,11 @@ def scheme_from_json(obj) -> MatchingScheme:
         if kind == "one_to_one":
             return OneToOne()
         if kind == "one_to_many":
-            return OneToMany(K=int(obj["K"]), p0=float(obj["p0"]))
+            return OneToMany(K=_json_int(obj["K"], "K"), p0=_json_real(obj["p0"], "p0"))
         if kind == "two_sided":
-            return TwoSided(
-                p1=float(obj["p1"]),
-                p2=float(obj["p2"]),
-                c_r=float(obj["c_r"]),
-                c_s=float(obj["c_s"]),
-                gamma=float(obj["gamma"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            return TwoSided(**{name: _json_real(obj[name], name)
+                               for name in ("p1", "p2", "c_r", "c_s", "gamma")})
+    except (KeyError, ValueError) as exc:
         raise DataFormatError(f"bad parameters for scheme '{kind}': {exc}") from exc
     except ArgumentError as exc:
         raise DataFormatError(str(exc)) from exc
@@ -185,13 +180,23 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
 
     Raises ArgumentError with the first offending ``period`` if an index is out of
     range, a reward is not finite, a column repeats within a period, or a
-    period's row multiplicities violate ``scheme``.
+    period's row multiplicities violate ``scheme``.  Time and memory are
+    O(entries + periods) whatever ``d1`` and ``d2`` a file header claims.
     """
     n = offsets.size - 1
     period = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
 
     def fail(message: str, t) -> None:
         raise ArgumentError(message + (f" in period {t}" if n > 1 else ""), period=int(t))
+
+    def first_repeat(index: np.ndarray, limit: int):
+        """First period holding one ``index`` value more than ``limit`` times, or None."""
+        width = int(index.max(initial=0)) + 1
+        if n * width > np.iinfo(np.int64).max:
+            fail("indices too large to validate", period[index.argmax()])
+        keys = np.sort(period * width + index)
+        over = keys[limit:][keys[limit:] == keys[:-limit]]
+        return over[0] // width if over.size else None
 
     entry_checks = [("row index out of range", (rows < 0) | (rows >= d1)),
                     ("column index out of range", (cols < 0) | (cols >= d2))]
@@ -200,23 +205,26 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
     for message, bad in entry_checks:
         if bad.any():
             fail(message, period[bad.argmax()])
-    keys = np.sort(period * d2 + cols)
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    if repeated.size:
-        fail("a column appears more than once", repeated[0] // d2)
+    t = first_repeat(cols, 1)
+    if t is not None:
+        fail("a column appears more than once", t)
     if scheme is None:
         return
-    counts = np.bincount(period * d1 + rows, minlength=n * d1).reshape(n, d1)
+    bad = np.zeros(n, dtype=bool)
     if isinstance(scheme, OneToOne):
-        bad, message = counts != 1, "one-to-one matching must use every row once"
+        limit, message = 1, "one-to-one matching must use every row once"
+        bad |= np.diff(offsets) != d1
     elif isinstance(scheme, OneToMany):
-        bad, message = counts > scheme.K, f"row multiplicity exceeds K={scheme.K}"
+        limit, message = scheme.K, f"row multiplicity exceeds K={scheme.K}"
     elif isinstance(scheme, TwoSided):
-        bad, message = counts > 1, "two-sided matching must use each row at most once"
+        limit, message = 1, "two-sided matching must use each row at most once"
     else:
         raise ArgumentError(f"unknown scheme {scheme!r}")
+    t = first_repeat(rows, limit)
+    if t is not None:
+        bad[t] = True
     if bad.any():
-        fail(message, bad.any(axis=1).argmax())
+        fail(message, bad.argmax())
 
 
 def _trusted(cls, **fields):
@@ -500,11 +508,11 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 raise DataFormatError("batch header must carry scheme, d1, d2, sigma")
             scheme = scheme_from_json(header["scheme"])
             try:
-                d1, d2 = int(header["d1"]), int(header["d2"])
-                sigma = float(header["sigma"])
+                d1, d2 = _json_int(header["d1"], "d1"), _json_int(header["d2"], "d2")
+                sigma = _json_real(header["sigma"], "sigma")
                 seed = header.get("seed")
-                seed = None if seed is None else int(seed)
-            except (TypeError, ValueError) as exc:
+                seed = None if seed is None else _json_int(seed, "seed")
+            except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for k, line in enumerate(fh, start=2):
                 if not line.strip():

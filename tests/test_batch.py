@@ -202,6 +202,22 @@ _record = st.one_of(
 )
 
 
+# The header: the valid one, or one with a field replaced by an arbitrary
+# value (a scheme with arbitrary parameters among them) or dropped.
+_scheme = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["one_to_one", "one_to_many", "two_sided", "mystery"])},
+    optional={name: st.one_of(_scalars, st.floats(0.0, 1.0))
+              for name in ("K", "p0", "p1", "p2", "c_r", "c_s", "gamma")},
+)
+_header = st.one_of(
+    st.just(_HEADER),
+    st.builds(lambda key, value: {**_HEADER, key: value},
+              st.sampled_from(sorted(_HEADER)), st.one_of(_scalars, _scheme)),
+    st.builds(lambda key: {k: v for k, v in _HEADER.items() if k != key},
+              st.sampled_from(sorted(_HEADER))),
+)
+
+
 @pytest.fixture(scope="module")
 def valid_lines(tmp_path_factory):
     """Records of a valid 40-period batch that the CLI can fit."""
@@ -213,12 +229,13 @@ def valid_lines(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(records=st.lists(_record, min_size=1, max_size=3), where=st.integers(0, 40))
+@given(records=st.lists(_record, min_size=1, max_size=3), where=st.integers(0, 40),
+       header=_header)
 def test_load_batch_accepts_or_raises_data_format_error(
-    records, where, valid_lines, tmp_path, capsys
+    records, where, header, valid_lines, tmp_path, capsys
 ):
     fuzzed = [json.dumps(rec) for rec in records]
-    lines = [json.dumps(_HEADER)] + valid_lines[:where] + fuzzed + valid_lines[where:]
+    lines = [json.dumps(header)] + valid_lines[:where] + fuzzed + valid_lines[where:]
     path = tmp_path / "fuzz.jsonl"
     path.write_text("\n".join(lines) + "\n")
     try:
@@ -228,12 +245,20 @@ def test_load_batch_accepts_or_raises_data_format_error(
     else:
         accepted = True
         assert len(batch) == 40 + len(records)
+        # Nothing was coerced: dimensions and seed were JSON integers, sigma a number.
+        assert type(header["d1"]) is int and type(header["d2"]) is int
+        assert type(header["sigma"]) in (int, float)
+        assert header.get("seed") is None or type(header["seed"]) is int
+        assert (batch.d1, batch.d2, batch.sigma, batch.seed) == (
+            header["d1"], header["d2"], header["sigma"], header.get("seed"))
     event("accepted" if accepted else "rejected")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_CONFIG))
     code = main(["infer", str(path), str(config), "--q", "entry(0,0)"])
     capsys.readouterr()
-    assert code == (0 if accepted else 4)
+    # An accepted header may still disagree with the config: exit 2.
+    matches_config = accepted and (batch.d1, batch.d2, batch.scheme) == (2, 4, OneToOne())
+    assert code == (4 if not accepted else 0 if matches_config else 2)
 
 
 # An entry of a 2 x 4 form that is valid for distinct (i, j) keys.

@@ -1,10 +1,15 @@
 """Tests for the replication harness, summaries, config, and CLI."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import matchlearn
 import matchlearn.harness as harness_mod
 from matchlearn import (
     ArgumentError,
@@ -481,6 +486,47 @@ def test_cli_infer_rejects_non_integer_pairs(capsys, tmp_path):
     assert code == 4
     diag = json.loads(err)
     assert diag["error"] == "DataFormatError" and "line 3" in diag["message"]
+
+
+@pytest.mark.parametrize("field, value", [("d1", 3.0), ("d2", "4"), ("sigma", "0.0"),
+                                          ("seed", True)])
+def test_cli_infer_rejects_a_coerced_header_field(capsys, tmp_path, field, value):
+    path = tmp_path / "header.jsonl"
+    header = {"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": None}
+    header[field] = value
+    good = {"t": 1, "pairs": [[0, 0], [1, 1], [2, 2]], "y": [1.0, 2.0, 3.0]}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(good) + "\n")
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    code, _, err = run_cli(capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"])
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "DataFormatError" and field in diag["message"]
+
+
+@pytest.mark.parametrize("scheme", [{"kind": "one_to_many", "K": 2.9, "p0": 0.5},
+                                    {"kind": "one_to_many", "K": 1, "p0": "0.5"}])
+def test_cli_rejects_a_coerced_config_scheme_parameter(capsys, tmp_path, scheme):
+    cfg_path = write_config(tmp_path, d2=30, scheme=scheme)
+    code, _, err = run_cli(capsys, ["simulate", str(cfg_path)])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "ConfigError" and "bad scheme" in diag["message"]
+
+
+def test_parse_config_rejects_a_boolean_for_a_number():
+    with pytest.raises(ConfigError, match="eta must be a finite number"):
+        parse_config(base_config_dict(eta=True))
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchlearn", "nu", "--scheme", "one_to_one",
+         "--d1", "5", "--d2", "10"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matchlearn.__file__).parents[1])},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"nu": 0.1}
 
 
 @pytest.fixture()

@@ -175,6 +175,25 @@ def test_project_rank_r_matches_gram_eigendecomposition_oracle():
     np.testing.assert_allclose(out, oracle, atol=1e-10)
 
 
+def test_prepare_inference_runs_no_dense_svd_of_a_full_matrix(monkeypatch):
+    # Every rank-r SVD of a d1 x d2 matrix (spectral init, both
+    # projections, m_hat's factors) takes the truncated route, whose only
+    # dense SVD is the small (r+1) x d2 Ritz matrix; the r x r cores and
+    # d x r retractions have min(shape) = r.
+    shapes = []
+    dense_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return dense_svd(a, *args, **kwargs)
+
+    _, batch = make_problem(60, 180, 2, 600, 1.0, seed=95)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    prepare_inference(batch, EstimatorConfig(r=2, eta=0.75, m=5, nu=1.0 / 180))
+    assert shapes and max(min(shape) for shape in shapes) <= 3
+    assert shapes.count((3, 180)) == 5
+
+
 def test_project_rank_r_zero_matrix_flags_degenerate():
     with pytest.warns(DegenerateSpectrumWarning):
         out, _, _ = project_rank_r(np.zeros((4, 5)), 2)

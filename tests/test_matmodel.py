@@ -1,5 +1,6 @@
 """Tests for matrix domain types, truncated SVD, and projection geometry."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,64 @@ def test_svd_r_rejects_bad_rank_and_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ArgumentError):
         svd_r(bad, 1)
+
+
+def _svd_oracle_gaps(a, r):
+    """Relative gaps of svd_r's values and projectors from a dense np.linalg.svd."""
+    u, s, v = svd_r(a, r)
+    uo, so, vto = np.linalg.svd(a, full_matrices=False)
+    uo, so, vo = uo[:, :r], so[:r], vto[:r].T
+    return (np.max(np.abs(s - so)) / so[0],
+            np.max(np.abs(u @ u.T - uo @ uo.T)),
+            np.max(np.abs(v @ v.T - vo @ vo.T)))
+
+
+@pytest.mark.parametrize("shape, r", [
+    ((5, 7), 3), ((7, 5), 3), ((40, 120), 2), ((120, 40), 2),  # truncated
+    ((6, 8), 6), ((8, 6), 6), ((1, 5), 1),                        # full rank
+], ids=["wide", "tall", "wide_40x120", "tall_120x40", "wide_full", "tall_full", "row"])
+def test_svd_r_matches_dense_svd_oracle(shape, r):
+    a = np.random.default_rng(31).standard_normal(shape)
+    assert max(_svd_oracle_gaps(a, r)) <= 1e-10
+
+
+def test_svd_r_matches_dense_svd_oracle_on_noisy_rank_two_500x1500():
+    rng = np.random.default_rng(33)
+    a = 3.0 * rng.standard_normal((500, 2)) @ rng.standard_normal((2, 1500))
+    a += rng.standard_normal((500, 1500))
+    assert max(_svd_oracle_gaps(a, 2)) <= 1e-10
+
+
+@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+def test_svd_r_extreme_magnitudes_need_no_warning(magnitude):
+    # The Gram product of unscaled entries would overflow (or underflow to
+    # zero); RuntimeWarnings are errors under the test suite's filter.
+    a = magnitude * np.random.default_rng(35).uniform(-1.0, 1.0, size=(6, 15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert max(_svd_oracle_gaps(a, 2)) <= 1e-10
+        assert max(_svd_oracle_gaps(a.T, 2)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((4, 9)),
+    np.outer(np.arange(1.0, 5.0), np.arange(1.0, 10.0)),  # rank 1, asked for 2
+    np.outer(np.arange(1.0, 10.0), np.arange(1.0, 5.0)),  # the same, tall
+], ids=["zero", "rank_one_wide", "rank_one_tall"])
+def test_svd_r_rank_deficient_is_finite_and_flags_degenerate(a):
+    with pytest.warns(DegenerateSpectrumWarning):
+        u, s, v = svd_r(a, 2)
+    assert all(np.all(np.isfinite(x)) for x in (u, s, v))
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-10
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-10
+    assert np.max(np.abs((u * s) @ v.T - a)) <= 1e-12 * max(1.0, s[0])
+
+
+@pytest.mark.parametrize("shape", [(30, 90), (90, 30)])
+def test_svd_r_truncated_repeat_calls_are_bit_identical(shape):
+    a = np.random.default_rng(37).standard_normal(shape)
+    first, again = svd_r(a, 2), svd_r(a.copy(), 2)
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 def test_eckart_young_optimality_against_sampled_competitors():

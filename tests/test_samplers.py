@@ -1,4 +1,5 @@
 """Tests for matching mechanisms, observation probability, and reward draws."""
+import json
 from fractions import Fraction
 from math import comb
 
@@ -340,6 +341,70 @@ def test_scheme_json_round_trip():
         scheme_from_json({"kind": "mystery"})
     with pytest.raises(DataFormatError):
         scheme_from_json({"kind": "one_to_many", "K": 2})
+
+
+_TWO_SIDED = dict(kind="two_sided", p1=0.8, p2=0.8, c_r=0.5, c_s=0.5, gamma=0.2)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "one_to_many", "K": 2.9, "p0": 0.5},
+    {"kind": "one_to_many", "K": 2.0, "p0": 0.5},
+    {"kind": "one_to_many", "K": "2", "p0": 0.5},
+    {"kind": "one_to_many", "K": True, "p0": 0.5},
+    {"kind": "one_to_many", "K": 2, "p0": "0.5"},
+    {"kind": "one_to_many", "K": 2, "p0": True},
+    {"kind": "one_to_many", "K": 2, "p0": None},
+    {**_TWO_SIDED, "gamma": "0.2"},
+    {**_TWO_SIDED, "p1": False},
+    {**_TWO_SIDED, "c_s": float("nan")},
+    {**_TWO_SIDED, "c_r": [0.5]},
+], ids=["K_float", "K_integral_float", "K_string", "K_bool", "p0_string", "p0_bool",
+        "p0_null", "gamma_string", "p1_bool", "c_s_nan", "c_r_list"])
+def test_scheme_from_json_takes_only_json_integers_and_numbers(obj):
+    # Nothing is coerced: int("2"), int(2.9) and float(True) would all succeed.
+    with pytest.raises(DataFormatError):
+        scheme_from_json(obj)
+
+
+def test_scheme_from_json_reads_an_integer_real_as_a_float():
+    assert scheme_from_json({"kind": "one_to_many", "K": 2, "p0": 1}) == OneToMany(2, 1.0)
+
+
+_STRICT_HEADER = {"scheme": {"kind": "one_to_one"}, "d1": 1, "d2": 2, "sigma": 0.5, "seed": 3}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d1", 2.9), ("d1", 1.0), ("d1", True), ("d2", "2"), ("d2", None),
+    ("sigma", "1.0"), ("sigma", True), ("sigma", None), ("sigma", float("inf")),
+    ("seed", True), ("seed", 3.0), ("seed", "3"),
+])
+def test_load_batch_header_takes_only_json_integers_and_numbers(tmp_path, field, value):
+    path = tmp_path / "header.jsonl"
+    header = {**_STRICT_HEADER, field: value}
+    path.write_text(json.dumps(header) + '\n{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n')
+    with pytest.raises(DataFormatError, match=field):
+        load_batch(path)
+    header[field] = _STRICT_HEADER[field]
+    path.write_text(json.dumps(header) + '\n{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n')
+    batch = load_batch(path)
+    assert (batch.d1, batch.d2, batch.sigma, batch.seed) == (1, 2, 0.5, 3)
+
+
+def test_load_batch_validates_in_memory_of_the_entries_not_the_header_dims(tmp_path):
+    # Dense per-period row counts for these dimensions would take terabytes;
+    # dimensions beyond int64 are JSON integers too.
+    path = tmp_path / "huge.jsonl"
+    records = '{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n{"t": 2, "pairs": [[7, 0]], "y": [2.0]}\n'
+    for d1, d2 in ((10**12, 10**13), (2**70, 2**71)):
+        header = {"scheme": dict(_TWO_SIDED), "d1": d1, "d2": d2, "sigma": 0.0}
+        path.write_text(json.dumps(header) + "\n" + records)
+        batch = load_batch(path)
+        assert (batch.d1, batch.d2, len(batch)) == (d1, d2, 2)
+    # Keys period * index would overflow int64: a typed error, not a wrong answer.
+    path.write_text(json.dumps(header) + "\n" + records
+                    + '{"t": 3, "pairs": [[0, 4611686018427387904]], "y": [3.0]}\n')
+    with pytest.raises(DataFormatError, match="line 4: indices too large"):
+        load_batch(path)
 
 
 def test_matching_validation():
