@@ -60,7 +60,6 @@ from .estimator import (
     spectral_init,
 )
 from .inference import (
-    DebiasedEstimate,
     EstimationArtifacts,
     InferenceResult,
     SplitPlan,

@@ -46,7 +46,6 @@ class EstimatorConfig:
     eta: float
     m: int
     nu: float
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.r < 1:
@@ -279,8 +278,8 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     -------
     m_init : ndarray, shape (d1, d2)
         The estimator ``U^(m) G^(m) V^(m)T``.
-    trace : FitTrace or None
-        None when ``config.record_trace`` is false.
+    trace : FitTrace
+        One row per batch pair.
     """
     nu = entrywise_probability(batch.scheme, batch.d1, batch.d2).nu
     if abs(config.nu - nu) > NU_CONSISTENCY_RTOL * nu:
@@ -293,20 +292,15 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     slices = [batch[a:b] for a, b in ranges]
 
     lam_min_sq = float(truth.singular_values[-1] ** 2) if truth is not None else np.nan
-    trace_err, trace_gmin, trace_gmax, trace_gnorm = [], [], [], []
+    rows = []  # (rel_max_err_sq, g_sigma_min, g_sigma_max, grad_norm) per batch pair
 
     def log_state(state: FactorState, grad_norm: float) -> None:
-        if not config.record_trace:
-            return
         if truth is not None:
             err = float(np.max(np.abs(state.estimate - truth.values)) ** 2 / lam_min_sq)
         else:
             err = np.nan
         s_g = state.g_svd[1]
-        trace_err.append(err)
-        trace_gmin.append(float(s_g[-1]))
-        trace_gmax.append(float(s_g[0]))
-        trace_gnorm.append(grad_norm)
+        rows.append((err, float(s_g[-1]), float(s_g[0]), grad_norm))
 
     try:
         u, v = spectral_init(slices[0], config.nu, config.r)
@@ -334,14 +328,4 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
             raise
         log_state(state, grad_norm)
 
-    m_init = state.estimate
-    trace = None
-    if config.record_trace:
-        trace = FitTrace(
-            batches=np.arange(1, config.m + 1),
-            rel_max_err_sq=np.array(trace_err),
-            g_sigma_min=np.array(trace_gmin),
-            g_sigma_max=np.array(trace_gmax),
-            grad_norm=np.array(trace_gnorm),
-        )
-    return m_init, trace
+    return state.estimate, FitTrace(np.arange(1, config.m + 1), *np.array(rows).T)

@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +50,11 @@ from .policy import (
     optimal_one_to_one,
 )
 from .samplers import (
+    _BY_KIND,
     Matching,
     MatchingScheme,
     OneToMany,
     OneToOne,
-    TwoSided,
     entrywise_probability,
     load_batch,
     observe,
@@ -130,21 +130,6 @@ class ReplicationSummary:
 # Config parsing and validation
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = ("d1", "d2", "r", "scheme", "T", "seed")
-_OPTIONAL_KEYS = (
-    "m",
-    "eta",
-    "sigma",
-    "scale",
-    "alpha",
-    "replications",
-    "q_spec",
-    "study",
-    "outputs",
-    "workers",
-    "regenerate_m",
-)
-
 _ENTRY_RE = re.compile(r"^entry\((\d+)\s*,\s*(\d+)\)$")
 _OTM_RE = re.compile(r"^random_otm\((\d+)\s*,\s*([0-9.eE+-]+)\)$")
 
@@ -162,18 +147,26 @@ def _parse_q_spec(spec: str) -> tuple:
         return ("oto_difference",)
     m = _OTM_RE.match(spec)
     if m:
-        return ("random_otm", int(m.group(1)), float(m.group(2)))
+        try:
+            return ("random_otm", OneToMany(int(m.group(1)), float(m.group(2))))
+        except ValueError as exc:
+            raise ArgumentError(f"q_spec {spec}: {exc}") from None
     return ("file", spec)
 
 
 def _validate(cfg: RunConfig) -> list[str]:
     p: list[str] = []
-    for name in ("d1", "d2", "r", "T", "seed", "m", "replications", "workers"):
-        if not isinstance(getattr(cfg, name), int):
-            p.append(f"{name} must be an integer")
+    for f in fields(cfg):
+        if f.type == "int" and not isinstance(getattr(cfg, f.name), int):
+            p.append(f"{f.name} must be an integer")
+    dims_ok = False
     if not p:
         if cfg.d1 < 1 or cfg.d2 < cfg.d1:
             p.append(f"need 1 <= d1 <= d2, got d1={cfg.d1}, d2={cfg.d2}")
+        elif cfg.d1 * cfg.d2 > np.iinfo(np.intp).max // 8:
+            p.append(f"a {cfg.d1}x{cfg.d2} float64 matrix is too large to address")
+        else:
+            dims_ok = True
         if not (1 <= cfg.r <= cfg.d1):
             p.append(f"need 1 <= r <= d1, got r={cfg.r}")
         if cfg.T < 2 * cfg.m:
@@ -188,12 +181,11 @@ def _validate(cfg: RunConfig) -> list[str]:
             p.append(f"workers must be >= 1, got {cfg.workers}")
     if not isinstance(cfg.scheme, MatchingScheme):
         p.append(f"scheme must be a matching scheme, got {type(cfg.scheme).__name__}")
-    elif isinstance(cfg.scheme, OneToMany) and isinstance(cfg.d1, int):
-        if cfg.d2 < cfg.scheme.K * cfg.d1:
-            p.append(
-                f"one-to-many needs d2 >= K*d1, got d2={cfg.d2}, "
-                f"K*d1={cfg.scheme.K * cfg.d1}"
-            )
+    elif dims_ok:
+        try:
+            cfg.scheme.feasible(cfg.d1, cfg.d2)
+        except ArgumentError as exc:
+            p.append(str(exc))
     if not (0.0 < cfg.eta < 1.0):
         p.append(f"need 0 < eta < 1, got {cfg.eta}")
     if cfg.sigma < 0.0:
@@ -212,61 +204,61 @@ def _validate(cfg: RunConfig) -> list[str]:
         if tag[0] == "entry" and isinstance(cfg.d1, int):
             if tag[1] >= cfg.d1 or tag[2] >= cfg.d2:
                 p.append(f"q_spec {cfg.q_spec} indexes outside {cfg.d1}x{cfg.d2}")
-        if tag[0] == "random_otm":
-            if tag[1] < 1 or not (0.0 < tag[2] <= 1.0):
-                p.append(f"q_spec {cfg.q_spec} needs K >= 1 and 0 < p0 <= 1")
+        if tag[0] == "random_otm" and dims_ok:
+            try:
+                tag[1].feasible(cfg.d1, cfg.d2)
+            except ArgumentError as exc:
+                p.append(f"q_spec {cfg.q_spec}: {exc}")
         if tag[0] == "file" and not Path(tag[1]).is_file():
             p.append(f"q_spec file not found: {tag[1]}")
     return p
 
 
+def _json_of(types, what: str):
+    """A reader taking a JSON value of ``types`` as is, else ValueError."""
+    def read(value, name: str):
+        if not isinstance(value, types):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+# JSON readers of RunConfig's fields by type, in the order their problems are reported.
+_READERS = {"int": _json_int, "float": _json_real, "str": _json_of(str, "a string"),
+            "bool": _json_of(bool, "a boolean"),
+            "str | None": _json_of((str, type(None)), "a string path")}
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON object.
 
-    Every violation is reported at once in the raised ConfigError.
+    The keys are RunConfig's fields; those without a default are
+    required.  Every violation is reported at once in the raised
+    ConfigError.
     """
     if not isinstance(obj, dict):
         raise ConfigError([f"config must be a JSON object, got {type(obj).__name__}"])
+    schema = fields(RunConfig)
     problems = [f"unknown config key: {k}" for k in obj
-                if k not in _REQUIRED_KEYS + _OPTIONAL_KEYS]
-    problems += [f"missing required config key: {k}" for k in _REQUIRED_KEYS
-                 if k not in obj]
+                if k not in {f.name for f in schema}]
+    problems += [f"missing required config key: {f.name}" for f in schema
+                 if f.default is MISSING and f.name not in obj]
     if problems:
         raise ConfigError(problems)
     try:
-        scheme = scheme_from_json(obj["scheme"])
+        kwargs = {"scheme": scheme_from_json(obj["scheme"])}
     except (DataFormatError, ArgumentError) as exc:
         raise ConfigError([f"bad scheme: {exc}"]) from None
-    kwargs = {}
-    for name, cast in (
-        ("d1", int), ("d2", int), ("r", int), ("T", int), ("seed", int),
-        ("m", int), ("replications", int), ("workers", int),
-        ("eta", float), ("sigma", float), ("scale", float), ("alpha", float),
-        ("q_spec", str), ("study", str), ("regenerate_m", bool),
-    ):
-        if name in obj:
-            value = obj[name]
-            if cast in (int, float):
+    for type_name, read in _READERS.items():
+        for f in schema:
+            if f.type == type_name and f.name in obj:
                 try:
-                    kwargs[name] = (_json_int if cast is int else _json_real)(value, name)
+                    kwargs[f.name] = read(obj[f.name], f.name)
                 except ValueError as exc:
                     problems.append(str(exc))
-                continue
-            if cast is bool and not isinstance(value, bool):
-                problems.append(f"{name} must be a boolean, got {value!r}")
-                continue
-            if cast is str and not isinstance(value, str):
-                problems.append(f"{name} must be a string, got {value!r}")
-                continue
-            kwargs[name] = cast(value)
-    if "outputs" in obj and obj["outputs"] is not None:
-        if not isinstance(obj["outputs"], str):
-            problems.append(f"outputs must be a string path, got {obj['outputs']!r}")
-        else:
-            kwargs["outputs"] = obj["outputs"]
     if problems:
         raise ConfigError(problems)
-    cfg = RunConfig(scheme=scheme, **kwargs)
+    cfg = RunConfig(**kwargs)
     problems = _validate(cfg)
     if problems:
         raise ConfigError(problems)
@@ -287,17 +279,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON form; parse_config(config_to_dict(c)) == c."""
-    out = {
-        "d1": cfg.d1, "d2": cfg.d2, "r": cfg.r,
-        "scheme": scheme_to_json(cfg.scheme),
-        "T": cfg.T, "seed": cfg.seed, "m": cfg.m, "eta": cfg.eta,
-        "sigma": cfg.sigma, "scale": cfg.scale, "alpha": cfg.alpha,
-        "replications": cfg.replications, "q_spec": cfg.q_spec,
-        "study": cfg.study, "workers": cfg.workers,
-        "regenerate_m": cfg.regenerate_m,
-    }
-    if cfg.outputs is not None:
-        out["outputs"] = cfg.outputs
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+           if not (f.name == "outputs" and cfg.outputs is None)}
+    out["scheme"] = scheme_to_json(cfg.scheme)
     return out
 
 
@@ -314,7 +298,7 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
         q2 = matching_to_linear_form(sample_matching(OneToOne(), d1, d2, rng))
         return q1.subtract(q2)
     if tag[0] == "random_otm":
-        mat = sample_matching(OneToMany(tag[1], tag[2]), d1, d2, rng)
+        mat = sample_matching(tag[1], d1, d2, rng)
         return matching_to_linear_form(mat)
     try:
         text = Path(tag[1]).read_text()
@@ -327,18 +311,14 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
 # Replication engine
 # ---------------------------------------------------------------------------
 
-def _nu_for(cfg: RunConfig) -> float:
-    return entrywise_probability(cfg.scheme, cfg.d1, cfg.d2).nu
-
-
-def _estimator_config(cfg: RunConfig, nu: float, record_trace: bool) -> EstimatorConfig:
-    return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu,
-                           record_trace=record_trace)
+def _estimator_config(cfg: RunConfig) -> EstimatorConfig:
+    nu = entrywise_probability(cfg.scheme, cfg.d1, cfg.d2).nu
+    return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu)
 
 
 def _run_replication(payload) -> dict:
     """One replication; returns a plain dict so it can cross processes."""
-    rep, cfg, nu, truth, q, target = payload
+    rep, cfg, ecfg, truth, q, target = payload
     if truth is None:
         truth = generate_low_rank(
             cfg.d1, cfg.d2, cfg.r, cfg.scale,
@@ -347,7 +327,6 @@ def _run_replication(payload) -> dict:
     rng = np.random.default_rng(cfg.seed ^ rep)
     try:
         batch = observe(truth, cfg.scheme, cfg.T, cfg.sigma, rng)
-        ecfg = _estimator_config(cfg, nu, record_trace=cfg.study == "convergence")
         if cfg.study == "convergence":
             _, trace = fit(batch, ecfg, truth=truth)
             return {"rep": rep, "ok": True, "trace": trace}
@@ -388,6 +367,8 @@ def _policy_target(truth: RewardMatrix) -> tuple[Matching, float]:
 
 
 def _effective_workers(cfg: RunConfig) -> int:
+    # summary.json echoes `workers`, so only the environment can change the
+    # parallelism of a study and keep its outputs byte-identical.
     env = os.environ.get("MATCHLEARN_WORKERS")
     if env is None:
         return cfg.workers
@@ -423,14 +404,14 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         )
     q = resolve_q(config.q_spec, config.d1, config.d2,
                   np.random.default_rng([config.seed, _SALT_Q]))
-    nu = _nu_for(config)
+    ecfg = _estimator_config(config)
 
     # A shared truth has one optimal matching: solve it once per study.
     target = None
     if truth is not None and config.study == "policy":
         target = _policy_target(truth)
 
-    payloads = [(rep, config, nu, truth, q, target)
+    payloads = [(rep, config, ecfg, truth, q, target)
                 for rep in range(config.replications)]
     workers = _effective_workers(config)
     if workers == 1 or not payloads:
@@ -478,7 +459,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         n_failed=len(failed),
         failures=tuple(r["error"] for r in failed),
     )
-    _write_outputs(outdir, config, nu, truth, q, ok, summary)
+    _write_outputs(outdir, config, ecfg.nu, truth, q, ok, summary)
     return summary
 
 
@@ -564,6 +545,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
+# Short names the `nu` command accepts for the scheme kinds.
+_NU_ALIASES = {"oto": "one_to_one", "otm": "one_to_many", "ts": "two_sided"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="matchlearn",
                      description="Low-rank reward learning from matchings")
@@ -595,17 +584,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nu", help="print the entrywise observation probability")
     p.add_argument("--scheme", required=True,
-                   choices=["oto", "one_to_one", "otm", "one_to_many",
-                            "ts", "two_sided"])
+                   choices=[name for alias, kind in _NU_ALIASES.items() for name in (alias, kind)])
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--p1", type=float, default=None)
-    p.add_argument("--p2", type=float, default=None)
-    p.add_argument("--c-r", dest="c_r", type=float, default=None)
-    p.add_argument("--c-s", dest="c_s", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    for cls in _BY_KIND.values():
+        for f in fields(cls):
+            p.add_argument(_flag(f.name), dest=f.name, default=None,
+                           type=int if f.type == "int" else float)
     p.set_defaults(func=_cmd_nu)
     return parser
 
@@ -656,14 +641,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     batch, cfg = _load_batch_and_config(args)
     outdir = _resolve_out(args, cfg)
-    nu = _nu_for(cfg)
-    m_init, trace = fit(batch, _estimator_config(cfg, nu, record_trace=True))
+    ecfg = _estimator_config(cfg)
+    m_init, trace = fit(batch, ecfg)
     save_matrix_csv(m_init, outdir / "m_init.csv")
     trace.write_csv(outdir / "trace.csv")
     print(json.dumps({
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
-        "nu": nu,
+        "nu": ecfg.nu,
         "batches": len(trace.batches),
     }, sort_keys=True))
     return 0
@@ -671,11 +656,11 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_infer(args) -> int:
     batch, cfg = _load_batch_and_config(args)
-    nu = _nu_for(cfg)
+    ecfg = _estimator_config(cfg)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
-    artifacts = prepare_inference(batch, _estimator_config(cfg, nu, False))
+    artifacts = prepare_inference(batch, ecfg)
     res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
-    doc = dict(res.to_dict(), q_size=q.size, nu=nu)
+    doc = dict(res.to_dict(), q_size=q.size, nu=ecfg.nu)
     print(json.dumps(doc, sort_keys=True))
     if args.out is not None or cfg.outputs is not None:
         outdir = _resolve_out(args, cfg)
@@ -687,8 +672,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_policy(args) -> int:
     batch, cfg = _load_batch_and_config(args)
-    nu = _nu_for(cfg)
-    artifacts = prepare_inference(batch, _estimator_config(cfg, nu, False))
+    artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
     ev = evaluate_policy(artifacts, matching, alpha=cfg.alpha)
     doc = {
@@ -707,22 +691,12 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    kind = {"oto": "one_to_one", "otm": "one_to_many", "ts": "two_sided"}.get(
-        args.scheme, args.scheme
-    )
-    if kind == "one_to_one":
-        scheme: MatchingScheme = OneToOne()
-    elif kind == "one_to_many":
-        if args.K is None or args.p0 is None:
-            raise ConfigError(["one_to_many needs --K and --p0"])
-        scheme = OneToMany(args.K, args.p0)
-    else:
-        missing = [f"--{n.replace('_', '-')}" for n in
-                   ("p1", "p2", "c_r", "c_s", "gamma")
-                   if getattr(args, n) is None]
-        if missing:
-            raise ConfigError([f"two_sided needs {' '.join(missing)}"])
-        scheme = TwoSided(args.p1, args.p2, args.c_r, args.c_s, args.gamma)
+    cls = _BY_KIND[_NU_ALIASES.get(args.scheme, args.scheme)]
+    names = [f.name for f in fields(cls)]
+    missing = [_flag(n) for n in names if getattr(args, n) is None]
+    if missing:
+        raise ConfigError([f"{cls.kind} needs {' '.join(missing)}"])
+    scheme = cls(**{n: getattr(args, n) for n in names})
     print(json.dumps({"nu": entrywise_probability(scheme, args.d1, args.d2).nu}))
     return 0
 

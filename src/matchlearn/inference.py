@@ -9,7 +9,7 @@ with a plug-in variance built from held-out residuals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -56,25 +56,7 @@ def split(T: int) -> SplitPlan:
     return SplitPlan(half1=(t0, 2 * t0), half2=(0, t0))
 
 
-@dataclass(frozen=True)
-class DebiasedEstimate:
-    """A half's estimate after the cross-sample residual correction."""
-
-    m_unbs: np.ndarray
-    source_init: int
-    m_init: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.m_unbs)):
-            raise ArgumentError("debiased estimate must have finite entries")
-
-
-def debias(
-    m_init: np.ndarray,
-    other_half: ObservationBatch,
-    nu: float,
-    source_init: int = 0,
-) -> DebiasedEstimate:
+def debias(m_init: np.ndarray, other_half: ObservationBatch, nu: float) -> np.ndarray:
     """Uniform-propensity cross-sample debiasing.
 
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
@@ -94,11 +76,7 @@ def debias(
         weights = (other_half.y - m_init[rows, cols]) * (1.0 / nu)
         flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
         m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
-    return DebiasedEstimate(
-        m_unbs=_require_finite(m_unbs, "debiased estimate"),
-        source_init=source_init,
-        m_init=m_init,
-    )
+    return _require_finite(m_unbs, "debiased estimate")
 
 
 def project_rank_r(
@@ -224,11 +202,9 @@ class EstimationArtifacts:
     m_hat: np.ndarray
     u_hat: np.ndarray
     v_hat: np.ndarray
-    halves: tuple[DebiasedEstimate, DebiasedEstimate]
     sigma_hat_sq: float
     t_used: int
     nu: float
-    r: int
 
 
 def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> EstimationArtifacts:
@@ -244,27 +220,22 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     plan = split(len(batch))
     half1 = batch[plan.half1[0] : plan.half1[1]]
     half2 = batch[plan.half2[0] : plan.half2[1]]
-    fit_config = replace(config, record_trace=False)
 
-    m1_init, _ = fit(half1, fit_config)
-    m2_init, _ = fit(half2, fit_config)
+    m1_init, _ = fit(half1, config)
+    m2_init, _ = fit(half2, config)
 
-    deb1 = debias(m1_init, half2, config.nu, source_init=1)
-    deb2 = debias(m2_init, half1, config.nu, source_init=2)
-    m1, _, _ = project_rank_r(deb1.m_unbs, config.r)
-    m2, _, _ = project_rank_r(deb2.m_unbs, config.r)
+    m1, _, _ = project_rank_r(debias(m1_init, half2, config.nu), config.r)
+    m2, _, _ = project_rank_r(debias(m2_init, half1, config.nu), config.r)
     m_hat = 0.5 * (m1 + m2)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
-    sigma_hat_sq = estimate_sigma(deb1.m_init, deb2.m_init, half1, half2, plan.t_used)
+    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2, plan.t_used)
     return EstimationArtifacts(
         m_hat=m_hat,
         u_hat=u_hat,
         v_hat=v_hat,
-        halves=(deb1, deb2),
         sigma_hat_sq=sigma_hat_sq,
         t_used=plan.t_used,
         nu=config.nu,
-        r=config.r,
     )
 
 

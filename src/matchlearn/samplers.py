@@ -12,6 +12,12 @@ Three mechanisms generate the per-period matchings:
   law exactly; both the arrival draws and the entrywise probability
   come from the table.
 
+Each mechanism is one class that owns all of its rules: ``kind`` (its
+JSON tag), ``feasible(d1, d2)``, ``nu(d1, d2)``, ``sampler(d1, d2)``
+(the per-period draw, with any table built once per batch) and
+``row_rule`` (the per-period row check of the batch validator).  Its
+dataclass fields are its JSON keys and its ``nu`` command-line flags.
+
 All samplers are pure given an ``rng`` handle; parallel replications
 must use independent streams (seed xor replication index).
 """
@@ -19,9 +25,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
@@ -35,19 +41,41 @@ from .errors import (
 from .matmodel import RewardMatrix, _int_pairs, _json_int, _json_real
 
 
+Draw = Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
+
+
+def _positive_dims(d1: int, d2: int) -> None:
+    if d1 < 1 or d2 < 1:
+        raise ArgumentError(f"dimensions must be positive, got ({d1}, {d2})")
+
+
 @dataclass(frozen=True)
 class OneToOne:
     """Uniform one-to-one matching of all rows into the columns."""
 
+    kind: ClassVar[str] = "one_to_one"
+    # (most uses of a row per period, whether every row is used, message)
+    row_rule: ClassVar[tuple] = (1, True, "one-to-one matching must use every row once")
+
     def feasible(self, d1: int, d2: int) -> None:
+        _positive_dims(d1, d2)
         if d2 < d1:
             raise ArgumentError(f"one-to-one needs d2 >= d1, got ({d1}, {d2})")
+
+    def nu(self, d1: int, d2: int) -> float:
+        self.feasible(d1, d2)
+        return 1.0 / d2
+
+    def sampler(self, d1: int, d2: int) -> Draw:
+        self.feasible(d1, d2)
+        return lambda rng: (np.arange(d1, dtype=np.int64), rng.permutation(d2)[:d1])
 
 
 @dataclass(frozen=True)
 class OneToMany:
     """Each row draws Bin(K, p0) columns; columns are never reused."""
 
+    kind: ClassVar[str] = "one_to_many"
     K: int
     p0: float
 
@@ -57,11 +85,31 @@ class OneToMany:
         if not (0.0 < self.p0 <= 1.0):
             raise ArgumentError(f"p0 must lie in (0, 1], got {self.p0}")
 
+    @property
+    def row_rule(self) -> tuple[int, bool, str]:
+        return self.K, False, f"row multiplicity exceeds K={self.K}"
+
     def feasible(self, d1: int, d2: int) -> None:
+        _positive_dims(d1, d2)
         if d2 < self.K * d1:
             raise ArgumentError(
                 f"one-to-many needs d2 >= K*d1, got d2={d2} < {self.K}*{d1}"
             )
+
+    def nu(self, d1: int, d2: int) -> float:
+        self.feasible(d1, d2)
+        return self.K * self.p0 / d2
+
+    def sampler(self, d1: int, d2: int) -> Draw:
+        self.feasible(d1, d2)
+
+        def draw(rng):
+            degrees = rng.binomial(self.K, self.p0, size=d1)
+            # One uniform draw of sum(degrees) distinct columns in random
+            # order, sliced to rows: a uniform partition given the degrees.
+            cols = rng.permutation(d2)[:int(degrees.sum())]
+            return np.repeat(np.arange(d1, dtype=np.int64), degrees), cols
+        return draw
 
 
 @dataclass(frozen=True)
@@ -75,6 +123,8 @@ class TwoSided:
     here but not covered by the error theory, hence the warning.
     """
 
+    kind: ClassVar[str] = "two_sided"
+    row_rule: ClassVar[tuple] = (1, False, "two-sided matching must use each row at most once")
     p1: float
     p2: float
     c_r: float
@@ -88,7 +138,7 @@ class TwoSided:
         for name, c in (("c_r", self.c_r), ("c_s", self.c_s)):
             if not (0.0 <= c < 1.0):
                 raise ArgumentError(f"{name} must lie in [0, 1), got {c}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ArgumentError(f"gamma must be nonnegative, got {self.gamma}")
         if not (self.c_r > 0.0 and self.c_s > 0.0 and self.gamma > 0.0):
             warnings.warn(
@@ -101,6 +151,11 @@ class TwoSided:
     def feasible(self, d1: int, d2: int) -> None:
         self.arrival_pmf(d1, d2)
 
+    def nu(self, d1: int, d2: int) -> float:
+        """``E[min(B_r, B_s)]/(d1*d2)``, summed exactly over :meth:`arrival_pmf`."""
+        matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
+        return float(np.sum(self.arrival_pmf(d1, d2) * matched)) / (d1 * d2)
+
     def arrival_pmf(self, d1: int, d2: int) -> np.ndarray:
         """Joint pmf of the arrival counts: entry ``[b_r, b_s]`` is P(B_r = b_r, B_s = b_s).
 
@@ -110,8 +165,7 @@ class TwoSided:
         Raises InfeasibleTruncationError, before any draw, when the
         region holds no cell.
         """
-        if d1 < 1 or d2 < 1:
-            raise ArgumentError("dimensions must be positive")
+        _positive_dims(d1, d2)
         b_r, b_s = np.arange(d1 + 1)[:, None], np.arange(d2 + 1)
         kept = (b_r >= self.c_r * d1) & (b_s >= self.c_s * d2) & (
             (b_r >= (1.0 + self.gamma) * b_s) | (b_s >= (1.0 + self.gamma) * b_r))
@@ -123,6 +177,24 @@ class TwoSided:
         log_pmf = np.where(kept, _binom_logpmf(d1, self.p1)[:, None]
                            + _binom_logpmf(d2, self.p2), -np.inf)
         return np.exp(log_pmf - logsumexp(log_pmf))
+
+    def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator], tuple[int, int]]:
+        """The (B_r, B_s) draw: one uniform inverted through the cumulated :meth:`arrival_pmf`,
+        whose row-major index is split back into the counts; a zero-mass cell is never drawn."""
+        cdf = np.cumsum(self.arrival_pmf(d1, d2))
+        cdf = cdf / cdf[-1]
+        return lambda rng: divmod(int(np.searchsorted(cdf, rng.random(), side="right")), d2 + 1)
+
+    def sampler(self, d1: int, d2: int) -> Draw:
+        arrivals = self.arrivals(d1, d2)
+
+        def draw(rng):
+            n = min(arrivals(rng))
+            rows = rng.permutation(d1)[:n]
+            cols = rng.permutation(d2)[:n]
+            order = np.argsort(rows)
+            return rows[order], cols[order]
+        return draw
 
 
 def _binom_logpmf(n: int, p: float) -> np.ndarray:
@@ -137,42 +209,27 @@ def _binom_logpmf(n: int, p: float) -> np.ndarray:
 
 
 MatchingScheme = Union[OneToOne, OneToMany, TwoSided]
+_BY_KIND = {cls.kind: cls for cls in (OneToOne, OneToMany, TwoSided)}
 
 
 def scheme_to_json(scheme: MatchingScheme) -> dict:
-    if isinstance(scheme, OneToOne):
-        return {"kind": "one_to_one"}
-    if isinstance(scheme, OneToMany):
-        return {"kind": "one_to_many", "K": scheme.K, "p0": scheme.p0}
-    if isinstance(scheme, TwoSided):
-        return {
-            "kind": "two_sided",
-            "p1": scheme.p1,
-            "p2": scheme.p2,
-            "c_r": scheme.c_r,
-            "c_s": scheme.c_s,
-            "gamma": scheme.gamma,
-        }
-    raise ArgumentError(f"unknown scheme {scheme!r}")
+    return {"kind": scheme.kind, **{f.name: getattr(scheme, f.name) for f in fields(scheme)}}
 
 
 def scheme_from_json(obj) -> MatchingScheme:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DataFormatError(f"scheme must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
+    cls = _BY_KIND.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DataFormatError(f"unknown scheme kind {kind!r}")
     try:
-        if kind == "one_to_one":
-            return OneToOne()
-        if kind == "one_to_many":
-            return OneToMany(K=_json_int(obj["K"], "K"), p0=_json_real(obj["p0"], "p0"))
-        if kind == "two_sided":
-            return TwoSided(**{name: _json_real(obj[name], name)
-                               for name in ("p1", "p2", "c_r", "c_s", "gamma")})
+        return cls(**{f.name: (_json_int if f.type == "int" else _json_real)(obj[f.name], f.name)
+                      for f in fields(cls)})
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"bad parameters for scheme '{kind}': {exc}") from exc
     except ArgumentError as exc:
         raise DataFormatError(str(exc)) from exc
-    raise DataFormatError(f"unknown scheme kind {kind!r}")
 
 
 def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
@@ -210,16 +267,8 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
         fail("a column appears more than once", t)
     if scheme is None:
         return
-    bad = np.zeros(n, dtype=bool)
-    if isinstance(scheme, OneToOne):
-        limit, message = 1, "one-to-one matching must use every row once"
-        bad |= np.diff(offsets) != d1
-    elif isinstance(scheme, OneToMany):
-        limit, message = scheme.K, f"row multiplicity exceeds K={scheme.K}"
-    elif isinstance(scheme, TwoSided):
-        limit, message = 1, "two-sided matching must use each row at most once"
-    else:
-        raise ArgumentError(f"unknown scheme {scheme!r}")
+    limit, every_row, message = scheme.row_rule
+    bad = np.diff(offsets) != d1 if every_row else np.zeros(n, dtype=bool)
     t = first_repeat(rows, limit)
     if t is not None:
         bad[t] = True
@@ -227,10 +276,10 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
         fail(message, bad.argmax())
 
 
-def _trusted(cls, **fields):
+def _trusted(cls, **values):
     """A frozen dataclass over parts of already validated data, not checked again."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
 
@@ -344,49 +393,6 @@ class ObservationBatch:
         )
 
 
-def _arrival_cdf(scheme: MatchingScheme, d1: int, d2: int) -> np.ndarray | None:
-    """Check that ``scheme`` can draw d1 x d2 matchings; return the
-    arrival CDF :func:`_draw_pairs` inverts for two-sided (the cumulated
-    :meth:`TwoSided.arrival_pmf` in row-major order), else None."""
-    if not isinstance(scheme, TwoSided):
-        scheme.feasible(d1, d2)
-        return None
-    cdf = np.cumsum(scheme.arrival_pmf(d1, d2))
-    return cdf / cdf[-1]
-
-
-def _draw_arrivals(arrival_cdf: np.ndarray, d2: int, rng: np.random.Generator) -> tuple[int, int]:
-    """One (B_r, B_s) draw: a uniform inverted through the arrival CDF.
-
-    The CDF's index ``b_r * (d2 + 1) + b_s`` is split back into the two
-    counts; a cell of zero mass is never drawn.
-    """
-    return divmod(int(np.searchsorted(arrival_cdf, rng.random(), side="right")), d2 + 1)
-
-
-def _draw_pairs(
-    scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator,
-    arrival_cdf: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One period's (rows, cols) draw; ``arrival_cdf`` from :func:`_arrival_cdf`."""
-    if isinstance(scheme, OneToOne):
-        return np.arange(d1, dtype=np.int64), rng.permutation(d2)[:d1]
-    if isinstance(scheme, OneToMany):
-        degrees = rng.binomial(scheme.K, scheme.p0, size=d1)
-        total = int(degrees.sum())
-        # One uniform draw of `total` distinct columns in random order,
-        # sliced to rows: a uniform partition given the degrees.
-        cols = rng.permutation(d2)[:total]
-        return np.repeat(np.arange(d1, dtype=np.int64), degrees), cols
-    if isinstance(scheme, TwoSided):
-        n = min(_draw_arrivals(arrival_cdf, d2, rng))
-        rows = rng.permutation(d1)[:n]
-        cols = rng.permutation(d2)[:n]
-        order = np.argsort(rows)
-        return rows[order], cols[order]
-    raise ArgumentError(f"unknown scheme {scheme!r}")
-
-
 def sample_matching(
     scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator
 ) -> Matching:
@@ -396,8 +402,7 @@ def sample_matching(
     the drawn arrival counts (degrees for one-to-many, (B_r, B_s) for
     two-sided).
     """
-    arrival_cdf = _arrival_cdf(scheme, d1, d2)
-    return Matching(d1, d2, *_draw_pairs(scheme, d1, d2, rng, arrival_cdf))
+    return Matching(d1, d2, *scheme.sampler(d1, d2)(rng))
 
 
 @dataclass(frozen=True)
@@ -414,15 +419,7 @@ def entrywise_probability(scheme: MatchingScheme, d1: int, d2: int) -> NuEstimat
     two-sided, ``E[min(B_r, B_s)]/(d1*d2)`` summed exactly over
     :meth:`TwoSided.arrival_pmf`.
     """
-    if isinstance(scheme, TwoSided):
-        matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
-        return NuEstimate(nu=float(np.sum(scheme.arrival_pmf(d1, d2) * matched)) / (d1 * d2))
-    scheme.feasible(d1, d2)
-    if isinstance(scheme, OneToOne):
-        return NuEstimate(nu=1.0 / d2)
-    if isinstance(scheme, OneToMany):
-        return NuEstimate(nu=scheme.K * scheme.p0 / d2)
-    raise ArgumentError(f"unknown scheme {scheme!r}")
+    return NuEstimate(nu=scheme.nu(d1, d2))
 
 
 def observe(
@@ -444,11 +441,11 @@ def observe(
     if sigma < 0.0:
         raise ArgumentError("sigma must be nonnegative")
     d1, d2 = m.shape
-    arrival_cdf = _arrival_cdf(scheme, d1, d2)
+    draw = scheme.sampler(d1, d2)
     values = m.values
     periods = []
     for _ in range(T):
-        rows, cols = _draw_pairs(scheme, d1, d2, rng, arrival_cdf)
+        rows, cols = draw(rng)
         noise = rng.standard_normal(rows.size)
         periods.append((rows, cols, values[rows, cols] + sigma * noise))
     return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)

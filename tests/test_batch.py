@@ -86,7 +86,7 @@ def test_batch_functions_equal_per_period_loops(kind):
     for rows, cols, y in part:
         for i, j, v in zip(rows, cols, y):
             corr[i, j] += (v - m_init[i, j]) * (1.0 / nu)
-    assert np.array_equal(debias(m_init, view, nu).m_unbs, m_init + corr / len(part))
+    assert np.array_equal(debias(m_init, view, nu), m_init + corr / len(part))
 
     # The core solve on the records of the periods, concatenated.
     u, v = truth.left_factors, truth.right_factors

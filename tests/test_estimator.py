@@ -405,8 +405,6 @@ def test_fit_trace_policies():
     _, trace = fit(batch, cfg)
     assert np.all(np.isnan(trace.rel_max_err_sq))
     assert np.all(np.isfinite(trace.g_sigma_min))
-    _, no_trace = fit(batch, EstimatorConfig(r=2, eta=0.75, m=2, nu=1.0 / 10, record_trace=False))
-    assert no_trace is None
 
 
 def test_fit_reports_failing_batch_index():

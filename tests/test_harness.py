@@ -1,4 +1,5 @@
 """Tests for the replication harness, summaries, config, and CLI."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -35,6 +36,7 @@ from matchlearn import (
     resolve_q,
     run_simulation,
     save_batch,
+    scheme_to_json,
 )
 
 
@@ -134,6 +136,43 @@ def test_parse_config_rejects_unknown_keys():
 def test_parse_config_rejects_infeasible_one_to_many():
     with pytest.raises(ConfigError, match="K\\*d1"):
         parse_config(base_config_dict(scheme={"kind": "one_to_many", "K": 2, "p0": 0.5}))
+
+
+def test_parse_config_rejects_infeasible_two_sided_truncation():
+    # At 10x10 only B_r = B_s = 10 clears both floors, and it is not separated.
+    scheme = {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.999, "c_s": 0.999, "gamma": 1.0}
+    with pytest.raises(ConfigError, match="truncation"):
+        parse_config(base_config_dict(d1=10, d2=10, scheme=scheme))
+
+
+def test_parse_config_rejects_infeasible_random_otm_q_spec():
+    with pytest.raises(ConfigError, match="K\\*d1"):
+        parse_config(base_config_dict(d1=20, d2=60, q_spec="random_otm(5, 0.5)"))
+    with pytest.raises(ConfigError, match="random_otm"):
+        parse_config(base_config_dict(q_spec="random_otm(0, 0.5)"))
+    with pytest.raises(ConfigError, match="could not convert"):
+        parse_config(base_config_dict(q_spec="random_otm(1, 1e)"))
+
+
+_UNADDRESSABLE = 2 ** 40
+
+
+def test_parse_config_rejects_unaddressable_dims():
+    with pytest.raises(ConfigError, match="too large"):
+        parse_config(base_config_dict(d1=_UNADDRESSABLE, d2=_UNADDRESSABLE))
+
+
+def test_parse_config_keys_are_run_config_fields():
+    schema = dataclasses.fields(RunConfig)
+    required = [f.name for f in schema if f.default is dataclasses.MISSING]
+    assert required == ["d1", "d2", "r", "scheme", "T", "seed"]
+    cfg = parse_config(base_config_dict(outputs="out"))
+    assert set(config_to_dict(cfg)) == {f.name for f in schema}
+    for name in required:
+        obj = base_config_dict()
+        del obj[name]
+        with pytest.raises(ConfigError, match=f"missing required config key: {name}$"):
+            parse_config(obj)
 
 
 def test_parse_config_rejects_missing_q_file(tmp_path):
@@ -418,6 +457,40 @@ def test_cli_nu_missing_scheme_args(capsys):
     assert diag["error"] == "ConfigError" and "--p0" in diag["message"]
 
 
+@pytest.mark.parametrize("d1, d2", [(0, 0), (-3, 5)])
+def test_cli_nu_rejects_non_positive_dims(capsys, d1, d2):
+    code, out, err = run_cli(capsys, ["nu", "--scheme", "oto", "--d1", str(d1), "--d2", str(d2)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ArgumentError"
+
+
+def test_cli_nu_rejects_nan_gamma(capsys):
+    code, _, err = run_cli(capsys, ["nu", "--scheme", "ts", "--d1", "20", "--d2", "60",
+                                    "--p1", "0.8", "--p2", "0.8", "--c-r", "0.3",
+                                    "--c-s", "0.3", "--gamma", "nan"])
+    assert code == 2
+    assert json.loads(err)["error"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("scheme", [OneToOne(), OneToMany(3, 0.8),
+                                    TwoSided(0.8, 0.8, 0.3, 0.3, 0.2)],
+                         ids=["one_to_one", "one_to_many", "two_sided"])
+def test_scheme_fields_json_keys_and_nu_flags_agree(capsys, scheme):
+    names = [f.name for f in dataclasses.fields(scheme)]
+    doc = scheme_to_json(scheme)
+    assert list(doc) == ["kind"] + names
+    argv = ["nu", "--scheme", scheme.kind, "--d1", "20", "--d2", "60"]
+    for name in names:
+        argv += ["--" + name.replace("_", "-"), str(doc[name])]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"nu": entrywise_probability(scheme, 20, 60).nu}
+    for name in names:
+        flag = argv.index("--" + name.replace("_", "-"))
+        code, _, err = run_cli(capsys, argv[:flag] + argv[flag + 2:])
+        assert code == 2 and "--" + name.replace("_", "-") in json.loads(err)["message"]
+
+
 def test_cli_rejects_malformed_config(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -527,6 +600,19 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout) == {"nu": 0.1}
+
+
+def test_python_dash_m_simulate_rejects_unaddressable_dims(tmp_path):
+    cfg_path = write_config(tmp_path, d1=_UNADDRESSABLE, d2=_UNADDRESSABLE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchlearn", "simulate", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matchlearn.__file__).parents[1])},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    diag = json.loads(proc.stderr)
+    assert diag["error"] == "ConfigError" and "too large" in diag["message"]
 
 
 @pytest.fixture()

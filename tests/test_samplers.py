@@ -26,7 +26,6 @@ from matchlearn import (
     scheme_from_json,
     scheme_to_json,
 )
-from matchlearn.samplers import _arrival_cdf, _draw_arrivals
 
 
 def make_two_sided(**kwargs) -> TwoSided:
@@ -68,8 +67,8 @@ def exact_truncated_moments(scheme: TwoSided, d1: int, d2: int) -> tuple[Fractio
 
 def draw_arrivals(scheme: TwoSided, d1: int, d2: int, n: int, rng) -> np.ndarray:
     """n (B_r, B_s) draws through the sampler's own inverse-CDF draw."""
-    cdf = _arrival_cdf(scheme, d1, d2)
-    return np.array([_draw_arrivals(cdf, d2, rng) for _ in range(n)])
+    arrivals = scheme.arrivals(d1, d2)
+    return np.array([arrivals(rng) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +326,22 @@ def test_scheme_parameter_validation():
         make_two_sided(c_r=-0.1)
     with pytest.raises(ArgumentError):
         make_two_sided(gamma=-1.0)
+
+
+def test_two_sided_rejects_nan_gamma():
+    # `gamma < 0` is false for NaN; the check must still refuse it.
+    with pytest.raises(ArgumentError, match="gamma"):
+        TwoSided(0.8, 0.8, 0.3, 0.3, float("nan"))
+
+
+@pytest.mark.parametrize("scheme", [OneToOne(), OneToMany(1, 0.5),
+                                    TwoSided(0.8, 0.8, 0.3, 0.3, 0.2)],
+                         ids=["one_to_one", "one_to_many", "two_sided"])
+@pytest.mark.parametrize("d1, d2", [(0, 0), (-3, 5), (3, 0)])
+def test_every_scheme_rejects_non_positive_dims(scheme, d1, d2):
+    for call in (scheme.feasible, scheme.nu, scheme.sampler):
+        with pytest.raises(ArgumentError, match="dimensions must be positive"):
+            call(d1, d2)
 
 
 def test_two_sided_untruncated_flagged_outside_theory():
