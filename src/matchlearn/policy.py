@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ArgumentError, DataFormatError
 from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
-from .matmodel import LinearForm, _int_pairs
+from .matmodel import LinearForm, _int_pairs, _json_int, _require_finite
 from .samplers import Matching
 
 __all__ = [
@@ -54,11 +56,80 @@ class PolicyEvaluation:
 
 
 def _solve(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Max-reward assignment of all rows of ``m``; returns (cols, total)."""
+    """Max-reward assignment of all rows of ``m``; returns (cols, total).
+
+    Raises NonFiniteResultError when the total of finite rewards overflows.
+    """
     rows, cols = linear_sum_assignment(m, maximize=True)
     out = np.empty(m.shape[0], dtype=np.int64)
     out[rows] = cols
-    return out, float(m[rows, cols].sum())
+    with np.errstate(over="ignore"):
+        total = float(m[rows, cols].sum())
+    return out, _require_finite(total, "assignment total")
+
+
+def _certificate(m: np.ndarray, sigma: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where assignments within ``tol`` of ``sigma``'s total may differ from it.
+
+    ``sigma`` is an optimal assignment.  Its dual potentials come from
+    the fixed point ``u = m[i, sigma(i)] - v[sigma(i)]``,
+    ``v = max(0, max_i(m - u))`` iterated from ``v = 0``: the longest
+    alternating paths, so at most ``d1 + 1`` sweeps (Bellman-Ford).  For
+    any assignment tau, complementary slackness gives
+
+        total(sigma) - total(tau) = sum of tau's slacks u_i + v_j - m_ij
+            + sum of v over the columns sigma uses and tau does not
+            - (sigma's own slacks + v over columns only tau uses),
+
+    where the last bracket is zero for exact duals.  So if tau is within
+    ``tol`` of the optimum, every edge it takes is near (slack at most
+    ``2 tol``) and every column it vacates has v at most ``2 tol``.  Rows
+    tau moves form alternating cycles and paths: row k takes the column
+    of row k', which moves on, and a path starts at a vacated column
+    and ends at a column sigma leaves free.  A node standing for "no
+    row of sigma" closes each path into a cycle, so one strongly
+    connected components pass over the near edges finds every row that
+    can move.
+
+    Returns ``(movable, near)``: boolean masks over rows and over
+    edges.  Both are all true (certify nothing) when the sweeps do not
+    settle, a slack is not finite, or the duals miss complementary
+    slackness by more than ``tol``.
+    """
+    d1, d2 = m.shape
+    rows = np.arange(d1)
+    nothing = np.ones(d1, dtype=bool), np.ones((d1, d2), dtype=bool)
+    v = np.zeros(d2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(d1 + 1):
+            u = m[rows, sigma] - v[sigma]
+            v_next = np.maximum((m - u[:, None]).max(axis=0), 0.0)
+            if np.array_equal(v_next, v):
+                break
+            v = v_next
+        else:
+            return nothing
+        slack = u[:, None] + v - m
+    if not np.isfinite(slack).all():
+        return nothing
+    free = np.ones(d2, dtype=bool)
+    free[sigma] = False
+    # The bracket above, with every negative slack counted as if each
+    # row of tau took the worst one.  It also bounds v on free columns.
+    excess = slack[rows, sigma].sum() + v[free].sum() + d1 * max(0.0, -slack.min())
+    if not excess <= tol:
+        return nothing
+
+    near = slack <= 2.0 * tol
+    owner = np.full(d2, d1)
+    owner[sigma] = rows
+    k, j = np.nonzero(near)
+    vacate = rows[v[sigma] <= 2.0 * tol]
+    src = np.concatenate([k, np.full(vacate.size, d1)])
+    dst = np.concatenate([owner[j], vacate])
+    graph = csr_matrix((np.ones(src.size), (src, dst)), shape=(d1 + 1, d1 + 1))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    return np.bincount(labels)[labels[:d1]] > 1, near
 
 
 def optimal_one_to_one(m_hat) -> Matching:
@@ -69,12 +140,16 @@ def optimal_one_to_one(m_hat) -> Matching:
     gets the lowest column it can take without losing optimality, then
     row 1, and so on.  Deterministic for any input, ties included.
 
-    Cost: one assignment solve for the optimum, then at most one per
-    row.  That solve forbids the row's known optimal column; if the
-    result falls short of the optimum, no other column can attain it.
-    So a unique optimum costs at most ``d1 + 1`` solves.  Only rows
-    whose certificate fails (an alternative within twice the tie slack)
-    scan their smaller free columns, one solve per candidate.
+    Cost: one assignment solve for the optimum, plus O(sweeps * d1 * d2)
+    to certify rows from its dual potentials (``_certificate``): a row
+    on no cycle or path of near-tight edges keeps its optimal column in
+    every tied optimum, so it takes that column with no further solve.
+    Only the other rows, and only when a smaller free column lies on a
+    near-tight edge, make a solve with their known optimal column
+    forbidden; if the result falls short of the optimum by more than
+    twice the tie slack, no other column can attain it.  Otherwise the
+    row scans those columns, one solve per candidate.  Raises
+    NonFiniteResultError when the optimal total overflows.
     """
     m = np.asarray(m_hat, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1:
@@ -85,21 +160,30 @@ def optimal_one_to_one(m_hat) -> Matching:
     if not np.all(np.isfinite(m)):
         raise ArgumentError("reward matrix must be finite")
 
-    ref_cols, best_total = _solve(m)
+    sigma, best_total = _solve(m)
     tol = _TIE_RTOL * (1.0 + abs(best_total) + float(np.abs(m).max()))
+    movable, near = _certificate(m, sigma, tol)
+
+    # Python ints: list.remove compares numpy scalars far more slowly.
+    ref_cols = sigma.tolist()
 
     chosen = np.empty(d1, dtype=np.int64)
     remaining = list(range(d2))
     fixed_total = 0.0
     for i in range(d1):
         # ref_cols[i - fixed rows] is a column known to attain the
-        # optimum for row i; only smaller free columns need testing.
-        # Every such candidate avoids the edge (i, ref_cols[0]), so the
-        # best assignment without that edge bounds them all.  The extra
-        # tol keeps the shortcut away from the scan's own threshold, so
-        # summation-order rounding cannot change the answer.
-        candidates = remaining
-        if ref_cols[0] != remaining[0]:
+        # optimum for row i; only smaller free columns on near edges
+        # need testing.  A row that cannot move has the same column in
+        # every assignment within tol of the optimum, ref_cols among
+        # them.  Every candidate avoids the edge (i, ref_cols[0]), so
+        # the best assignment without that edge bounds them all.  The
+        # extra tol keeps the shortcut away from the scan's own
+        # threshold, so summation-order rounding cannot change the
+        # answer.
+        candidates = [ref_cols[0]]
+        if movable[i]:
+            candidates = [j for j in remaining if j == ref_cols[0] or near[i, j]]
+        if candidates[0] != ref_cols[0]:
             forbid = m[i:, remaining]
             forbid[0, remaining.index(ref_cols[0])] = -np.inf
             _, forbidden_total = _solve(forbid)
@@ -112,9 +196,9 @@ def optimal_one_to_one(m_hat) -> Matching:
             free = [c for c in remaining if c != j]
             if i + 1 < d1:
                 sub, sub_total = _solve(m[i + 1 :, :][:, free])
-                sub_cols = np.asarray(free, dtype=np.int64)[sub]
+                sub_cols = np.asarray(free, dtype=np.int64)[sub].tolist()
             else:
-                sub_cols, sub_total = np.empty(0, dtype=np.int64), 0.0
+                sub_cols, sub_total = [], 0.0
             if fixed_total + m[i, j] + sub_total >= best_total - tol:
                 break
         chosen[i] = j
@@ -163,6 +247,7 @@ def matching_from_json(text: str) -> Matching:
     except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"matching JSON 'pairs': {exc}") from None
     try:
-        return Matching(int(obj["d1"]), int(obj["d2"]), pairs[:, 0], pairs[:, 1])
+        d1, d2 = _json_int(obj["d1"], "d1"), _json_int(obj["d2"], "d2")
+        return Matching(d1, d2, pairs[:, 0], pairs[:, 1])
     except (ArgumentError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid matching contents: {exc}") from None

@@ -11,6 +11,7 @@ from matchlearn import (
     DataFormatError,
     EstimatorConfig,
     Matching,
+    NonFiniteResultError,
     OneToOne,
     PolicyEvaluation,
     evaluate_policy,
@@ -145,6 +146,15 @@ def test_tie_slack_decides_between_near_optimal_assignments():
         assert optimal_one_to_one(m).cols.tolist() == expected
 
 
+def test_alternatives_just_inside_the_tie_slack_stay_candidates():
+    # As above, with gaps the certificate's near edges (slack <= 2 tol)
+    # must still admit: the identity is within tol of the swap.
+    tol = policy_mod._TIE_RTOL * (1.0 + 3.0 + 1.0)
+    for gap in (0.6 * tol, 0.9 * tol):
+        m = np.array([[1.0, 1.0 + gap, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert optimal_one_to_one(m).cols.tolist() == [0, 1, 2]
+
+
 def test_policy_size_200_by_600_reaches_the_assignment_optimum():
     m = generate_low_rank(200, 600, 2, 20.0, np.random.default_rng([157, 1])).values
     got = optimal_one_to_one(m)
@@ -154,6 +164,49 @@ def test_policy_size_200_by_600_reaches_the_assignment_optimum():
     best = float(m[rows, cols].sum())
     tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
     assert abs(float(m[np.arange(200), got.cols].sum()) - best) <= tol
+
+
+@pytest.mark.parametrize("d1", [50, 200])
+def test_rank_two_search_costs_one_solve(monkeypatch, d1):
+    m = generate_low_rank(d1, 3 * d1, 2, 20.0, np.random.default_rng([151, d1])).values
+    calls = count_solves(monkeypatch)
+    got = optimal_one_to_one(m)
+    assert calls[0] == 1
+    rows, cols = linear_sum_assignment(m, maximize=True)
+    assert np.array_equal(got.cols, cols)
+
+
+def test_policy_size_500_by_1500_reaches_the_assignment_optimum():
+    m = generate_low_rank(500, 1500, 2, 20.0, np.random.default_rng([159, 1])).values
+    got = optimal_one_to_one(m)
+    assert np.unique(got.cols).size == 500
+    rows, cols = linear_sum_assignment(m, maximize=True)
+    best = float(m[rows, cols].sum())
+    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    assert abs(float(m[np.arange(500), got.cols].sum()) - best) <= tol
+
+
+@pytest.mark.parametrize(
+    "m, movable",
+    [([[1.0, 2.0], [2.0, 3.0]], [True, True]),
+     ([[1.0, 1.0, 0.0]], [True]),
+     ([[1.0, 1.0, 3.0], [2.0, 2.0, 3.0]], [False, True])],
+    ids=["tight_cycle", "tight_path", "path_from_later_column"],
+)
+def test_rows_with_tied_alternatives_fall_back_to_the_scan(m, movable):
+    # The solver's optimum [1, 0] of the equal-sum swap, and [2, 1] of
+    # the last matrix, are not the lexicographically smallest ones.
+    m = np.array(m)
+    sigma, best = policy_mod._solve(m)
+    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    assert policy_mod._certificate(m, sigma, tol)[0].tolist() == movable
+    assert np.array_equal(optimal_one_to_one(m).cols, brute_force_best(m)[0])
+
+
+def test_overflowing_optimal_total_raises_non_finite_result():
+    m = np.array([[1e308, 1.7e308, 0.0], [1.7e308, 1e308, 0.0]])
+    with pytest.raises(NonFiniteResultError):
+        optimal_one_to_one(m)
 
 
 def test_optimal_one_to_one_validation():
@@ -203,6 +256,9 @@ def test_matching_json_rejects_malformed_input():
         matching_from_json('{"d1": 2, "d2": 2, "pairs": [[0, 0], [1]]}')
     with pytest.raises(DataFormatError):
         matching_from_json('{"d1": 2, "d2": 2, "pairs": [[0, 0], [1, 0]]}')
+    for dims in ('"d1": 1.9, "d2": 3', '"d1": true, "d2": 3', '"d1": 1, "d2": "3"'):
+        with pytest.raises(DataFormatError):
+            matching_from_json(f'{{{dims}, "pairs": [[0, 0]]}}')
 
 
 @pytest.mark.parametrize(
