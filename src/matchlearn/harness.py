@@ -7,9 +7,9 @@ batch from its own salted stream, fits, and runs inference; aggregates
 are written as CSV/JSON so runs with the same seed are byte-identical.
 
 Streams are salted so that the matrix, the inference target and the
-per-replication batches never overlap: ``default_rng([seed, salt])``
-for the shared draws and ``default_rng(seed ^ rep)`` for replication
-``rep``.  The entrywise probability is exact and draws nothing.
+per-replication batches are seeded apart: ``default_rng([seed, salt])``
+for the shared draws and ``default_rng([seed, 3, rep])`` for replication
+``rep``'s batch.  The entrywise probability is exact and draws nothing.
 """
 from __future__ import annotations
 
@@ -82,9 +82,8 @@ MAX_FAILURE_FRACTION = 0.1
 HISTOGRAM_BINS = 50
 HISTOGRAM_RANGE = (-4.0, 4.0)
 
-# Salts for the draws shared by all replications.
-_SALT_MATRIX = 1
-_SALT_Q = 2
+# Salts: the shared (or per-replication) matrix, the shared q, each replication's batch.
+_SALT_MATRIX, _SALT_Q, _SALT_REPLICATION = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def _run_replication(payload) -> dict:
             cfg.d1, cfg.d2, cfg.r, cfg.scale,
             np.random.default_rng([cfg.seed, _SALT_MATRIX, rep]),
         )
-    rng = np.random.default_rng(cfg.seed ^ rep)
+    rng = np.random.default_rng([cfg.seed, _SALT_REPLICATION, rep])
     try:
         batch = observe(truth, cfg.scheme, cfg.T, cfg.sigma, rng)
         if cfg.study == "convergence":

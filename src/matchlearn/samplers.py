@@ -14,12 +14,12 @@ Three mechanisms generate the per-period matchings:
 
 Each mechanism is one class that owns all of its rules: ``kind`` (its
 JSON tag), ``feasible(d1, d2)``, ``nu(d1, d2)``, ``sampler(d1, d2)``
-(the per-period draw, with any table built once per batch) and
-``row_rule`` (the per-period row check of the batch validator).  Its
-dataclass fields are its JSON keys and its ``nu`` command-line flags.
+(``draw(rng, T)``, all T periods at once from permuted ``T x d`` index
+tiles) and ``row_rule`` (the per-period row check of the batch
+validator).  Its dataclass fields are its JSON keys and its ``nu`` flags.
 
-All samplers are pure given an ``rng`` handle; parallel replications
-must use independent streams (seed xor replication index).
+All samplers are pure given an ``rng`` handle; each replication of a
+study draws from its own ``[seed, salt, rep]`` stream.
 """
 from __future__ import annotations
 
@@ -41,7 +41,14 @@ from .errors import (
 from .matmodel import RewardMatrix, _int_pairs, _json_int, _json_real
 
 
-Draw = Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
+# draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
+Draw = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _prefixes(rng: np.random.Generator, d: int, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[t]`` entries of row t of a permuted ``(T, d)`` tile, flat in row order."""
+    tile = rng.permuted(np.broadcast_to(np.arange(d), (counts.size, d)), axis=1)
+    return tile[np.arange(d) < counts[:, None]]
 
 
 def _positive_dims(d1: int, d2: int) -> None:
@@ -68,7 +75,8 @@ class OneToOne:
 
     def sampler(self, d1: int, d2: int) -> Draw:
         self.feasible(d1, d2)
-        return lambda rng: (np.arange(d1, dtype=np.int64), rng.permutation(d2)[:d1])
+        return lambda rng, T: (np.tile(np.arange(d1), T), _prefixes(rng, d2, np.full(T, d1)),
+                               np.full(T, d1))
 
 
 @dataclass(frozen=True)
@@ -103,12 +111,13 @@ class OneToMany:
     def sampler(self, d1: int, d2: int) -> Draw:
         self.feasible(d1, d2)
 
-        def draw(rng):
-            degrees = rng.binomial(self.K, self.p0, size=d1)
-            # One uniform draw of sum(degrees) distinct columns in random
-            # order, sliced to rows: a uniform partition given the degrees.
-            cols = rng.permutation(d2)[:int(degrees.sum())]
-            return np.repeat(np.arange(d1, dtype=np.int64), degrees), cols
+        def draw(rng, T):
+            degrees = rng.binomial(self.K, self.p0, size=(T, d1))
+            # Per period, one uniform draw of sum(degrees) distinct columns in
+            # random order, sliced to rows: a uniform partition given the degrees.
+            counts = degrees.sum(axis=1)
+            rows = np.repeat(np.tile(np.arange(d1), T), degrees.ravel())
+            return rows, _prefixes(rng, d2, counts), counts
         return draw
 
 
@@ -178,22 +187,22 @@ class TwoSided:
                            + _binom_logpmf(d2, self.p2), -np.inf)
         return np.exp(log_pmf - logsumexp(log_pmf))
 
-    def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator], tuple[int, int]]:
-        """The (B_r, B_s) draw: one uniform inverted through the cumulated :meth:`arrival_pmf`,
-        whose row-major index is split back into the counts; a zero-mass cell is never drawn."""
+    def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator, int], tuple]:
+        """The draw ``(rng, n) -> (B_r, B_s)``: n uniforms inverted through the cumulated
+        :meth:`arrival_pmf`; each row-major index (never a zero-mass cell) splits into counts."""
         cdf = np.cumsum(self.arrival_pmf(d1, d2))
         cdf = cdf / cdf[-1]
-        return lambda rng: divmod(int(np.searchsorted(cdf, rng.random(), side="right")), d2 + 1)
+        return lambda rng, n: np.divmod(np.searchsorted(cdf, rng.random(n), side="right"), d2 + 1)
 
     def sampler(self, d1: int, d2: int) -> Draw:
         arrivals = self.arrivals(d1, d2)
 
-        def draw(rng):
-            n = min(arrivals(rng))
-            rows = rng.permutation(d1)[:n]
-            cols = rng.permutation(d2)[:n]
-            order = np.argsort(rows)
-            return rows[order], cols[order]
+        def draw(rng, T):
+            n = np.minimum(*arrivals(rng, T))
+            # The rows ranked below n in a uniform permutation: a uniform
+            # n-subset, in ascending order, matched to n uniform distinct columns.
+            ranks = rng.permuted(np.broadcast_to(np.arange(d1), (T, d1)), axis=1)
+            return np.nonzero(ranks < n[:, None])[1], _prefixes(rng, d2, n), n
         return draw
 
 
@@ -276,6 +285,11 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
         fail(message, bad.argmax())
 
 
+def _check_sigma(sigma) -> None:
+    if not 0.0 <= sigma < np.inf:  # NaN fails both comparisons
+        raise ArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
 def _trusted(cls, **values):
     """A frozen dataclass over parts of already validated data, not checked again."""
     obj = object.__new__(cls)
@@ -343,8 +357,7 @@ class ObservationBatch:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ArgumentError("sigma must be nonnegative")
+        _check_sigma(self.sigma)
         for name, dtype in _COLUMNS + (("offsets", np.int64),):
             locked = np.asarray(getattr(self, name), dtype=dtype).reshape(-1).view()
             locked.flags.writeable = False
@@ -393,16 +406,14 @@ class ObservationBatch:
         )
 
 
-def sample_matching(
-    scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator
-) -> Matching:
-    """Draw one matching from the given scheme.
+def sample_matching(scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator) -> Matching:
+    """Draw one matching from the given scheme: its draw with T = 1.
 
     The draw is uniform over the scheme's matching set conditional on
     the drawn arrival counts (degrees for one-to-many, (B_r, B_s) for
     two-sided).
     """
-    return Matching(d1, d2, *scheme.sampler(d1, d2)(rng))
+    return Matching(d1, d2, *scheme.sampler(d1, d2)(rng, 1)[:2])
 
 
 @dataclass(frozen=True)
@@ -422,33 +433,23 @@ def entrywise_probability(scheme: MatchingScheme, d1: int, d2: int) -> NuEstimat
     return NuEstimate(nu=scheme.nu(d1, d2))
 
 
-def observe(
-    m: RewardMatrix,
-    scheme: MatchingScheme,
-    T: int,
-    sigma: float,
-    rng: np.random.Generator,
-    seed: int | None = None,
-) -> ObservationBatch:
+def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
+            rng: np.random.Generator, seed: int | None = None) -> ObservationBatch:
     """Draw T periods of matchings with Gaussian-noised rewards.
 
-    Each revealed entry (i, j) yields ``M[i, j] + N(0, sigma^2)``,
+    The scheme's draw gives all T matchings, then one normal draw their
+    noise: each revealed entry (i, j) yields ``M[i, j] + N(0, sigma^2)``,
     independently across entries and periods.  ``seed`` is carried as
     provenance metadata only; the randomness comes from ``rng``.
     """
-    if T < 1:
-        raise ArgumentError(f"T must be >= 1, got {T}")
-    if sigma < 0.0:
-        raise ArgumentError("sigma must be nonnegative")
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise ArgumentError(f"T must be an integer >= 1, got {T!r}")
+    _check_sigma(sigma)
     d1, d2 = m.shape
-    draw = scheme.sampler(d1, d2)
-    values = m.values
-    periods = []
-    for _ in range(T):
-        rows, cols = draw(rng)
-        noise = rng.standard_normal(rows.size)
-        periods.append((rows, cols, values[rows, cols] + sigma * noise))
-    return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)
+    rows, cols, counts = scheme.sampler(d1, d2)(rng, T)
+    y = m.values[rows, cols] + sigma * rng.standard_normal(rows.size)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return ObservationBatch(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
 
 
 # ---------------------------------------------------------------------------

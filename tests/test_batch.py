@@ -1,8 +1,10 @@
 """Tests for the columnar observation batch against the per-period reference.
 
 The reference path builds one validated :class:`Matching` and one noise
-draw per period, as the samplers did before the batch became flat
-arrays; every comparison here is exact.
+draw per period with a Python loop, consuming the stream in the order of
+the samplers' T-period draw: all arrival counts or degrees, then each
+period's row permutation (two-sided), then each period's column
+permutation, then each period's noise.  Every comparison here is exact.
 """
 import json
 
@@ -15,6 +17,7 @@ from matchlearn import (
     ArgumentError,
     DataFormatError,
     LinearForm,
+    Matching,
     ObservationBatch,
     OneToMany,
     OneToOne,
@@ -26,7 +29,6 @@ from matchlearn import (
     load_batch,
     main,
     observe,
-    sample_matching,
     save_batch,
     solve_G,
 )
@@ -39,13 +41,22 @@ SCHEMES = {
 
 
 def reference_periods(m, scheme, T, sigma, rng):
-    """Per-period draws: a validated matching, then its noise."""
-    periods = []
-    for _ in range(T):
-        mat = sample_matching(scheme, *m.shape, rng)
-        noise = rng.standard_normal(mat.size)
-        periods.append((mat.rows, mat.cols, m.values[mat.rows, mat.cols] + sigma * noise))
-    return periods
+    """Per-period draws: validated matchings, then their noise."""
+    d1, d2 = m.shape
+    if isinstance(scheme, OneToOne):
+        rows = [np.arange(d1)] * T
+    elif isinstance(scheme, OneToMany):
+        degrees = [rng.binomial(scheme.K, scheme.p0, size=d1) for _ in range(T)]
+        rows = [np.repeat(np.arange(d1), k) for k in degrees]
+    else:
+        arrivals = scheme.arrivals(d1, d2)
+        sizes = [int(np.minimum(*arrivals(rng, 1))[0]) for _ in range(T)]
+        # A uniform k-subset of rows: the first k of an inverse permutation.
+        rows = [np.sort(np.argsort(rng.permutation(d1))[:k]) for k in sizes]
+    mats = [Matching(d1, d2, r, rng.permutation(d2)[:r.size]) for r in rows]
+    return [(mat.rows, mat.cols,
+             m.values[mat.rows, mat.cols] + sigma * rng.standard_normal(mat.size))
+            for mat in mats]
 
 
 def make_pair(scheme, seed, d1=6, d2=20, T=40):

@@ -343,6 +343,27 @@ def test_run_simulation_regenerate_m(tmp_path):
     assert doc["truth_value"] is None
 
 
+def test_replication_streams_differ_across_nearby_seeds(tmp_path, monkeypatch):
+    # With a stream per `seed ^ rep`, seed 2's replication 1 and seed 3's
+    # replication 0 drew the same matchings.
+    drawn = []
+    real = harness_mod.observe
+
+    def recorded(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        drawn.append((batch.rows.tobytes(), batch.cols.tobytes()))
+        return batch
+
+    monkeypatch.setattr(harness_mod, "observe", recorded)
+    monkeypatch.delenv("MATCHLEARN_WORKERS", raising=False)
+    for seed in (2, 3):
+        run_simulation(parse_config(base_config_dict(
+            seed=seed, replications=2, outputs=str(tmp_path / str(seed)))))
+    assert len(drawn) == 4
+    seed2_rep1, seed3_rep0 = drawn[1], drawn[2]
+    assert seed2_rep1 != seed3_rep0
+
+
 def test_run_simulation_requires_outputs():
     cfg = parse_config(base_config_dict())
     with pytest.raises(ConfigError, match="outputs"):

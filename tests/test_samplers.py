@@ -67,8 +67,21 @@ def exact_truncated_moments(scheme: TwoSided, d1: int, d2: int) -> tuple[Fractio
 
 def draw_arrivals(scheme: TwoSided, d1: int, d2: int, n: int, rng) -> np.ndarray:
     """n (B_r, B_s) draws through the sampler's own inverse-CDF draw."""
-    arrivals = scheme.arrivals(d1, d2)
-    return np.array([arrivals(rng) for _ in range(n)])
+    return np.column_stack(scheme.arrivals(d1, d2)(rng, n))
+
+
+def draw_matchings(scheme, d1: int, d2: int, n: int, rng, via: str) -> list:
+    """n matchings as (rows, cols) pairs: n ``sample_matching`` calls, or the
+    periods of one n-period ``observe`` batch."""
+    if via == "sample_matching":
+        return [(m.rows, m.cols) for m in
+                (sample_matching(scheme, d1, d2, rng) for _ in range(n))]
+    truth = generate_low_rank(d1, d2, 1, 1.0, np.random.default_rng(0))
+    batch = observe(truth, scheme, n, 0.0, rng)
+    return [(rec.matching.rows, rec.matching.cols) for rec in batch.records]
+
+
+VIAS = ("sample_matching", "observe")
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +94,22 @@ def test_one_to_one_unique_matching():
 
 
 def test_one_to_one_two_by_two_is_uniform():
-    rng = np.random.default_rng(1)
-    hits = 0
     n = 20000
-    for _ in range(n):
-        m = sample_matching(OneToOne(), 2, 2, rng)
-        hits += m.pairs == {(0, 0), (1, 1)}
-    assert abs(hits / n - 0.5) <= 0.02
+    for via in VIAS:
+        matchings = draw_matchings(OneToOne(), 2, 2, n, np.random.default_rng(1), via)
+        hits = sum(set(zip(rows.tolist(), cols.tolist())) == {(0, 0), (1, 1)}
+                   for rows, cols in matchings)
+        assert abs(hits / n - 0.5) <= 0.02, via
 
 
 def test_one_to_many_row_degree_is_binomial():
-    rng = np.random.default_rng(2)
     scheme = OneToMany(K=2, p0=0.5)
-    counts = np.zeros(3)
     n = 20000
-    for _ in range(n):
-        m = sample_matching(scheme, 1, 4, rng)
-        counts[m.size] += 1
-    assert np.max(np.abs(counts / n - np.array([0.25, 0.5, 0.25]))) <= 0.02
+    for via in VIAS:
+        counts = np.zeros(3)
+        for rows, _ in draw_matchings(scheme, 1, 4, n, np.random.default_rng(2), via):
+            counts[rows.size] += 1
+        assert np.max(np.abs(counts / n - np.array([0.25, 0.5, 0.25]))) <= 0.02, via
 
 
 def test_one_to_one_marginal_frequency():
@@ -134,13 +145,13 @@ def test_one_to_one_needs_wide_matrix():
     ids=["oto", "otm", "tside"],
 )
 def test_sampled_matchings_satisfy_scheme_invariants(scheme, d1, d2):
-    rng = np.random.default_rng(17)
-    periods = []
-    for _ in range(2000):
-        m = sample_matching(scheme, d1, d2, rng)
-        assert np.unique(m.cols).size == m.size
-        periods.append((m.rows, m.cols, np.zeros(m.size)))
-    ObservationBatch.from_periods(scheme, d1, d2, 0.0, periods)  # checks the scheme
+    for via in VIAS:
+        periods = []
+        for rows, cols in draw_matchings(scheme, d1, d2, 2000, np.random.default_rng(17), via):
+            assert np.unique(cols).size == cols.size
+            assert np.all(np.diff(rows) >= 0)  # every scheme lists its rows in order
+            periods.append((rows, cols, np.zeros(cols.size)))
+        ObservationBatch.from_periods(scheme, d1, d2, 0.0, periods)  # checks the scheme
 
 
 def test_two_sided_pair_count_is_min_of_arrivals():
@@ -305,10 +316,15 @@ def test_observation_frequency_matches_nu(scheme, d1, d2, T):
 
 def test_observe_validates_arguments():
     m = generate_low_rank(3, 6, 1, 1.0, np.random.default_rng(0))
-    with pytest.raises(ArgumentError):
-        observe(m, OneToOne(), 0, 1.0, np.random.default_rng(0))
-    with pytest.raises(ArgumentError):
-        observe(m, OneToOne(), 5, -1.0, np.random.default_rng(0))
+    for T in (0, 2.5, True, "3", None):
+        with pytest.raises(ArgumentError, match="T must be an integer"):
+            observe(m, OneToOne(), T, 1.0, np.random.default_rng(0))
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
+            observe(m, OneToOne(), 5, sigma, np.random.default_rng(0))
+        with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
+            ObservationBatch.from_periods(OneToOne(), 1, 1, sigma, [([0], [0], [0.0])])
+    assert len(observe(m, OneToOne(), np.int64(3), 0.0, np.random.default_rng(0))) == 3
 
 
 # ---------------------------------------------------------------------------
