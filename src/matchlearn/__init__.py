@@ -25,7 +25,6 @@ from .samplers import (
     Matching,
     MatchingScheme,
     NuEstimate,
-    Observation,
     ObservationBatch,
     OneToMany,
     OneToOne,
@@ -62,20 +61,16 @@ from .estimator import (
 from .inference import (
     EstimationArtifacts,
     InferenceResult,
-    SplitPlan,
     confidence_interval,
     debias,
     estimate_sigma,
     infer_linear_form,
     prepare_inference,
     project_rank_r,
-    split,
     standard_error,
 )
 from .policy import (
-    PolicyEvaluation,
     evaluate_policy,
-    matching_from_json,
     matching_to_json,
     matching_to_linear_form,
     optimal_one_to_one,

@@ -168,12 +168,13 @@ def _validate(cfg: RunConfig) -> list[str]:
             dims_ok = True
         if not (1 <= cfg.r <= cfg.d1):
             p.append(f"need 1 <= r <= d1, got r={cfg.r}")
-        if cfg.T < 2 * cfg.m:
-            p.append(f"need T >= 2m, got T={cfg.T}, m={cfg.m}")
+        k = 2 if cfg.study == "convergence" else 4  # two halves, each fit with m pairs
+        if cfg.T < k * cfg.m:
+            p.append(f"need T >= {k}m for study {cfg.study!r}, got T={cfg.T}, m={cfg.m}")
         if cfg.m < 1:
             p.append(f"need m >= 1, got {cfg.m}")
-        if cfg.seed < 0:
-            p.append(f"seed must be nonnegative, got {cfg.seed}")
+        if not 0 <= cfg.seed < 2**32:  # larger seeds' streams collide with smaller ones'
+            p.append(f"seed must lie in [0, 2**32), got {cfg.seed}")
         if cfg.replications < 0:
             p.append(f"replications must be nonnegative, got {cfg.replications}")
         if cfg.workers < 1:
@@ -336,7 +337,7 @@ def _run_replication(payload) -> dict:
             recovered = None
         else:  # policy
             mat_hat = optimal_one_to_one(artifacts.m_hat)
-            res = evaluate_policy(artifacts, mat_hat, alpha=cfg.alpha).inference
+            res = evaluate_policy(artifacts, mat_hat, alpha=cfg.alpha)
             mat_true, estimand = target or _policy_target(truth)
             # The statistic standardizes against the value of the matching
             # actually selected; coverage targets the true optimal reward.
@@ -673,11 +674,11 @@ def _cmd_policy(args) -> int:
     batch, cfg = _load_batch_and_config(args)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
-    ev = evaluate_policy(artifacts, matching, alpha=cfg.alpha)
+    res = evaluate_policy(artifacts, matching, alpha=cfg.alpha)
     doc = {
         "matching": json.loads(matching_to_json(matching)),
-        "total_reward_estimate": ev.total_reward_estimate,
-        "inference": ev.inference.to_dict(),
+        "total_reward_estimate": res.point,
+        "inference": res.to_dict(),
     }
     print(json.dumps(doc, sort_keys=True))
     if args.out is not None or cfg.outputs is not None:

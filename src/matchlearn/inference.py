@@ -1,10 +1,10 @@
 """Cross-sample debiasing and inference on linear forms of the reward matrix.
 
-The pipeline: split the batch into two halves, fit each half with the
-batch-split gradient descent, debias each half's estimate using the
-other half's residuals, project back to rank r, and average.  The
-averaged estimator admits normal inference on any linear form <M, Q>
-with a plug-in variance built from held-out residuals.
+The pipeline: split the batch into two halves of ``T // 2`` periods, fit
+each half with the batch-split gradient descent, debias each half's
+estimate using the other half's residuals, project back to rank r, and
+average.  The averaged estimator admits normal inference on any linear
+form <M, Q> with a plug-in variance built from held-out residuals.
 """
 from __future__ import annotations
 
@@ -24,36 +24,6 @@ from .errors import (
 from .estimator import EstimatorConfig, fit
 from .matmodel import LinearForm, _require_finite, projection_magnitude, svd_r
 from .samplers import ObservationBatch
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Index ranges of the two inference halves (second half fits first)."""
-
-    half1: tuple[int, int]
-    half2: tuple[int, int]
-
-    @property
-    def t0(self) -> int:
-        return self.half2[1] - self.half2[0]
-
-    @property
-    def t_used(self) -> int:
-        return 2 * self.t0
-
-
-def split(T: int) -> SplitPlan:
-    """Deterministic half split; an odd trailing observation is dropped."""
-    if T < 2:
-        raise ArgumentError(f"need at least two observations to split, got {T}")
-    t0 = T // 2
-    if T % 2:
-        warnings.warn(
-            "dropping 1 trailing observation to form equal halves",
-            RemainderDroppedWarning,
-            stacklevel=2,
-        )
-    return SplitPlan(half1=(t0, 2 * t0), half2=(0, t0))
 
 
 def debias(m_init: np.ndarray, other_half: ObservationBatch, nu: float) -> np.ndarray:
@@ -210,6 +180,8 @@ class EstimationArtifacts:
 def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> EstimationArtifacts:
     """The split/fit/debias/project/average pipeline plus the noise variance.
 
+    Half 1 is periods ``t0..2*t0-1`` and half 2 ``0..t0-1``, ``t0 = T // 2``;
+    an odd last period is dropped with a RemainderDroppedWarning.
     Fits the gradient-descent estimator separately on each half
     (``config.m`` batch pairs per half), cross-debiases each initial
     estimate with the other half's residuals, projects both back to
@@ -217,9 +189,13 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     its top-r factors.  Each half scored against the other's fit gives
     the noise variance.
     """
-    plan = split(len(batch))
-    half1 = batch[plan.half1[0] : plan.half1[1]]
-    half2 = batch[plan.half2[0] : plan.half2[1]]
+    t0 = len(batch) // 2
+    if t0 < 1:
+        raise ArgumentError(f"need at least two observations to split, got {len(batch)}")
+    if len(batch) % 2:
+        warnings.warn("dropping 1 trailing observation to form equal halves",
+                      RemainderDroppedWarning, stacklevel=2)
+    half1, half2 = batch[t0 : 2 * t0], batch[:t0]
 
     m1_init, _ = fit(half1, config)
     m2_init, _ = fit(half2, config)
@@ -228,13 +204,13 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     m2, _, _ = project_rank_r(debias(m2_init, half1, config.nu), config.r)
     m_hat = 0.5 * (m1 + m2)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
-    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2, plan.t_used)
+    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2, 2 * t0)
     return EstimationArtifacts(
         m_hat=m_hat,
         u_hat=u_hat,
         v_hat=v_hat,
         sigma_hat_sq=sigma_hat_sq,
-        t_used=plan.t_used,
+        t_used=2 * t0,
         nu=config.nu,
     )
 

@@ -2,57 +2,35 @@
 
 Given an estimated reward matrix, find the injection of rows into
 columns that maximizes total reward, express it as a linear form, and
-run the usual inference pipeline on its value.  Only one-to-one search
-ships here; reward-optimal one-to-many assignment is out of scope.
+get its value's InferenceResult from the usual pipeline.  Matchings are
+written as JSON, never read back.  Only one-to-one search ships here;
+reward-optimal one-to-many assignment is out of scope.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ArgumentError, DataFormatError
+from .errors import ArgumentError
 from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
-from .matmodel import LinearForm, _int_pairs, _json_int, _require_finite
+from .matmodel import LinearForm, _require_finite
 from .samplers import Matching
 
 __all__ = [
-    "PolicyEvaluation",
     "optimal_one_to_one",
     "matching_to_linear_form",
     "evaluate_policy",
     "matching_to_json",
-    "matching_from_json",
 ]
 
 # Slack when deciding whether a candidate assignment still attains the
 # optimum; sums of d1 float rewards can disagree in the last few ulps
 # depending on summation order.
 _TIE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    """An estimated-optimal matching together with inference on its value."""
-
-    matching: Matching
-    total_reward_estimate: float
-    inference: InferenceResult
-
-    def __post_init__(self):
-        q = matching_to_linear_form(self.matching)
-        same = (
-            self.inference.q.size == q.size
-            and np.array_equal(self.inference.q.rows, q.rows)
-            and np.array_equal(self.inference.q.cols, q.cols)
-            and np.array_equal(self.inference.q.weights, q.weights)
-        )
-        if not same:
-            raise ArgumentError("inference.q does not match the matching")
 
 
 def _solve(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -214,13 +192,10 @@ def matching_to_linear_form(matching: Matching) -> LinearForm:
     return LinearForm(matching.d1, matching.d2, matching.rows, matching.cols, weights)
 
 
-def evaluate_policy(
-    artifacts: EstimationArtifacts, matching: Matching, alpha: float = 0.05
-) -> PolicyEvaluation:
+def evaluate_policy(artifacts: EstimationArtifacts, matching: Matching,
+                    alpha: float = 0.05) -> InferenceResult:
     """Point estimate, CI, and test for the total reward of a matching."""
-    q = matching_to_linear_form(matching)
-    result = infer_linear_form(artifacts, q, alpha=alpha)
-    return PolicyEvaluation(matching, result.point, result)
+    return infer_linear_form(artifacts, matching_to_linear_form(matching), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +205,3 @@ def evaluate_policy(
 def matching_to_json(matching: Matching) -> str:
     pairs = [[int(i), int(j)] for i, j in zip(matching.rows, matching.cols)]
     return json.dumps({"d1": matching.d1, "d2": matching.d2, "pairs": pairs})
-
-
-def matching_from_json(text: str) -> Matching:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid matching JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataFormatError("matching JSON must be an object")
-    missing = {"d1", "d2", "pairs"} - obj.keys()
-    if missing:
-        raise DataFormatError(f"matching JSON missing keys: {sorted(missing)}")
-    try:
-        pairs = _int_pairs(obj["pairs"])
-    except (ValueError, RecursionError) as exc:
-        raise DataFormatError(f"matching JSON 'pairs': {exc}") from None
-    try:
-        d1, d2 = _json_int(obj["d1"], "d1"), _json_int(obj["d2"], "d2")
-        return Matching(d1, d2, pairs[:, 0], pairs[:, 1])
-    except (ArgumentError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid matching contents: {exc}") from None

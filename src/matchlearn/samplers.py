@@ -27,7 +27,7 @@ import json
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, ClassVar, NamedTuple, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
@@ -290,14 +290,6 @@ def _check_sigma(sigma) -> None:
         raise ArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
 
 
-def _trusted(cls, **values):
-    """A frozen dataclass over parts of already validated data, not checked again."""
-    obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @dataclass(frozen=True)
 class Matching:
     """A set of (row, column) pairs with every column used at most once."""
@@ -323,13 +315,6 @@ class Matching:
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
-
-
-class Observation(NamedTuple):
-    """One period of a batch: a matching and its rewards, aligned pairwise."""
-
-    matching: Matching
-    y: np.ndarray
 
 
 _COLUMNS = (("rows", np.int64), ("cols", np.int64), ("y", float))
@@ -389,21 +374,16 @@ class ObservationBatch:
         lo, hi = self.offsets[start], self.offsets[max(start, stop)]
         offsets = self.offsets[start : max(start, stop) + 1] - lo
         offsets.flags.writeable = False
-        return _trusted(
-            ObservationBatch, scheme=self.scheme, d1=self.d1, d2=self.d2,
-            sigma=self.sigma, rows=self.rows[lo:hi], cols=self.cols[lo:hi],
-            y=self.y[lo:hi], offsets=offsets, seed=self.seed,
-        )
+        # Parts of validated arrays: built without __init__, so not checked again.
+        view = object.__new__(ObservationBatch)
+        vars(view).update(vars(self), rows=self.rows[lo:hi], cols=self.cols[lo:hi],
+                          y=self.y[lo:hi], offsets=offsets)
+        return view
 
     @property
-    def records(self) -> tuple[Observation, ...]:
-        """Per-period observations, built on demand as views of the arrays."""
-        bounds = self.offsets.tolist()
-        return tuple(
-            Observation(_trusted(Matching, d1=self.d1, d2=self.d2,
-                                 rows=self.rows[a:b], cols=self.cols[a:b]), self.y[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])
-        )
+    def records(self) -> tuple["ObservationBatch", ...]:
+        """Each period as a one-period view of the batch."""
+        return tuple(self[t : t + 1] for t in range(len(self)))
 
 
 def sample_matching(scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Generator) -> Matching:

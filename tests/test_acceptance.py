@@ -345,7 +345,7 @@ def test_oracle_equivalences():
     feats = []
     ys = []
     for rec in batch.records:
-        for i, j, y in zip(rec.matching.rows, rec.matching.cols, rec.y):
+        for i, j, y in zip(rec.rows, rec.cols, rec.y):
             feats.append(np.kron(u[i], v[j]))
             ys.append(y)
     g_oracle = np.linalg.lstsq(np.array(feats), np.array(ys), rcond=None)[0]
@@ -367,7 +367,7 @@ def test_oracle_equivalences():
     nu = 1.0 / 16
     dense = np.zeros(truth.shape)
     for rec in batch.records:
-        i, j = rec.matching.rows, rec.matching.cols
+        i, j = rec.rows, rec.cols
         dense[i, j] += rec.y - m_init[i, j]
     oracle = m_init + dense / (len(batch) * nu)
     assert np.max(np.abs(debias(m_init, batch, nu) - oracle)) <= 1e-10

@@ -137,7 +137,7 @@ def test_solve_g_rank_one_scalar_formula():
     num = 0.0
     den = 0.0
     for rec in batch.records:
-        for i, j, y in zip(rec.matching.rows, rec.matching.cols, rec.y):
+        for i, j, y in zip(rec.rows, rec.cols, rec.y):
             phi = truth.left_factors[i, 0] * truth.right_factors[j, 0]
             num += y * phi
             den += phi * phi
@@ -155,7 +155,7 @@ def test_solve_g_matches_dense_normal_equation_oracle():
     a = np.zeros((4, 4))
     b = np.zeros(4)
     for rec in batch.records:
-        for i, j, y in zip(rec.matching.rows, rec.matching.cols, rec.y):
+        for i, j, y in zip(rec.rows, rec.cols, rec.y):
             phi = np.array(
                 [u[i, p] * v[j, q] for p in range(2) for q in range(2)]
             )
@@ -173,7 +173,7 @@ def test_solve_g_residual_orthogonality():
     grad = np.zeros((2, 2))
     scale = 0.0
     for rec in batch.records:
-        for i, j, y in zip(rec.matching.rows, rec.matching.cols, rec.y):
+        for i, j, y in zip(rec.rows, rec.cols, rec.y):
             resid = u[i] @ g @ v[j] - y
             grad += 2.0 * resid * np.outer(u[i], v[j])
             scale += y * y
@@ -419,7 +419,7 @@ def test_fit_reports_failing_batch_index():
 def test_fit_reports_failure_in_later_batch():
     truth = generate_low_rank(3, 6, 2, 1.0, np.random.default_rng(57))
     good = observe(truth, OneToOne(), 90, 0.0, np.random.default_rng(58)).records
-    good = [(rec.matching.rows, rec.matching.cols, rec.y) for rec in good]
+    good = [(rec.rows, rec.cols, rec.y) for rec in good]
     bad = ([0, 1], [0, 1], truth.values[[0, 1], [0, 1]])
     # The stuck periods leave row 2 unmatched, which a partial scheme allows.
     batch = ObservationBatch.from_periods(PARTIAL, 3, 6, 0.0, good + [bad] * 30)

@@ -162,6 +162,26 @@ def test_parse_config_rejects_unaddressable_dims():
         parse_config(base_config_dict(d1=_UNADDRESSABLE, d2=_UNADDRESSABLE))
 
 
+def test_parse_config_caps_the_seed_below_2_to_the_32():
+    # numpy splits a seed into 32-bit words, so [5 + 3 * 2**32, 1] seeds
+    # the same stream as [5, 3, 1], replication 1's batch of seed 5.
+    assert parse_config(base_config_dict(seed=2**32 - 1)).seed == 2**32 - 1
+    for seed in (2**32, -1):
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*32\)"):
+            parse_config(base_config_dict(seed=seed))
+
+
+@pytest.mark.parametrize("study, k", [("inference", 4), ("policy", 4), ("convergence", 2)])
+def test_parse_config_needs_enough_periods_for_the_study(capsys, tmp_path, study, k):
+    assert parse_config(base_config_dict(study=study, T=10 * k, m=10)).T == 10 * k
+    with pytest.raises(ConfigError, match=f"need T >= {k}m for study {study!r}"):
+        parse_config(base_config_dict(study=study, T=10 * k - 1, m=10))
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, study=study, T=10 * k - 1, m=10, outputs=str(out))
+    code, _, err = run_cli(capsys, ["simulate", str(cfg_path)])
+    assert code == 2 and "need T >=" in err and not out.exists()
+
+
 def test_parse_config_keys_are_run_config_fields():
     schema = dataclasses.fields(RunConfig)
     required = [f.name for f in schema if f.default is dataclasses.MISSING]
@@ -724,11 +744,13 @@ def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):
     assert len(doc["matching"]["pairs"]) == 8
     assert (tmp_path / "p" / "matching.json").is_file()
     assert (tmp_path / "p" / "evaluation.json").is_file()
-    from matchlearn import matching_from_json, optimal_one_to_one
+    from matchlearn import optimal_one_to_one
 
     expected = optimal_one_to_one(truth.values)
-    written = matching_from_json((tmp_path / "p" / "matching.json").read_text())
-    assert written.pairs == expected.pairs
+    written = json.loads((tmp_path / "p" / "matching.json").read_text())
+    assert (written["d1"], written["d2"]) == (expected.d1, expected.d2)
+    assert {tuple(p) for p in written["pairs"]} == expected.pairs
+    assert written == doc["matching"]
 
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
@@ -739,7 +761,8 @@ def test_cli_numerical_failure_exit_code(capsys, tmp_path):
     batch = ObservationBatch.from_periods(OneToOne(), 2, 3, 0.0, records)
     path = tmp_path / "zero.jsonl"
     save_batch(batch, path)
-    cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=2, m=1, sigma=0.0)
+    cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=2, m=1, sigma=0.0,
+                            study="convergence")
     code, _, err = run_cli(
         capsys, ["estimate", str(path), str(cfg_path), "--out", str(tmp_path / "e")]
     )

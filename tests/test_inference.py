@@ -29,7 +29,6 @@ from matchlearn import (
     project_rank_r,
     projection_magnitude,
     sample_matching,
-    split,
     standard_error,
 )
 
@@ -46,31 +45,25 @@ def make_problem(d1, d2, r, T, sigma, seed, scale=1.0, scheme=OneToOne()):
 
 
 # ---------------------------------------------------------------------------
-# split
+# the half split of prepare_inference
 # ---------------------------------------------------------------------------
 
-def test_split_even():
-    plan = split(4)
-    assert plan.half1 == (2, 4)
-    assert plan.half2 == (0, 2)
-    assert plan.t0 == 2 and plan.t_used == 4
+def test_prepare_inference_odd_t_drops_the_last_period():
+    truth, batch = make_problem(6, 12, 2, 41, 0.5, seed=92)
+    cfg = EstimatorConfig(r=2, eta=0.7, m=3, nu=1.0 / 12)
+    with pytest.warns(RemainderDroppedWarning, match="dropping 1 trailing observation"):
+        art = prepare_inference(batch, cfg)
+    even = prepare_inference(batch[:40], cfg)
+    assert art.t_used == even.t_used == 40
+    assert np.array_equal(art.m_hat, even.m_hat)
+    assert art.sigma_hat_sq == even.sigma_hat_sq
 
 
-def test_split_odd_drops_last_with_warning():
-    with pytest.warns(RemainderDroppedWarning):
-        plan = split(5)
-    assert plan.half1 == (2, 4) and plan.half2 == (0, 2)
-
-
-def test_split_survey_scale():
-    plan = split(1000)
-    assert plan.t0 == 500
-    assert plan.half1 == (500, 1000)
-
-
-def test_split_too_small():
-    with pytest.raises(ArgumentError):
-        split(1)
+def test_prepare_inference_needs_two_periods():
+    truth, batch = make_problem(6, 12, 2, 1, 0.5, seed=92)
+    cfg = EstimatorConfig(r=2, eta=0.7, m=1, nu=1.0 / 12)
+    with pytest.raises(ArgumentError, match="at least two observations"):
+        prepare_inference(batch, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +213,7 @@ def test_combine_is_symmetric_under_half_swap():
         batch.d1,
         batch.d2,
         batch.sigma,
-        [(rec.matching.rows, rec.matching.cols, rec.y)
+        [(rec.rows, rec.cols, rec.y)
          for rec in batch.records[400:] + batch.records[:400]],
     )
     m_b = prepare_inference(swapped, cfg).m_hat

@@ -8,16 +8,12 @@ from scipy.optimize import linear_sum_assignment
 import matchlearn.policy as policy_mod
 from matchlearn import (
     ArgumentError,
-    DataFormatError,
     EstimatorConfig,
     Matching,
     NonFiniteResultError,
     OneToOne,
-    PolicyEvaluation,
     evaluate_policy,
     generate_low_rank,
-    matching_from_json,
-    matching_to_json,
     matching_to_linear_form,
     observe,
     optimal_one_to_one,
@@ -235,42 +231,6 @@ def test_full_matching_l1_norm_is_d1():
 
 
 # ---------------------------------------------------------------------------
-# matching JSON round-trip
-# ---------------------------------------------------------------------------
-
-def test_matching_json_round_trip():
-    mat = Matching(3, 6, [0, 1, 2], [5, 2, 0])
-    back = matching_from_json(matching_to_json(mat))
-    assert back.pairs == mat.pairs and back.d1 == 3 and back.d2 == 6
-    q1 = matching_to_linear_form(mat)
-    q2 = matching_to_linear_form(back)
-    assert np.array_equal(q1.rows, q2.rows) and np.array_equal(q1.cols, q2.cols)
-
-
-def test_matching_json_rejects_malformed_input():
-    with pytest.raises(DataFormatError):
-        matching_from_json("{not json")
-    with pytest.raises(DataFormatError):
-        matching_from_json('{"d1": 2, "pairs": []}')
-    with pytest.raises(DataFormatError):
-        matching_from_json('{"d1": 2, "d2": 2, "pairs": [[0, 0], [1]]}')
-    with pytest.raises(DataFormatError):
-        matching_from_json('{"d1": 2, "d2": 2, "pairs": [[0, 0], [1, 0]]}')
-    for dims in ('"d1": 1.9, "d2": 3', '"d1": true, "d2": 3', '"d1": 1, "d2": "3"'):
-        with pytest.raises(DataFormatError):
-            matching_from_json(f'{{{dims}, "pairs": [[0, 0]]}}')
-
-
-@pytest.mark.parametrize(
-    "pairs", ["[[0.9, 1.7]]", '[["1", "2"]]', "[[true, 1]]", "[[0, 1], [1, false]]"],
-    ids=["float", "string", "bool", "mixed_bool"],
-)
-def test_matching_json_takes_integer_pairs_only(pairs):
-    with pytest.raises(DataFormatError):
-        matching_from_json(f'{{"d1": 3, "d2": 4, "pairs": {pairs}}}')
-
-
-# ---------------------------------------------------------------------------
 # evaluate_policy
 # ---------------------------------------------------------------------------
 
@@ -282,20 +242,7 @@ def test_evaluate_policy_noiseless_recovers_optimal_value():
     mat = optimal_one_to_one(art.m_hat)
     true_mat = optimal_one_to_one(truth.values)
     assert mat.pairs == true_mat.pairs
-    ev = evaluate_policy(art, mat)
+    res = evaluate_policy(art, mat)
     true_value = matching_to_linear_form(true_mat).inner(truth.values)
-    assert ev.total_reward_estimate == pytest.approx(true_value, abs=1e-5)
-    assert ev.inference.ci_low <= ev.total_reward_estimate <= ev.inference.ci_high
-
-
-def test_policy_evaluation_rejects_mismatched_inference():
-    truth = generate_low_rank(6, 9, 1, 1.0, np.random.default_rng([143, 1]))
-    batch = observe(truth, OneToOne(), 400, 0.1, np.random.default_rng([143, 2]))
-    cfg = EstimatorConfig(r=1, eta=0.75, m=2, nu=1.0 / 9)
-    art = prepare_inference(batch, cfg)
-    mat = optimal_one_to_one(art.m_hat)
-    ev = evaluate_policy(art, mat)
-    other = Matching(6, 9, [0], [0])
-    if other.pairs != mat.pairs:
-        with pytest.raises(ArgumentError):
-            PolicyEvaluation(other, ev.total_reward_estimate, ev.inference)
+    assert res.point == pytest.approx(true_value, abs=1e-5)
+    assert res.ci_low <= res.point <= res.ci_high

@@ -78,7 +78,7 @@ def draw_matchings(scheme, d1: int, d2: int, n: int, rng, via: str) -> list:
                 (sample_matching(scheme, d1, d2, rng) for _ in range(n))]
     truth = generate_low_rank(d1, d2, 1, 1.0, np.random.default_rng(0))
     batch = observe(truth, scheme, n, 0.0, rng)
-    return [(rec.matching.rows, rec.matching.cols) for rec in batch.records]
+    return [(rec.rows, rec.cols) for rec in batch.records]
 
 
 VIAS = ("sample_matching", "observe")
@@ -260,7 +260,7 @@ def test_observe_noiseless_rewards_are_exact():
     m = generate_low_rank(4, 8, 2, 5.0, np.random.default_rng(43))
     batch = observe(m, OneToOne(), 50, 0.0, np.random.default_rng(44))
     for rec in batch.records:
-        expected = m.values[rec.matching.rows, rec.matching.cols]
+        expected = m.values[rec.rows, rec.cols]
         assert np.array_equal(rec.y, expected)
 
 
@@ -272,7 +272,7 @@ def test_observe_noise_mean_and_variance():
     pool = np.array([
         rec.y[k]
         for rec in batch.records
-        for k in np.flatnonzero((rec.matching.rows == 0) & (rec.matching.cols == 0))
+        for k in np.flatnonzero((rec.rows == 0) & (rec.cols == 0))
     ])
     assert pool.size >= 9500  # ~ T * nu = 10^4 revealed instances
     assert abs(pool.mean() - target) <= 4 * sigma / 100
@@ -287,9 +287,9 @@ def test_observe_noise_scales_linearly_with_sigma():
     b1 = observe(m, OneToOne(), 20, 1.0, np.random.default_rng(7))
     b2 = observe(m, OneToOne(), 20, 2.0, np.random.default_rng(7))
     for r1, r2 in zip(b1.records, b2.records):
-        assert np.array_equal(r1.matching.cols, r2.matching.cols)
-        resid1 = r1.y - m.values[r1.matching.rows, r1.matching.cols]
-        resid2 = r2.y - m.values[r2.matching.rows, r2.matching.cols]
+        assert np.array_equal(r1.cols, r2.cols)
+        resid1 = r1.y - m.values[r1.rows, r1.cols]
+        resid2 = r2.y - m.values[r2.rows, r2.cols]
         assert np.allclose(resid2, 2.0 * resid1, rtol=0, atol=1e-15)
 
 
@@ -308,7 +308,7 @@ def test_observation_frequency_matches_nu(scheme, d1, d2, T):
     batch = observe(m, scheme, T, 0.0, np.random.default_rng(61))
     i, j = d1 - 1, d2 - 1
     count = sum(
-        bool(np.any((rec.matching.rows == i) & (rec.matching.cols == j)))
+        bool(np.any((rec.rows == i) & (rec.cols == j)))
         for rec in batch.records
     )
     assert abs(count / T - est.nu) <= 4 * np.sqrt(est.nu / T)
@@ -461,8 +461,8 @@ def test_batch_jsonl_round_trip_and_determinism(tmp_path):
     assert (back.d1, back.d2, back.sigma, back.seed) == (3, 7, 0.5, 5)
     assert len(back) == len(batch)
     for r1, r2 in zip(back.records, batch.records):
-        assert np.array_equal(r1.matching.rows, r2.matching.rows)
-        assert np.array_equal(r1.matching.cols, r2.matching.cols)
+        assert np.array_equal(r1.rows, r2.rows)
+        assert np.array_equal(r1.cols, r2.cols)
         assert np.array_equal(r1.y, r2.y)
 
 
