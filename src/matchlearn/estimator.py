@@ -173,7 +173,9 @@ def solve_G(
     rows, cols, y = batch.rows, batch.cols, batch.y
     if rows.size == 0:
         raise ArgumentError("need at least one revealed entry to fit G")
-    feats = (u[rows][:, :, None] * v[cols][:, None, :]).reshape(rows.size, r * r)
+    # Row k of the design is vec(u_i v_j^T): each entry one product, no broadcast temporaries.
+    feats = np.einsum("ki,kj->kij", u.take(rows, axis=0), v.take(cols, axis=0)).reshape(
+        rows.size, r * r)
     a = feats.T @ feats
     eigs = np.linalg.eigvalsh(a)
     if eigs[-1] <= 0.0 or eigs[0] < MIN_G_SINGULAR * eigs[-1]:

@@ -595,10 +595,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_batch_and_config(args):
+def _load_batch_and_config(args, k: int):
+    """The batch and config of ``estimate`` (k=2) or ``infer``/``policy`` (k=4),
+    checked to agree and the batch to hold the ``k * m`` periods the command fits."""
     batch = load_batch(args.batch)
     cfg = load_config(args.config)
     problems = []
+    if len(batch) < k * cfg.m:
+        problems.append(f"{args.command} needs a batch of T >= {k}m periods, "
+                        f"got T={len(batch)}, m={cfg.m}")
     if (batch.d1, batch.d2) != (cfg.d1, cfg.d2):
         problems.append(
             f"batch dims ({batch.d1}, {batch.d2}) != config dims "
@@ -639,7 +644,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    batch, cfg = _load_batch_and_config(args)
+    batch, cfg = _load_batch_and_config(args, 2)
     outdir = _resolve_out(args, cfg)
     ecfg = _estimator_config(cfg)
     m_init, trace = fit(batch, ecfg)
@@ -655,7 +660,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    batch, cfg = _load_batch_and_config(args)
+    batch, cfg = _load_batch_and_config(args, 4)
     ecfg = _estimator_config(cfg)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
     artifacts = prepare_inference(batch, ecfg)
@@ -671,7 +676,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    batch, cfg = _load_batch_and_config(args)
+    batch, cfg = _load_batch_and_config(args, 4)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
     res = evaluate_policy(artifacts, matching, alpha=cfg.alpha)

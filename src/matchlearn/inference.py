@@ -8,6 +8,7 @@ form <M, Q> with a plug-in variance built from held-out residuals.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,36 +67,39 @@ def estimate_sigma(
 ) -> float:
     """Held-out residual variance: each half scored against the other's fit.
 
-    Per-period residual sums are normalized by that period's revealed
-    count, then averaged over all ``t_used`` periods.  Empty matchings
-    carry no residual information and are skipped with a warning.
+    Each period's squared residuals are summed left to right, in entry
+    order, and divided by that period's revealed count; ``math.fsum``
+    adds these means exactly, and the total is divided by ``t_used``.
+    Empty matchings carry no residual information and are skipped with
+    a warning.
     """
     if t_used < 1:
         raise ArgumentError("t_used must be >= 1")
-    total = 0.0
-    used = 0
-    skipped = 0
+    parts = []
     with np.errstate(over="ignore", invalid="ignore"):
         for half, m_init in ((half2, m1_init), (half1, m2_init)):
-            resid = half.y - m_init[half.rows, half.cols]
-            bounds = half.offsets.tolist()
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if a == b:
-                    skipped += 1
-                    continue
-                # One dot product per period, as the variance is defined:
-                # summing all periods in one pass would round differently.
-                part = resid[a:b]
-                total += float(part @ part) / (b - a)
-                used += 1
+            sq = half.y - m_init[half.rows, half.cols]
+            np.square(sq, out=sq)
+            counts = np.diff(half.offsets)
+            # bincount adds each period's entries in order, unlike add.reduceat.
+            period = np.repeat(np.arange(counts.size), counts)
+            sums = np.bincount(period, weights=sq, minlength=counts.size)
+            seen = counts > 0
+            parts.append(sums[seen] / counts[seen])
+    means = np.concatenate(parts)
+    skipped = len(half1) + len(half2) - means.size
     if skipped:
         warnings.warn(
             f"skipped {skipped} empty matching(s) in the variance estimate",
             EmptyMatchingWarning,
             stacklevel=2,
         )
-    if used == 0:
+    if means.size == 0:
         raise UndefinedVarianceError("no revealed entries; noise variance is undefined")
+    try:
+        total = math.fsum(means)
+    except OverflowError:  # finite means whose exact sum exceeds the float range
+        total = math.inf
     return _require_finite(total, "residual variance") / t_used
 
 

@@ -23,6 +23,7 @@ study draws from its own ``[seed, salt, rep]`` stream.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, fields
@@ -165,6 +166,7 @@ class TwoSided:
         matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
         return float(np.sum(self.arrival_pmf(d1, d2) * matched)) / (d1 * d2)
 
+    @functools.lru_cache(maxsize=8)
     def arrival_pmf(self, d1: int, d2: int) -> np.ndarray:
         """Joint pmf of the arrival counts: entry ``[b_r, b_s]`` is P(B_r = b_r, B_s = b_s).
 
@@ -172,7 +174,9 @@ class TwoSided:
         truncation region of the (d1+1) x (d2+1) grid and normalised in
         log space, so a region of tiny total mass does not underflow.
         Raises InfeasibleTruncationError, before any draw, when the
-        region holds no cell.
+        region holds no cell.  The table is read-only and memoised per
+        ``(scheme, d1, d2)``, so ``feasible``, ``nu``, ``sampler`` and
+        every fit's ν check in a study share one build.
         """
         _positive_dims(d1, d2)
         b_r, b_s = np.arange(d1 + 1)[:, None], np.arange(d2 + 1)
@@ -185,7 +189,9 @@ class TwoSided:
             )
         log_pmf = np.where(kept, _binom_logpmf(d1, self.p1)[:, None]
                            + _binom_logpmf(d2, self.p2), -np.inf)
-        return np.exp(log_pmf - logsumexp(log_pmf))
+        pmf = np.exp(log_pmf - logsumexp(log_pmf))
+        pmf.flags.writeable = False
+        return pmf
 
     def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator, int], tuple]:
         """The draw ``(rng, n) -> (B_r, B_s)``: n uniforms inverted through the cumulated
@@ -368,6 +374,8 @@ class ObservationBatch:
         return self.offsets.size - 1
 
     def __getitem__(self, periods: slice) -> "ObservationBatch":
+        if not isinstance(periods, slice):
+            raise ArgumentError(f"batches are indexed by period slices, got {periods!r}")
         start, stop, step = periods.indices(len(self))
         if step != 1:
             raise ArgumentError("batch slices must be contiguous")

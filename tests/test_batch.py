@@ -7,6 +7,7 @@ period's row permutation (two-sided), then each period's column
 permutation, then each period's noise.  Every comparison here is exact.
 """
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from matchlearn import (
     ArgumentError,
     DataFormatError,
+    EmptyMatchingWarning,
     LinearForm,
     Matching,
     ObservationBatch,
@@ -57,6 +59,21 @@ def reference_periods(m, scheme, T, sigma, rng):
     return [(mat.rows, mat.cols,
              m.values[mat.rows, mat.cols] + sigma * rng.standard_normal(mat.size))
             for mat in mats]
+
+
+def sigma_oracle(halves):
+    """Exact sum over nonempty periods of their mean squared residual, and the empty count."""
+    means, skipped = [], 0
+    for periods, m_fit in halves:
+        for rows, cols, y in periods:
+            total = 0.0
+            for e in np.asarray(y) - m_fit[rows, cols]:
+                total += e * e
+            if len(rows):
+                means.append(total / len(rows))
+            else:
+                skipped += 1
+    return math.fsum(means), skipped
 
 
 def make_pair(scheme, seed, d1=6, d2=20, T=40):
@@ -106,14 +123,26 @@ def test_batch_functions_equal_per_period_loops(kind):
     g = np.linalg.solve(feats.T @ feats, feats.T @ y).reshape(2, 2)
     assert np.array_equal(solve_G(u, v, view, 2), g)
 
+    # sigma^2 by its definition: each period's squares added left to right,
+    # the per-period means added exactly.
     m1, m2 = truth.values + 0.01, truth.values - 0.02
-    total = 0.0
-    for half, m_fit in ((periods[:20], m1), (periods[20:], m2)):
-        for rows, cols, y in half:
-            if rows.size:
-                resid = y - m_fit[rows, cols]
-                total += float(resid @ resid) / rows.size
+    total, _ = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
     assert estimate_sigma(m1, m2, batch[20:], batch[:20], 40) == total / 40
+
+
+def test_sigma_skips_empty_periods_anywhere_in_either_half():
+    # Empty periods in the middle and at the end of both halves (periods
+    # 0-19 are half 2, 20-39 half 1), and one at the start of half 1.
+    truth, _, periods = make_pair(SCHEMES["two_sided"], seed=11)
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    for t in (7, 19, 20, 31, 39):
+        periods[t] = empty
+    batch = ObservationBatch.from_periods(SCHEMES["two_sided"], *truth.shape, 0.7, periods)
+    m1, m2 = truth.values + 0.01, truth.values - 0.02
+    total, skipped = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
+    assert skipped == 5
+    with pytest.warns(EmptyMatchingWarning, match="skipped 5 empty"):
+        assert estimate_sigma(m1, m2, batch[20:], batch[:20], 40) == total / 40
 
 
 def test_slices_are_views_of_the_parent():
@@ -129,6 +158,9 @@ def test_slices_are_views_of_the_parent():
     assert np.array_equal(inner.y, batch.y[lo : batch.offsets[18]])
     with pytest.raises(ValueError):
         view.y[0] = 0.0  # read-only, like the parent
+    for key in (3, "a", slice(0, 10, 2)):
+        with pytest.raises(ArgumentError):
+            batch[key]
 
 
 def test_validator_rejects_a_column_repeated_within_one_period():

@@ -309,6 +309,18 @@ def test_run_simulation_convergence_study(tmp_path):
     assert doc["ks_distance"] is None and doc["coverage"] is None
 
 
+def test_run_simulation_builds_the_two_sided_arrival_table_once(tmp_path):
+    # Parsing, nu, each replication's sampler and each half-fit's nu check
+    # all read the one memoised table.
+    scheme = {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, "c_s": 0.3, "gamma": 0.2}
+    TwoSided.arrival_pmf.cache_clear()
+    cfg = parse_config(base_config_dict(scheme=scheme, replications=3,
+                                        outputs=str(tmp_path / "o")))
+    assert run_simulation(cfg).n_success == 3
+    calls = TwoSided.arrival_pmf.cache_info()  # misses: runs of the uncached builder
+    assert calls.misses == 1 and calls.hits >= 3 * 3
+
+
 def test_run_simulation_policy_study(tmp_path):
     cfg = parse_config(
         base_config_dict(d1=5, d2=8, T=240, m=2, sigma=0.2, replications=4,
@@ -768,6 +780,22 @@ def test_cli_numerical_failure_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert json.loads(err)["error"] == "DegenerateInitError"
+
+
+@pytest.mark.parametrize("command, k", [("estimate", 2), ("infer", 4), ("policy", 4)])
+def test_cli_rejects_a_batch_shorter_than_the_command_fits(capsys, tmp_path, command, k):
+    # The config's T passes its own rule; the batch file's period count is checked too.
+    truth = generate_low_rank(6, 9, 1, 1.0, np.random.default_rng(0))
+    path = tmp_path / "short.jsonl"
+    save_batch(observe(truth, OneToOne(), 2 * k - 1, 0.5, np.random.default_rng(1)), path)
+    cfg_path = write_config(tmp_path, m=2)
+    argv = [command, str(path), str(cfg_path), "--out", str(tmp_path / "o")]
+    code, _, err = run_cli(capsys, argv + (["--q", "entry(0,0)"] if command == "infer" else []))
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert f"needs a batch of T >= {k}m periods, got T={2 * k - 1}, m=2" in doc["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("big_periods", [[25], list(range(40))], ids=["one_period", "all"])

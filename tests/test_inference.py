@@ -261,6 +261,10 @@ def test_estimate_sigma_overflow_is_a_numerical_error():
     rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [1e200])])
     with pytest.raises(NonFiniteResultError, match="residual variance"):
         estimate_sigma(m0, m0, rec, rec, t_used=2)
+    # Finite per-period means (1e308 each) whose exact sum overflows.
+    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [1e154])])
+    with pytest.raises(NonFiniteResultError, match="residual variance"):
+        estimate_sigma(m0, m0, rec, rec, t_used=2)
 
 
 def test_estimate_sigma_concentrates_around_noise_variance():

@@ -214,6 +214,14 @@ def test_truncated_binomial_infeasible_region_errors():
     assert rng.bit_generator.state == state
 
 
+def test_arrival_table_is_read_only_and_shared_by_equal_schemes():
+    table = TwoSided(0.8, 0.8, 0.3, 0.3, 0.2).arrival_pmf(20, 60)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert TwoSided(0.8, 0.8, 0.3, 0.3, 0.2).arrival_pmf(20, 60) is table
+    assert TwoSided(0.8, 0.8, 0.3, 0.3, 0.2).arrival_pmf(20, 61) is not table
+
+
 def test_truncated_binomial_rejects_bad_parameters():
     # TwoSided holds the only copy of the arrival parameters' checks.
     with pytest.raises(ArgumentError):
