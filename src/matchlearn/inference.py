@@ -75,18 +75,7 @@ def estimate_sigma(
     """
     if t_used < 1:
         raise ArgumentError("t_used must be >= 1")
-    parts = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for half, m_init in ((half2, m1_init), (half1, m2_init)):
-            sq = half.y - m_init[half.rows, half.cols]
-            np.square(sq, out=sq)
-            counts = np.diff(half.offsets)
-            # bincount adds each period's entries in order, unlike add.reduceat.
-            period = np.repeat(np.arange(counts.size), counts)
-            sums = np.bincount(period, weights=sq, minlength=counts.size)
-            seen = counts > 0
-            parts.append(sums[seen] / counts[seen])
-    means = np.concatenate(parts)
+    means = np.concatenate([_period_means(half2, m1_init), _period_means(half1, m2_init)])
     skipped = len(half1) + len(half2) - means.size
     if skipped:
         warnings.warn(
@@ -101,6 +90,22 @@ def estimate_sigma(
     except OverflowError:  # finite means whose exact sum exceeds the float range
         total = math.inf
     return _require_finite(total, "residual variance") / t_used
+
+
+def _period_means(half: ObservationBatch, m_fit: np.ndarray) -> np.ndarray:
+    """Each nonempty period's mean squared residual of ``half`` against ``m_fit``.
+
+    A function of its own, so one half's temporaries are freed before the next half's.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = half.y - m_fit[half.rows, half.cols]
+        np.square(sq, out=sq)
+        counts = np.diff(half.offsets)
+        # bincount adds each period's entries in order, unlike add.reduceat.
+        sums = np.bincount(np.repeat(np.arange(counts.size), counts), weights=sq,
+                           minlength=counts.size)
+        seen = counts > 0
+        return sums[seen] / counts[seen]
 
 
 def standard_error(sigma_hat_sq: float, proj_mag_hat: float, t: int, nu: float) -> float:

@@ -294,7 +294,9 @@ class LinearForm:
             if not isinstance(e, dict) or not {"i", "j", "w"} <= set(e):
                 raise DataFormatError(f"linear form entry {k} missing i/j/w")
             try:
-                i, j = _int_pairs([[e["i"], e["j"]]])[0].tolist()
+                i, j = _json_int(e["i"], "i"), _json_int(e["j"], "j")
+                if not (-2**63 <= min(i, j) and max(i, j) < 2**63):
+                    raise ValueError("outside int64")
             except ValueError:
                 raise DataFormatError(
                     f"linear form entry {k}: i and j must be JSON integers") from None
@@ -306,22 +308,6 @@ class LinearForm:
             return cls.from_triplets(d1, d2, triplets)
         except ArgumentError as exc:
             raise DataFormatError(str(exc)) from exc
-
-
-def _int_pairs(pairs, maybe_bool: bool = True) -> np.ndarray:
-    """JSON ``pairs`` as an (n, 2) int64 array, else ValueError.
-
-    Every pair must be a list of exactly two JSON integers.  numpy reads
-    booleans mixed with numbers as 0/1, so they are looked for one by
-    one unless ``maybe_bool`` is false (the text spells no boolean).
-    """
-    arr = np.asarray(pairs)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2).astype(np.int64)
-    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 2 \
-            or maybe_bool and any(type(v) is bool for p in pairs for v in p):
-        raise ValueError("pairs must be a list of [row, col] integer pairs")
-    return arr
 
 
 def _json_int(value, name: str) -> int:

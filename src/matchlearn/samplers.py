@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, ClassVar, Union
@@ -39,7 +40,7 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix, _int_pairs, _json_int, _json_real
+from .matmodel import RewardMatrix, _json_int, _json_real
 
 
 # draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
@@ -253,37 +254,42 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
     Raises ArgumentError with the first offending ``period`` if an index is out of
     range, a reward is not finite, a column repeats within a period, or a
     period's row multiplicities violate ``scheme``.  Time and memory are
-    O(entries + periods) whatever ``d1`` and ``d2`` a file header claims.
+    O(entries + periods) whatever ``d1`` and ``d2`` a file header claims; beyond
+    one boolean mask at a time, the only per-entry temporary is one int64 key array.
     """
     n = offsets.size - 1
-    period = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    counts = np.diff(offsets)
 
     def fail(message: str, t) -> None:
         raise ArgumentError(message + (f" in period {t}" if n > 1 else ""), period=int(t))
+
+    def fail_at(message: str, bad: np.ndarray) -> None:
+        """Fail in the period of the first entry flagged ``bad``, if any is."""
+        if bad.any():
+            fail(message, np.searchsorted(offsets, bad.argmax(), side="right") - 1)
 
     def first_repeat(index: np.ndarray, limit: int):
         """First period holding one ``index`` value more than ``limit`` times, or None."""
         width = int(index.max(initial=0)) + 1
         if n * width > np.iinfo(np.int64).max:
-            fail("indices too large to validate", period[index.argmax()])
-        keys = np.sort(period * width + index)
+            fail_at("indices too large to validate", index == index.max())
+        keys = np.repeat(np.arange(n, dtype=np.int64) * width, counts)
+        keys += index
+        keys.sort()
         over = keys[limit:][keys[limit:] == keys[:-limit]]
         return over[0] // width if over.size else None
 
-    entry_checks = [("row index out of range", (rows < 0) | (rows >= d1)),
-                    ("column index out of range", (cols < 0) | (cols >= d2))]
+    fail_at("row index out of range", (rows < 0) | (rows >= d1))
+    fail_at("column index out of range", (cols < 0) | (cols >= d2))
     if y is not None:
-        entry_checks.append(("rewards must be finite", ~np.isfinite(y)))
-    for message, bad in entry_checks:
-        if bad.any():
-            fail(message, period[bad.argmax()])
+        fail_at("rewards must be finite", ~np.isfinite(y))
     t = first_repeat(cols, 1)
     if t is not None:
         fail("a column appears more than once", t)
     if scheme is None:
         return
     limit, every_row, message = scheme.row_rule
-    bad = np.diff(offsets) != d1 if every_row else np.zeros(n, dtype=bool)
+    bad = counts != d1 if every_row else np.zeros(n, dtype=bool)
     t = first_repeat(rows, limit)
     if t is not None:
         bad[t] = True
@@ -465,22 +471,42 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _parse_record(line: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A record's rows, cols and y from integer ``pairs`` and numeric ``y``, else ValueError."""
+def _append_record(line: str, columns: tuple[array, array, array]) -> int:
+    """Append a record's integer ``pairs`` and numeric ``y`` to ``columns`` and return
+    its count, else ValueError with nothing appended.
+
+    numpy reads booleans mixed with numbers as 0/1, so they are looked for one
+    by one when the text spells a boolean.
+    """
     obj = json.loads(line)
     if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
         raise ValueError("missing pairs/y")
     maybe_bool = "true" in line or "false" in line
-    pairs, y = _int_pairs(obj["pairs"], maybe_bool), np.asarray(obj["y"])
+    try:
+        pairs = np.asarray(obj["pairs"])
+    except ValueError:  # ragged (a pair of another length, or holding a list): rejected below
+        pairs = np.asarray(None)
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2).astype(np.int64)
+    if pairs.dtype.kind != "i" or pairs.shape[1:] != (2,) \
+            or maybe_bool and any(type(v) is bool for p in obj["pairs"] for v in p):
+        raise ValueError("pairs must be a list of [row, col] integer pairs")
+    y = np.asarray(obj["y"])
     if y.dtype.kind not in "iuf" or y.shape != (len(pairs),) \
             or maybe_bool and any(type(v) is bool for v in obj["y"]):
         raise ValueError("y must be a list of one number per pair")
-    return pairs[:, 0], pairs[:, 1], y
+    for column, values in zip(columns, (pairs[:, 0], pairs[:, 1], y.astype(float))):
+        column.frombytes(values.tobytes())
+    return len(y)
 
 
 def load_batch(path: str | Path) -> ObservationBatch:
-    """Inverse of :func:`save_batch`; DataFormatError names the first malformed line."""
-    periods, line_of = [], []
+    """Inverse of :func:`save_batch`; DataFormatError names the first malformed line.
+
+    Records stream onto three growable typed columns, which the batch then
+    holds without a copy: about 24 bytes per entry.
+    """
+    columns, counts, line_of = tuple(array(code) for code in "qqd"), [], []
     try:
         with open(path) as fh:
             first = fh.readline()
@@ -504,14 +530,16 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 if not line.strip():
                     continue
                 try:
-                    periods.append(_parse_record(line))
+                    counts.append(_append_record(line, columns))
                 except (ValueError, RecursionError) as exc:
                     raise DataFormatError(f"bad batch record on line {k}: {exc}") from exc
                 line_of.append(k)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read batch file {path}: {exc}") from exc
+    rows, cols, y = (np.frombuffer(column, column.typecode) for column in columns)
+    offsets = np.cumsum([0] + counts)
     try:
-        return ObservationBatch.from_periods(scheme, d1, d2, sigma, periods, seed=seed)
+        return ObservationBatch(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
     except ArgumentError as exc:
         where = "" if exc.period is None else f"record on line {line_of[exc.period]}: "
         raise DataFormatError(f"{where}{exc}") from exc

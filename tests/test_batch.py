@@ -8,6 +8,7 @@ permutation, then each period's noise.  Every comparison here is exact.
 """
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,31 @@ def test_validator_names_the_period_of_a_bad_index_or_reward():
         with pytest.raises(ArgumentError, match="in period 1") as info:
             ObservationBatch.from_periods(OneToOne(), 3, 4, 0.0, [good, bad, good])
         assert info.value.period == 1
+
+
+@pytest.mark.parametrize("kind", ["one_to_one", "one_to_many"])
+def test_loading_and_validating_a_batch_hold_little_beyond_its_columns(kind, tmp_path):
+    """Each entry is held once while loading, and validation adds one 8-byte key per entry.
+
+    Peaks are traced allocations, against the bytes of the rows, cols and y returned.
+    """
+    truth = generate_low_rank(50, 150, 2, 3.0, np.random.default_rng(1))
+    path = tmp_path / "batch.jsonl"
+    save_batch(observe(truth, SCHEMES[kind], 400, 0.5, np.random.default_rng(2)), path)
+    tracemalloc.start()
+    try:
+        batch = load_batch(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        ObservationBatch(batch.scheme, batch.d1, batch.d2, batch.sigma, batch.rows, batch.cols,
+                         batch.y, batch.offsets)
+        build_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = batch.rows.nbytes + batch.cols.nbytes + batch.y.nbytes
+    assert load_peak <= 2.0 * size
+    assert build_peak <= 0.6 * size
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,14 @@ def test_linear_form_from_json_rejects_malformed():
     '{"i": true, "j": 1, "w": 1}',
     '{"i": 0, "j": [1], "w": 1}',
     '{"i": 0, "j": 100000000000000000000000, "w": 1}',
+    '{"i": 9223372036854775808, "j": 1, "w": 1}',
+    '{"i": 0, "j": 1180591620717411303424, "w": 1}',
     '{"i": 0, "j": 1, "w": true}',
     '{"i": 0, "j": 1, "w": "1"}',
     '{"i": 0, "j": 1, "w": null}',
     '{"i": 0, "j": 1, "w": NaN}',
     '{"i": 0, "j": 1, "w": 1e999}',
-], ids=["string_i", "float_i", "string_j", "bool_i", "list_j", "huge_j",
+], ids=["string_i", "float_i", "string_j", "bool_i", "list_j", "huge_j", "i_2**63", "j_2**70",
         "bool_w", "string_w", "null_w", "nan_w", "inf_w"])
 def test_linear_form_from_json_takes_integer_indices_and_numeric_weights(entry):
     # Entry 1 is malformed; the error names it.

@@ -515,6 +515,42 @@ def test_load_batch_rejects_malformed_pairs(tmp_path, pairs, y):
         load_batch(path)
 
 
+_ONE_TO_ONE_2x4 = '{"scheme": {"kind": "one_to_one"}, "d1": 2, "d2": 4, "sigma": 0.5}'
+_TWO_SIDED_3x4 = ('{"scheme": {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, '
+                  '"c_s": 0.3, "gamma": 0.2}, "d1": 3, "d2": 4, "sigma": 0.0}')
+_GOOD_2x4 = '{"t": 1, "pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'
+
+
+@pytest.mark.parametrize("lines, verdict", [
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, 1], [1, %d]], "y": [1.0, 2.0]}' % 2**63],
+     "bad batch record on line 3: pairs must be a list of [row, col] integer pairs"),
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[%d, 1], [1, 2]], "y": [1.0, 2.0]}' % -2**63],
+     "record on line 3: row index out of range in period 1"),
+    ([_TWO_SIDED_3x4, '{"pairs": [[0, 1]], "y": [1.0]}', '{"pairs": [], "y": []}'], [0, 1, 1]),
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, "[1, 2]"], "bad batch record on line 3: missing pairs/y"),
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, "", "   ", '{"pairs": [[0, 1], [1, 1]], "y": [1.0, 2.0]}'],
+     "record on line 5: a column appears more than once in period 1"),
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, "", _GOOD_2x4], [0, 2, 4]),
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, 1], [1, 2]], "y": [1.0, NaN]}'],
+     "record on line 3: rewards must be finite in period 1"),
+    ([_ONE_TO_ONE_2x4], [0]),
+    # numpy cannot read a nested pair as an array; the loader names the rule it breaks.
+    ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, [1]], [1, 2]], "y": [1.0, 2.0]}'],
+     "bad batch record on line 3: pairs must be a list of [row, col] integer pairs"),
+], ids=["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
+        "blank_line_good", "nan_y", "header_only", "nested_pair"])
+def test_load_batch_verdicts_at_the_edges(tmp_path, lines, verdict):
+    # An accepted file is given by its offsets, a rejected one by the full message.
+    path = tmp_path / "edge.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    if isinstance(verdict, str):
+        with pytest.raises(DataFormatError) as info:
+            load_batch(path)
+        assert str(info.value) == verdict
+    else:
+        assert load_batch(path).offsets.tolist() == verdict
+
+
 def test_load_batch_rejects_records_that_violate_the_scheme(tmp_path):
     path = tmp_path / "partial.jsonl"
     header = '{"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": null}\n'
