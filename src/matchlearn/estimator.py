@@ -89,21 +89,25 @@ class FactorState:
 class FitTrace:
     """Per-batch diagnostics of one fit; length equals the batch-pair count."""
 
-    batches: np.ndarray
     rel_max_err_sq: np.ndarray
     g_sigma_min: np.ndarray
     g_sigma_max: np.ndarray
     grad_norm: np.ndarray
 
     def __len__(self) -> int:
-        return self.batches.size
+        return self.rel_max_err_sq.size
+
+    @property
+    def batches(self) -> np.ndarray:
+        """The batch-pair numbers ``1..m``."""
+        return np.arange(1, len(self) + 1)
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             fh.write("batch,rel_max_err_sq,g_sigma_min,g_sigma_max,grad_norm\n")
             for k in range(len(self)):
                 fh.write(
-                    f"{int(self.batches[k])},{float(self.rel_max_err_sq[k])!r},"
+                    f"{k + 1},{float(self.rel_max_err_sq[k])!r},"
                     f"{float(self.g_sigma_min[k])!r},{float(self.g_sigma_max[k])!r},"
                     f"{float(self.grad_norm[k])!r}\n"
                 )
@@ -156,20 +160,16 @@ def spectral_init(
     return u, v
 
 
-def solve_G(
-    u: np.ndarray,
-    v: np.ndarray,
-    batch: ObservationBatch,
-    r: int,
-) -> np.ndarray:
+def solve_G(u: np.ndarray, v: np.ndarray, batch: ObservationBatch) -> np.ndarray:
     """Least-squares core: argmin_G sum over revealed (t,i,j) of (u_i^T G v_j - y)^2.
 
     Solved through its r^2 x r^2 normal equations, which stay tiny for
     the ranks this package targets.  The design must be well conditioned:
     smallest eigenvalue >= ``MIN_G_SINGULAR`` times the largest.
     """
-    if u.shape[1] != r or v.shape[1] != r:
-        raise ArgumentError("factor widths must equal r")
+    r = u.shape[1]
+    if v.shape[1] != r:
+        raise ArgumentError(f"factor widths differ: {r} and {v.shape[1]}")
     rows, cols, y = batch.rows, batch.cols, batch.y
     if rows.size == 0:
         raise ArgumentError("need at least one revealed entry to fit G")
@@ -224,7 +224,6 @@ def gradient_step(
     refit_batch: ObservationBatch,
     eta: float,
     nu: float,
-    n0: int,
 ) -> tuple[FactorState, float]:
     """One calibrated gradient step plus the follow-up core refit.
 
@@ -233,18 +232,19 @@ def gradient_step(
         U+ = (U - eta/(2 N0 nu) * grad @ V @ G^-1) @ L_G
         V+ = (V - eta/(2 N0 nu) * grad^T @ U @ G^-T) @ R_G
 
-    with ``(L_G, ., R_G)`` the SVD of the current core; both factors are
-    then re-orthonormalized by an SVD retraction and the core is refit
-    by least squares on ``refit_batch`` (the next batch, never the one
-    that produced the gradient).
+    with ``N0`` the periods in ``step_batch`` and ``(L_G, ., R_G)`` the
+    SVD of the current core; both factors are then re-orthonormalized by
+    an SVD retraction and the core is refit by least squares on
+    ``refit_batch`` (the next batch, never the one that produced the
+    gradient).
 
     Returns the new state and the Frobenius norm of the gradient.
     """
-    if n0 < 1:
-        raise ArgumentError("n0 must be >= 1")
+    if len(step_batch) == 0:
+        raise ArgumentError("need a nonempty step batch")
     _check_invertible(state)
     l_g, _, r_g = state.g_svd
-    coef = eta / (2.0 * n0 * nu)
+    coef = eta / (2.0 * len(step_batch) * nu)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = batch_loss_gradient(state.estimate, step_batch)
         grad_norm = float(np.linalg.norm(grad))
@@ -257,7 +257,7 @@ def gradient_step(
     r = state.G.shape[0]
     u_new = svd_r(_require_finite(u_half, "gradient step"), r)[0]
     v_new = svd_r(_require_finite(v_half, "gradient step"), r)[0]
-    g_new = solve_G(u_new, v_new, refit_batch, r)
+    g_new = solve_G(u_new, v_new, refit_batch)
     return FactorState(u_new, g_new, v_new), grad_norm
 
 
@@ -289,9 +289,7 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
             f"config.nu={config.nu!r} inconsistent with the batch scheme's "
             f"entrywise probability {nu!r}"
         )
-    ranges = partition_batches(len(batch), config.m)
-    n0 = ranges[0][1] - ranges[0][0]
-    slices = [batch[a:b] for a, b in ranges]
+    slices = [batch[a:b] for a, b in partition_batches(len(batch), config.m)]
 
     lam_min_sq = float(truth.singular_values[-1] ** 2) if truth is not None else np.nan
     rows = []  # (rel_max_err_sq, g_sigma_min, g_sigma_max, grad_norm) per batch pair
@@ -306,7 +304,7 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
 
     try:
         u, v = spectral_init(slices[0], config.nu, config.r)
-        g = solve_G(u, v, slices[1], config.r)
+        g = solve_G(u, v, slices[1])
         state = FactorState(u, g, v)
     except ArgumentError:
         raise
@@ -318,16 +316,10 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     for p in range(1, config.m):
         try:
             state, grad_norm = gradient_step(
-                state,
-                slices[2 * p],
-                slices[2 * p + 1],
-                config.eta,
-                config.nu,
-                n0,
-            )
+                state, slices[2 * p], slices[2 * p + 1], config.eta, config.nu)
         except Exception as exc:
             exc.args = (f"batch pair {p + 1}: {exc}",) + exc.args[1:]
             raise
         log_state(state, grad_norm)
 
-    return state.estimate, FitTrace(np.arange(1, config.m + 1), *np.array(rows).T)
+    return state.estimate, FitTrace(*np.array(rows).T)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -268,7 +267,7 @@ def parse_config(obj: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     try:
         obj = json.loads(text)
@@ -279,10 +278,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON form; parse_config(config_to_dict(c)) == c."""
-    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-           if not (f.name == "outputs" and cfg.outputs is None)}
-    out["scheme"] = scheme_to_json(cfg.scheme)
-    return out
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)} | {
+        "scheme": scheme_to_json(cfg.scheme)}
 
 
 def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearForm:
@@ -304,6 +301,8 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
         text = Path(tag[1]).read_text()
     except OSError as exc:
         raise ConfigError([f"cannot read q file {tag[1]}: {exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"q file {tag[1]} is not UTF-8 text: {exc}") from None
     return LinearForm.from_json(text, d1, d2)
 
 
@@ -366,21 +365,6 @@ def _policy_target(truth: RewardMatrix) -> tuple[Matching, float]:
     return mat, matching_to_linear_form(mat).inner(truth.values)
 
 
-def _effective_workers(cfg: RunConfig) -> int:
-    # summary.json echoes `workers`, so only the environment can change the
-    # parallelism of a study and keep its outputs byte-identical.
-    env = os.environ.get("MATCHLEARN_WORKERS")
-    if env is None:
-        return cfg.workers
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigError([f"MATCHLEARN_WORKERS must be an integer, got {env!r}"])
-    if workers < 1:
-        raise ConfigError([f"MATCHLEARN_WORKERS must be >= 1, got {workers}"])
-    return workers
-
-
 def run_simulation(config: RunConfig) -> ReplicationSummary:
     """Run a replication study and write its report files.
 
@@ -413,11 +397,10 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
 
     payloads = [(rep, config, ecfg, truth, q, target)
                 for rep in range(config.replications)]
-    workers = _effective_workers(config)
-    if workers == 1 or not payloads:
+    if config.workers == 1 or not payloads:
         results = [_run_replication(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_replication, payloads))
     results.sort(key=lambda r: r["rep"])
 
@@ -494,10 +477,11 @@ def _write_outputs(outdir, config, nu, truth, q, ok, summary) -> None:
     if config.study == "convergence":
         for r in ok:
             r["trace"].write_csv(outdir / f"trace_rep{r['rep']}.csv")
-    # The echoed config omits the output path so two runs of the same
-    # study into different directories produce identical bytes.
+    # The echoed config omits where and how wide the study ran, so runs of
+    # one study into any directory with any worker count give identical bytes.
     doc = {
-        "config": config_to_dict(replace(config, outputs=None)),
+        "config": {k: v for k, v in config_to_dict(config).items()
+                   if k not in ("outputs", "workers")},
         "nu": nu,
         "n_success": summary.n_success,
         "n_failed": summary.n_failed,
@@ -654,7 +638,7 @@ def _cmd_estimate(args) -> int:
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
         "nu": ecfg.nu,
-        "batches": len(trace.batches),
+        "batches": len(trace),
     }, sort_keys=True))
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -63,20 +63,18 @@ def estimate_sigma(
     m2_init: np.ndarray,
     half1: ObservationBatch,
     half2: ObservationBatch,
-    t_used: int,
 ) -> float:
     """Held-out residual variance: each half scored against the other's fit.
 
     Each period's squared residuals are summed left to right, in entry
     order, and divided by that period's revealed count; ``math.fsum``
-    adds these means exactly, and the total is divided by ``t_used``.
-    Empty matchings carry no residual information and are skipped with
-    a warning.
+    adds these means exactly, and the total is divided by the periods of
+    both halves.  Empty matchings carry no residual information and are
+    skipped with a warning.
     """
-    if t_used < 1:
-        raise ArgumentError("t_used must be >= 1")
+    t_used = len(half1) + len(half2)
     means = np.concatenate([_period_means(half2, m1_init), _period_means(half1, m2_init)])
-    skipped = len(half1) + len(half2) - means.size
+    skipped = t_used - means.size
     if skipped:
         warnings.warn(
             f"skipped {skipped} empty matching(s) in the variance estimate",
@@ -161,17 +159,8 @@ class InferenceResult:
             raise ArgumentError("interval must contain the point estimate")
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "sigma_hat_sq": self.sigma_hat_sq,
-            "proj_mag_hat": self.proj_mag_hat,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "z": self.z,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-        }
+        """Every field but the linear form ``q``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "q"}
 
 
 @dataclass(frozen=True)
@@ -213,7 +202,7 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     m2, _, _ = project_rank_r(debias(m2_init, half1, config.nu), config.r)
     m_hat = 0.5 * (m1 + m2)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
-    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2, 2 * t0)
+    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2)
     return EstimationArtifacts(
         m_hat=m_hat,
         u_hat=u_hat,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 ORTHONORMALITY_TOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-8
 SPECTRUM_TIE_RTOL = 1e-12
 PROJECTION_RADICAND_FLOOR = -1e-12
 
@@ -131,37 +130,29 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RewardMatrix:
-    """A dense reward matrix together with its rank-``r`` factorization."""
+    """A dense reward matrix ``U diag(s) V^T`` held with its rank-``r`` factors."""
 
-    values: np.ndarray
-    rank: int
     left_factors: np.ndarray
     singular_values: np.ndarray
     right_factors: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = _as_float_matrix(self.values, "values")
-        d1, d2 = values.shape
-        if d2 < d1:
-            raise ArgumentError(f"convention requires d2 >= d1, got {values.shape}")
-        r = self.rank
         u = _as_float_matrix(self.left_factors, "left_factors")
         v = _as_float_matrix(self.right_factors, "right_factors")
         s = np.asarray(self.singular_values, dtype=float)
-        if u.shape != (d1, r) or v.shape != (d2, r) or s.shape != (r,):
-            raise ArgumentError("factor shapes inconsistent with values and rank")
+        r = s.size
+        if s.shape != (r,) or r < 1 or u.shape[1] != r or v.shape[1] != r:
+            raise ArgumentError("factor shapes inconsistent with the singular values")
+        if v.shape[0] < u.shape[0]:
+            raise ArgumentError(f"convention requires d2 >= d1, got {(u.shape[0], v.shape[0])}")
         for name, q in (("left_factors", u), ("right_factors", v)):
             dev = np.max(np.abs(q.T @ q - np.eye(r)))
             if dev > ORTHONORMALITY_TOL:
                 raise ArgumentError(f"{name} not orthonormal (max deviation {dev:.2e})")
-        if np.any(s <= 0.0) or np.any(np.diff(s) > 0.0):
-            raise ArgumentError("singular values must be positive and nonincreasing")
-        recon = np.max(np.abs(values - (u * s) @ v.T))
-        if recon > RECONSTRUCTION_RTOL * s[0]:
-            raise ArgumentError(
-                f"values do not match factors (max deviation {recon:.2e})"
-            )
-        object.__setattr__(self, "values", _locked(values))
+        if not np.all((0.0 < s) & (s < np.inf)) or np.any(np.diff(s) > 0.0):
+            raise ArgumentError("singular values must be finite, positive and nonincreasing")
+        object.__setattr__(self, "values", _locked((u * s) @ v.T))
         object.__setattr__(self, "left_factors", _locked(u))
         object.__setattr__(self, "singular_values", _locked(s))
         object.__setattr__(self, "right_factors", _locked(v))
@@ -170,11 +161,9 @@ class RewardMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @classmethod
-    def from_factors(cls, u, s, v) -> "RewardMatrix":
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return cls((u * s) @ np.asarray(v, dtype=float).T, s.size, u, s, v)
+    @property
+    def rank(self) -> int:
+        return self.singular_values.size
 
 
 def generate_low_rank(
@@ -189,11 +178,10 @@ def generate_low_rank(
         raise ArgumentError(f"convention requires d2 >= d1, got ({d1}, {d2})")
     if not (1 <= r <= d1):
         raise ArgumentError(f"r={r} outside [1, {d1}]")
-    if not (scale > 0.0):
-        raise ArgumentError("scale must be positive")
+    if not (0.0 < scale <= sys.float_info.max / 2):  # 2*scale, the draw's range, is finite
+        raise ArgumentError(f"scale must be positive with 2*scale finite, got {scale}")
     a = rng.uniform(-scale, scale, size=(d1, d2))
-    u, s, v = svd_r(a, r)
-    return RewardMatrix.from_factors(u, s, v)
+    return RewardMatrix(*svd_r(a, r))
 
 
 @dataclass(frozen=True)

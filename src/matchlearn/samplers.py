@@ -329,16 +329,12 @@ class Matching:
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
 
-_COLUMNS = (("rows", np.int64), ("cols", np.int64), ("y", float))
-
-
 @dataclass(frozen=True)
 class ObservationBatch:
     """T periods of matchings and rewards sharing scheme and dims, as flat arrays.
 
     Period t owns entries ``offsets[t]:offsets[t+1]`` of ``rows``,
-    ``cols`` and ``y``.  Construction validates the whole batch once;
-    :meth:`from_periods` builds one from per-period arrays.
+    ``cols`` and ``y``.  Construction validates the whole batch once.
     ``batch[a:b]`` is the batch of periods ``a..b-1``: a view sharing
     these read-only arrays, neither copied nor validated again.
     """
@@ -354,8 +350,10 @@ class ObservationBatch:
     seed: int | None = None
 
     def __post_init__(self):
+        _positive_dims(self.d1, self.d2)
         _check_sigma(self.sigma)
-        for name, dtype in _COLUMNS + (("offsets", np.int64),):
+        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("y", float),
+                            ("offsets", np.int64)):
             locked = np.asarray(getattr(self, name), dtype=dtype).reshape(-1).view()
             locked.flags.writeable = False
             object.__setattr__(self, name, locked)
@@ -364,17 +362,6 @@ class ObservationBatch:
                 or not offsets[-1] == self.rows.size == self.cols.size == self.y.size:
             raise ArgumentError("offsets must rise from 0 to the length of rows, cols and y")
         _check_periods(self.d1, self.d2, self.rows, self.cols, offsets, self.scheme, self.y)
-
-    @classmethod
-    def from_periods(cls, scheme, d1, d2, sigma, periods, seed=None) -> "ObservationBatch":
-        """One validated batch from per-period ``(rows, cols, y)`` triples."""
-        periods = list(periods)
-        if any(not len(r) == len(c) == len(v) for r, c, v in periods):
-            raise ArgumentError("rewards must align with the matching's pairs")
-        rows, cols, y = (np.concatenate([p[k] for p in periods] + [np.empty(0, t)])
-                         for k, (_, t) in enumerate(_COLUMNS))
-        offsets = np.cumsum([0] + [len(p[0]) for p in periods])
-        return cls(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
 
     def __len__(self) -> int:
         return self.offsets.size - 1

@@ -341,7 +341,7 @@ def test_oracle_equivalences():
     batch = observe(truth, OneToOne(), 60, 0.3, rng)
     u = np.linalg.qr(rng.normal(size=(6, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(10, 2)))[0]
-    g = solve_G(u, v, batch, 2)
+    g = solve_G(u, v, batch)
     feats = []
     ys = []
     for rec in batch.records:

@@ -62,6 +62,13 @@ def reference_periods(m, scheme, T, sigma, rng):
             for mat in mats]
 
 
+def periods_batch(scheme, d1, d2, sigma, periods):
+    """The batch of per-period ``(rows, cols, y)`` triples, concatenated."""
+    rows, cols, y = ([v for p in periods for v in p[k]] for k in range(3))
+    return ObservationBatch(scheme, d1, d2, sigma, rows, cols, y,
+                            np.cumsum([0] + [len(p[0]) for p in periods]))
+
+
 def sigma_oracle(halves):
     """Exact sum over nonempty periods of their mean squared residual, and the empty count."""
     means, skipped = [], 0
@@ -122,13 +129,13 @@ def test_batch_functions_equal_per_period_loops(kind):
     rows, cols, y = (np.concatenate([p[k] for p in part]) for k in range(3))
     feats = (u[rows][:, :, None] * v[cols][:, None, :]).reshape(rows.size, 4)
     g = np.linalg.solve(feats.T @ feats, feats.T @ y).reshape(2, 2)
-    assert np.array_equal(solve_G(u, v, view, 2), g)
+    assert np.array_equal(solve_G(u, v, view), g)
 
     # sigma^2 by its definition: each period's squares added left to right,
     # the per-period means added exactly.
     m1, m2 = truth.values + 0.01, truth.values - 0.02
     total, _ = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
-    assert estimate_sigma(m1, m2, batch[20:], batch[:20], 40) == total / 40
+    assert estimate_sigma(m1, m2, batch[20:], batch[:20]) == total / 40
 
 
 def test_sigma_skips_empty_periods_anywhere_in_either_half():
@@ -138,12 +145,12 @@ def test_sigma_skips_empty_periods_anywhere_in_either_half():
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     for t in (7, 19, 20, 31, 39):
         periods[t] = empty
-    batch = ObservationBatch.from_periods(SCHEMES["two_sided"], *truth.shape, 0.7, periods)
+    batch = periods_batch(SCHEMES["two_sided"], *truth.shape, 0.7, periods)
     m1, m2 = truth.values + 0.01, truth.values - 0.02
     total, skipped = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
     assert skipped == 5
     with pytest.warns(EmptyMatchingWarning, match="skipped 5 empty"):
-        assert estimate_sigma(m1, m2, batch[20:], batch[:20], 40) == total / 40
+        assert estimate_sigma(m1, m2, batch[20:], batch[:20]) == total / 40
 
 
 def test_slices_are_views_of_the_parent():
@@ -167,13 +174,9 @@ def test_slices_are_views_of_the_parent():
 def test_validator_rejects_a_column_repeated_within_one_period():
     scheme = SCHEMES["two_sided"]
     with pytest.raises(ArgumentError, match="in period 1") as info:
-        ObservationBatch.from_periods(
-            scheme, 3, 4, 0.0, [([0], [1], [1.0]), ([0, 1], [2, 2], [1.0, 2.0])]
-        )
+        periods_batch(scheme, 3, 4, 0.0, [([0], [1], [1.0]), ([0, 1], [2, 2], [1.0, 2.0])])
     assert info.value.period == 1
-    batch = ObservationBatch.from_periods(
-        scheme, 3, 4, 0.0, [([0], [2], [1.0]), ([1], [2], [2.0])]
-    )
+    batch = periods_batch(scheme, 3, 4, 0.0, [([0], [2], [1.0]), ([1], [2], [2.0])])
     assert len(batch) == 2
 
 
@@ -189,7 +192,7 @@ def test_validator_rejects_a_column_repeated_within_one_period():
 def test_validator_names_the_period_that_violates_the_scheme(scheme, bad):
     good = ([0, 1, 2], [3, 2, 1], [1.0, 2.0, 3.0])
     with pytest.raises(ArgumentError, match="in period 2") as info:
-        ObservationBatch.from_periods(scheme, 3, 4, 0.0, [good, good, bad, good])
+        periods_batch(scheme, 3, 4, 0.0, [good, good, bad, good])
     assert info.value.period == 2
 
 
@@ -199,7 +202,7 @@ def test_validator_names_the_period_of_a_bad_index_or_reward():
                 ([0, 1, 3], [3, 2, 1], [1.0, 2.0, 3.0]),
                 ([0, 1, 2], [3, 2, 1], [1.0, np.nan, 3.0])):
         with pytest.raises(ArgumentError, match="in period 1") as info:
-            ObservationBatch.from_periods(OneToOne(), 3, 4, 0.0, [good, bad, good])
+            periods_batch(OneToOne(), 3, 4, 0.0, [good, bad, good])
         assert info.value.period == 1
 
 

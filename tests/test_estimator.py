@@ -46,12 +46,10 @@ PARTIAL = TwoSided(0.5, 0.5, 0.1, 0.1, 0.1)
 def tiling_batch(truth):
     """d2 shifted one-to-one matchings covering every entry exactly once."""
     d1, d2 = truth.shape
-    rows = np.arange(d1)
-    periods = []
-    for shift in range(d2):
-        cols = (rows + shift) % d2
-        periods.append((rows, cols, truth.values[rows, cols]))
-    return ObservationBatch.from_periods(OneToOne(), d1, d2, 0.0, periods)
+    rows = np.tile(np.arange(d1), d2)
+    cols = (rows + np.repeat(np.arange(d2), d1)) % d2
+    return ObservationBatch(OneToOne(), d1, d2, 0.0, rows, cols, truth.values[rows, cols],
+                            np.arange(0, d1 * d2 + 1, d1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +101,9 @@ def test_spectral_init_proximity_one_to_one():
 
 
 def test_spectral_init_zero_aggregate_errors():
-    rows = np.arange(3)
-    recs = ObservationBatch.from_periods(
-        OneToOne(), 3, 6, 0.0, [(rows, rows + k, np.zeros(3)) for k in range(2)]
-    )
+    rows = np.tile(np.arange(3), 2)
+    recs = ObservationBatch(OneToOne(), 3, 6, 0.0, rows, rows + np.repeat([0, 1], 3),
+                            np.zeros(6), [0, 3, 6])
     with pytest.raises(DegenerateInitError):
         spectral_init(recs, 1.0 / 6, 1)
 
@@ -127,13 +124,13 @@ def test_spectral_init_argument_validation():
 
 def test_solve_g_recovers_diagonal_core_noiseless():
     truth, batch = make_problem(6, 12, 2, 200, 0.0, seed=11)
-    g = solve_G(truth.left_factors, truth.right_factors, batch, 2)
+    g = solve_G(truth.left_factors, truth.right_factors, batch)
     np.testing.assert_allclose(g, np.diag(truth.singular_values), atol=1e-8)
 
 
 def test_solve_g_rank_one_scalar_formula():
     truth, batch = make_problem(4, 8, 1, 30, 0.5, seed=13)
-    g = solve_G(truth.left_factors, truth.right_factors, batch, 1)
+    g = solve_G(truth.left_factors, truth.right_factors, batch)
     num = 0.0
     den = 0.0
     for rec in batch.records:
@@ -149,7 +146,7 @@ def test_solve_g_matches_dense_normal_equation_oracle():
     truth, batch = make_problem(4, 6, 2, 40, 1.0, seed=17)
     u = np.linalg.qr(rng.standard_normal((4, 2)))[0]
     v = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-    g = solve_G(u, v, batch, 2)
+    g = solve_G(u, v, batch)
 
     # Oracle: assemble the r^2 x r^2 normal equations entry by entry.
     a = np.zeros((4, 4))
@@ -168,7 +165,7 @@ def test_solve_g_matches_dense_normal_equation_oracle():
 def test_solve_g_residual_orthogonality():
     truth, batch = make_problem(5, 10, 2, 60, 1.0, seed=19)
     u, v = truth.left_factors, truth.right_factors
-    g = solve_G(u, v, batch, 2)
+    g = solve_G(u, v, batch)
     # Gradient of the objective in G at the solution must vanish.
     grad = np.zeros((2, 2))
     scale = 0.0
@@ -181,22 +178,21 @@ def test_solve_g_residual_orthogonality():
 
 
 def test_solve_g_rank_deficient_design_errors():
-    recs = ObservationBatch.from_periods(
-        PARTIAL, 3, 6, 0.0, [([0, 1], [0, 1], [1.0, 2.0])] * 4
-    )
+    recs = ObservationBatch(PARTIAL, 3, 6, 0.0, [0, 1] * 4, [0, 1] * 4, [1.0, 2.0] * 4,
+                            [0, 2, 4, 6, 8])
     u = np.linalg.qr(np.random.default_rng(23).standard_normal((3, 2)))[0]
     v = np.linalg.qr(np.random.default_rng(24).standard_normal((6, 2)))[0]
     with pytest.raises(RankDeficientDesignError) as exc_info:
-        solve_G(u, v, recs, 2)
+        solve_G(u, v, recs)
     assert exc_info.value.condition is None or exc_info.value.condition > 1e6
 
 
 def test_solve_g_argument_validation():
     truth, batch = make_problem(4, 8, 2, 10, 0.0, seed=27)
     with pytest.raises(ArgumentError):
-        solve_G(truth.left_factors[:, :1], truth.right_factors, batch, 2)
+        solve_G(truth.left_factors[:, :1], truth.right_factors, batch)
     with pytest.raises(ArgumentError):
-        solve_G(truth.left_factors, truth.right_factors, batch[:0], 2)
+        solve_G(truth.left_factors, truth.right_factors, batch[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def test_gradient_step_fixed_point_at_truth():
     state = FactorState(
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
-    new, grad_norm = gradient_step(state, recs[:200], recs[200:], 0.75, 1.0 / 12, 200)
+    new, grad_norm = gradient_step(state, recs[:200], recs[200:], 0.75, 1.0 / 12)
     assert grad_norm == 0.0
     assert projector_distance(new.U, truth.left_factors) <= 1e-10
     assert projector_distance(new.V, truth.right_factors) <= 1e-10
@@ -243,11 +239,11 @@ def test_gradient_step_decreases_projector_distance():
     pert = np.random.default_rng([33, 3])
     u0 = np.linalg.qr(truth.left_factors + 0.25 * pert.standard_normal((d1, r)))[0]
     v0 = np.linalg.qr(truth.right_factors + 0.25 * pert.standard_normal((d2, r)))[0]
-    state = FactorState(u0, solve_G(u0, v0, recs[:n0], r), v0)
+    state = FactorState(u0, solve_G(u0, v0, recs[:n0]), v0)
     before = projector_distance(u0, truth.left_factors) + projector_distance(
         v0, truth.right_factors
     )
-    new, _ = gradient_step(state, recs[n0 : 2 * n0], recs[2 * n0 :], 0.5, 1.0 / d2, n0)
+    new, _ = gradient_step(state, recs[n0 : 2 * n0], recs[2 * n0 :], 0.5, 1.0 / d2)
     after = projector_distance(new.U, truth.left_factors) + projector_distance(
         new.V, truth.right_factors
     )
@@ -261,7 +257,7 @@ def test_gradient_step_singular_core_errors():
         truth.left_factors, np.diag([1.0, 0.0]), truth.right_factors
     )
     with pytest.raises(SingularCoreError):
-        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8, 20)
+        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8)
 
 
 def test_gradient_step_rejects_bad_n0():
@@ -270,7 +266,7 @@ def test_gradient_step_rejects_bad_n0():
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
     with pytest.raises(ArgumentError):
-        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8, 0)
+        gradient_step(state, batch[:0], batch[20:], 0.5, 1.0 / 8)
 
 
 def test_overflow_in_refit_or_step_is_a_numerical_error():
@@ -278,14 +274,13 @@ def test_overflow_in_refit_or_step_is_a_numerical_error():
     # right-hand side, or the gradient of a step.
     u = np.array([[1.0], [0.0]])
     v = np.array([[1.0], [0.0], [0.0], [0.0]])
-    huge = ObservationBatch.from_periods(
-        OneToOne(), 2, 4, 0.0, [([0, 1], [0, 1], [1.7e308, 0.0])] * 4
-    )
+    huge = ObservationBatch(OneToOne(), 2, 4, 0.0, [0, 1] * 4, [0, 1] * 4, [1.7e308, 0.0] * 4,
+                            [0, 2, 4, 6, 8])
     with pytest.raises(NonFiniteResultError, match="core refit"):
-        solve_G(u, v, huge, 1)
+        solve_G(u, v, huge)
     state = FactorState(u, np.array([[-1e308]]), v)
     with pytest.raises(NonFiniteResultError, match="gradient step"):
-        gradient_step(state, huge, huge, 0.5, 0.25, 4)
+        gradient_step(state, huge, huge, 0.5, 0.25)
 
 
 def test_factor_state_validates_inputs():
@@ -302,7 +297,7 @@ def test_factor_state_validates_inputs():
 
 def test_batch_loss_hand_computed():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    rec = ObservationBatch.from_periods(OneToOne(), 2, 2, 0.0, [([0, 1], [0, 1], [0.0, 0.0])])
+    rec = ObservationBatch(OneToOne(), 2, 2, 0.0, [0, 1], [0, 1], [0.0, 0.0], [0, 2])
     assert batch_loss(m, rec) == pytest.approx(17.0)
     grad = batch_loss_gradient(m, rec)
     np.testing.assert_allclose(grad, [[2.0, 0.0], [0.0, 8.0]])
@@ -395,7 +390,7 @@ def test_fit_single_pair_returns_spectral_refit():
     assert len(trace) == 1
     assert np.isnan(trace.grad_norm[0])
     u, v = spectral_init(batch[:200], 1.0 / 10, 2)
-    g = solve_G(u, v, batch[200:], 2)
+    g = solve_G(u, v, batch[200:])
     np.testing.assert_array_equal(m_hat, (u @ g) @ v.T)
 
 
@@ -408,9 +403,9 @@ def test_fit_trace_policies():
 
 
 def test_fit_reports_failing_batch_index():
-    rows = np.arange(3)
-    zero_recs = [(rows, (rows + k) % 6, np.zeros(3)) for k in range(8)]
-    batch = ObservationBatch.from_periods(OneToOne(), 3, 6, 0.0, zero_recs)
+    rows = np.tile(np.arange(3), 8)
+    cols = (rows + np.repeat(np.arange(8), 3)) % 6
+    batch = ObservationBatch(OneToOne(), 3, 6, 0.0, rows, cols, np.zeros(24), np.arange(0, 25, 3))
     cfg = EstimatorConfig(r=1, eta=0.75, m=2, nu=1.0 / 6)
     with pytest.raises(DegenerateInitError, match="batch pair 1"):
         fit(batch, cfg)
@@ -418,11 +413,13 @@ def test_fit_reports_failing_batch_index():
 
 def test_fit_reports_failure_in_later_batch():
     truth = generate_low_rank(3, 6, 2, 1.0, np.random.default_rng(57))
-    good = observe(truth, OneToOne(), 90, 0.0, np.random.default_rng(58)).records
-    good = [(rec.rows, rec.cols, rec.y) for rec in good]
-    bad = ([0, 1], [0, 1], truth.values[[0, 1], [0, 1]])
-    # The stuck periods leave row 2 unmatched, which a partial scheme allows.
-    batch = ObservationBatch.from_periods(PARTIAL, 3, 6, 0.0, good + [bad] * 30)
+    good = observe(truth, OneToOne(), 90, 0.0, np.random.default_rng(58))
+    # 30 stuck periods after the good ones leave row 2 unmatched, which a
+    # partial scheme allows.
+    batch = ObservationBatch(
+        PARTIAL, 3, 6, 0.0, np.append(good.rows, [0, 1] * 30), np.append(good.cols, [0, 1] * 30),
+        np.append(good.y, np.tile(truth.values[[0, 1], [0, 1]], 30)),
+        np.append(good.offsets, good.offsets[-1] + np.arange(2, 61, 2)))
     cfg = EstimatorConfig(r=2, eta=0.75, m=2, nu=entrywise_probability(PARTIAL, 3, 6).nu)
     with pytest.raises(RankDeficientDesignError, match="batch pair 2"):
         fit(batch, cfg)
@@ -442,13 +439,13 @@ def test_fit_estimate_is_rotation_invariant():
     u, v = spectral_init(slices[0], 1.0 / d2, r)
     states = []
     for uu, vv in ((u, v), (u @ o1, v @ o2)):
-        states.append(FactorState(uu, solve_G(uu, vv, slices[1], r), vv))
+        states.append(FactorState(uu, solve_G(uu, vv, slices[1]), vv))
     scale = np.max(np.abs(states[0].estimate))
     assert np.max(np.abs(states[0].estimate - states[1].estimate)) <= 1e-8 * scale
 
     for p in (1, 2):
         states = [
-            gradient_step(s, slices[2 * p], slices[2 * p + 1], 0.7, 1.0 / d2, n0)[0]
+            gradient_step(s, slices[2 * p], slices[2 * p + 1], 0.7, 1.0 / d2)[0]
             for s in states
         ]
         diff = np.max(np.abs(states[0].estimate - states[1].estimate))

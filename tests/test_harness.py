@@ -162,6 +162,11 @@ def test_parse_config_rejects_unaddressable_dims():
         parse_config(base_config_dict(d1=_UNADDRESSABLE, d2=_UNADDRESSABLE))
 
 
+def test_parse_config_rejects_non_positive_workers():
+    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+        parse_config(base_config_dict(workers=0))
+
+
 def test_parse_config_caps_the_seed_below_2_to_the_32():
     # numpy splits a seed into 32-bit words, so [5 + 3 * 2**32, 1] seeds
     # the same stream as [5, 3, 1], replication 1's batch of seed 5.
@@ -204,6 +209,13 @@ def test_load_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"d1": 6\xff}')
+    with pytest.raises(ConfigError, match="cannot read config"):
         load_config(path)
 
 
@@ -279,7 +291,7 @@ def test_run_simulation_inference_study(tmp_path):
     doc = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert doc["n_success"] == 5
     assert doc["truth_value"] is not None
-    assert "outputs" not in doc["config"]
+    assert "outputs" not in doc["config"] and "workers" not in doc["config"]
 
 
 def test_run_simulation_outputs_are_deterministic(tmp_path):
@@ -387,7 +399,6 @@ def test_replication_streams_differ_across_nearby_seeds(tmp_path, monkeypatch):
         return batch
 
     monkeypatch.setattr(harness_mod, "observe", recorded)
-    monkeypatch.delenv("MATCHLEARN_WORKERS", raising=False)
     for seed in (2, 3):
         run_simulation(parse_config(base_config_dict(
             seed=seed, replications=2, outputs=str(tmp_path / str(seed)))))
@@ -402,14 +413,13 @@ def test_run_simulation_requires_outputs():
         run_simulation(cfg)
 
 
-def test_run_simulation_worker_pool_matches_serial(tmp_path, monkeypatch):
+def test_run_simulation_worker_pool_matches_serial(tmp_path):
     cfg = parse_config(
         base_config_dict(replications=4, outputs=str(tmp_path / "serial"))
     )
     run_simulation(cfg)
-    monkeypatch.setenv("MATCHLEARN_WORKERS", "2")
     cfg2 = parse_config(
-        base_config_dict(replications=4, outputs=str(tmp_path / "pooled"))
+        base_config_dict(replications=4, workers=2, outputs=str(tmp_path / "pooled"))
     )
     run_simulation(cfg2)
     for name in ("summary.json", "standardized_stats.csv"):
@@ -433,21 +443,13 @@ def test_policy_study_solves_shared_truth_once(tmp_path, monkeypatch):
         base_config_dict(outputs=str(tmp_path / "serial"), **overrides)
     ))
     assert calls[0] == 4 + 1  # one m_hat per replication, one shared truth
-    monkeypatch.setenv("MATCHLEARN_WORKERS", "2")
     run_simulation(parse_config(
-        base_config_dict(outputs=str(tmp_path / "pooled"), **overrides)
+        base_config_dict(outputs=str(tmp_path / "pooled"), workers=2, **overrides)
     ))
     for name in ("summary.json", "standardized_stats.csv", "coverage.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "pooled" / name
         ).read_bytes()
-
-
-def test_run_simulation_rejects_bad_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MATCHLEARN_WORKERS", "many")
-    cfg = parse_config(base_config_dict(outputs=str(tmp_path / "o")))
-    with pytest.raises(ConfigError, match="MATCHLEARN_WORKERS"):
-        run_simulation(cfg)
 
 
 def test_run_simulation_standardized_stats_roughly_normal(tmp_path):
@@ -550,6 +552,14 @@ def test_cli_rejects_malformed_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", str(bad)])
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_cli_rejects_a_scale_whose_draw_range_overflows(capsys, tmp_path):
+    cfg_path = write_config(tmp_path, scale=1e308)
+    code, out, err = run_cli(capsys, ["simulate", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ArgumentError" and "scale" in doc["message"]
 
 
 def test_cli_unknown_subcommand(capsys):
@@ -745,6 +755,18 @@ def test_cli_infer_rejects_malformed_q_file(capsys, tmp_path, saved_batch, text)
     assert diag["error"] == "DataFormatError" and "entry 0" in diag["message"]
 
 
+def test_cli_infer_rejects_a_q_file_that_is_not_utf8(capsys, tmp_path, saved_batch):
+    _, batch_path, cfg_path = saved_batch
+    q_path = tmp_path / "q.json"
+    q_path.write_bytes(b'[{"i": 0, "j": 0, "w": 1}]\xff')
+    code, _, err = run_cli(
+        capsys, ["infer", str(batch_path), str(cfg_path), "--q", str(q_path)]
+    )
+    assert code == 4
+    diag = json.loads(err)
+    assert diag["error"] == "DataFormatError" and "not UTF-8" in diag["message"]
+
+
 def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):
     truth, batch_path, cfg_path = saved_batch
     code, out, _ = run_cli(
@@ -766,11 +788,8 @@ def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):
 
 
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
-    records = [
-        ([0, 1], [0, 1], [0.0, 0.0]),
-        ([0, 1], [1, 2], [0.0, 0.0]),
-    ]
-    batch = ObservationBatch.from_periods(OneToOne(), 2, 3, 0.0, records)
+    batch = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1, 0, 1], [0, 1, 1, 2], np.zeros(4),
+                             [0, 2, 4])
     path = tmp_path / "zero.jsonl"
     save_batch(batch, path)
     cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=2, m=1, sigma=0.0,
@@ -803,10 +822,12 @@ def test_cli_overflow_is_numerical_failure(capsys, tmp_path, big_periods):
     # Finite rewards of 1e308 overflow inside debias (one period) or the
     # fit (every period): a numerical failure, not a bad argument.
     rng = np.random.default_rng(0)
-    records = [(np.arange(2), rng.permutation(4)[:2],
-                [1e308, 1e308] if t in big_periods else [1.0, 2.0]) for t in range(40)]
+    cols = np.concatenate([rng.permutation(4)[:2] for _ in range(40)])
+    y = np.tile([1.0, 2.0], 40)
+    y[2 * np.asarray(big_periods)[:, None] + [0, 1]] = 1e308
     path = tmp_path / "big.jsonl"
-    save_batch(ObservationBatch.from_periods(OneToOne(), 2, 4, 0.0, records), path)
+    save_batch(ObservationBatch(OneToOne(), 2, 4, 0.0, np.tile([0, 1], 40), cols, y,
+                                np.arange(0, 81, 2)), path)
     cfg_path = write_config(tmp_path, d1=2, d2=4, r=1, T=40, m=1, sigma=0.0)
     code, _, err = run_cli(capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"])
     assert code == 3

@@ -78,7 +78,7 @@ def test_debias_exact_init_noiseless_is_identity():
 
 def test_debias_hand_computed_single_matching():
     m_init = np.arange(6, dtype=float).reshape(2, 3)
-    rec = ObservationBatch.from_periods(OneToOne(), 2, 3, 0.0, [([0, 1], [1, 2], [10.0, -3.0])])
+    rec = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1], [1, 2], [10.0, -3.0], [0, 2])
     nu = 1.0 / 3.0
     est = debias(m_init, rec, nu)
     expect = m_init.copy()
@@ -124,9 +124,11 @@ def test_debias_argument_validation():
 def overflowing_batch(big_periods):
     """A 2x4 one-to-one batch with T=40; ``big_periods`` carry two rewards of 1e308."""
     rng = np.random.default_rng(0)
-    periods = [(np.arange(2), rng.permutation(4)[:2],
-                [1e308, 1e308] if t in big_periods else [1.0, 2.0]) for t in range(40)]
-    return ObservationBatch.from_periods(OneToOne(), 2, 4, 0.0, periods)
+    cols = np.concatenate([rng.permutation(4)[:2] for _ in range(40)])
+    y = np.tile([1.0, 2.0], 40)
+    y[2 * np.asarray(big_periods)[:, None] + [0, 1]] = 1e308
+    return ObservationBatch(OneToOne(), 2, 4, 0.0, np.tile([0, 1], 40), cols, y,
+                            np.arange(0, 81, 2))
 
 
 def test_debias_overflow_is_a_numerical_error():
@@ -208,14 +210,11 @@ def test_combine_is_symmetric_under_half_swap():
     truth, batch = make_problem(8, 16, 2, 800, 0.5, seed=93)
     cfg = EstimatorConfig(r=2, eta=0.7, m=4, nu=1.0 / 16)
     m_a = prepare_inference(batch, cfg).m_hat
-    swapped = ObservationBatch.from_periods(
-        batch.scheme,
-        batch.d1,
-        batch.d2,
-        batch.sigma,
-        [(rec.rows, rec.cols, rec.y)
-         for rec in batch.records[400:] + batch.records[:400]],
-    )
+    # Periods 400.. then 0..399; every one-to-one period holds d1 entries.
+    k = batch.offsets[400]
+    swapped = ObservationBatch(batch.scheme, batch.d1, batch.d2, batch.sigma,
+                               *(np.roll(a, -k) for a in (batch.rows, batch.cols, batch.y)),
+                               batch.offsets)
     m_b = prepare_inference(swapped, cfg).m_hat
     assert np.array_equal(m_a, m_b)
 
@@ -243,28 +242,29 @@ def test_odd_t_warns_once():
 
 def test_estimate_sigma_zero_for_exact_fit():
     truth, batch = make_problem(5, 10, 2, 40, 0.0, seed=97)
-    out = estimate_sigma(truth.values, truth.values, batch[20:], batch[:20], 40)
+    out = estimate_sigma(truth.values, truth.values, batch[20:], batch[:20])
     assert out == 0.0
 
 
 def test_estimate_sigma_single_residual_formula():
     m1 = np.zeros((2, 3))
     m2 = np.zeros((2, 3))
-    none = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [])
-    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [0.7])])
-    out = estimate_sigma(m1, m2, none, rec, t_used=2)
+    empty = ObservationBatch(PARTIAL, 2, 3, 0.0, [], [], [], [0, 0])
+    rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [0.7], [0, 1])
+    with pytest.warns(EmptyMatchingWarning):
+        out = estimate_sigma(m1, m2, empty, rec)
     assert out == pytest.approx(0.7**2 / 2.0, rel=1e-15)
 
 
 def test_estimate_sigma_overflow_is_a_numerical_error():
     m0 = np.zeros((2, 3))
-    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [1e200])])
+    rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [1e200], [0, 1])
     with pytest.raises(NonFiniteResultError, match="residual variance"):
-        estimate_sigma(m0, m0, rec, rec, t_used=2)
+        estimate_sigma(m0, m0, rec, rec)
     # Finite per-period means (1e308 each) whose exact sum overflows.
-    rec = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [([1], [2], [1e154])])
+    rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [1e154], [0, 1])
     with pytest.raises(NonFiniteResultError, match="residual variance"):
-        estimate_sigma(m0, m0, rec, rec, t_used=2)
+        estimate_sigma(m0, m0, rec, rec)
 
 
 def test_estimate_sigma_concentrates_around_noise_variance():
@@ -280,14 +280,13 @@ def test_estimate_sigma_concentrates_around_noise_variance():
 
 def test_estimate_sigma_skips_empty_matchings_with_warning():
     m0 = np.zeros((2, 3))
-    empty = ([], [], [])
-    batch = ObservationBatch.from_periods(PARTIAL, 2, 3, 0.0, [empty, ([0], [0], [1.0])])
+    batch = ObservationBatch(PARTIAL, 2, 3, 0.0, [0], [0], [1.0], [0, 0, 1])  # period 0 empty
     with pytest.warns(EmptyMatchingWarning):
-        out = estimate_sigma(m0, m0, batch[:0], batch, t_used=2)
+        out = estimate_sigma(m0, m0, batch[:0], batch)
     assert out == pytest.approx(0.5)
     with pytest.raises(UndefinedVarianceError):
         with pytest.warns(EmptyMatchingWarning):
-            estimate_sigma(m0, m0, batch[:1], batch[:1], t_used=2)
+            estimate_sigma(m0, m0, batch[:1], batch[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,9 @@ def test_generate_low_rank_rejects_bad_dimensions():
         generate_low_rank(5, 10, 0, 1.0, rng)
     with pytest.raises(ArgumentError):
         generate_low_rank(5, 10, 6, 1.0, rng)
-    with pytest.raises(ArgumentError):
-        generate_low_rank(5, 10, 2, 0.0, rng)
+    for scale in (0.0, 1e308, float("inf")):  # the draw's range 2*scale must be finite
+        with pytest.raises(ArgumentError, match="scale"):
+            generate_low_rank(5, 10, 2, scale, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +216,12 @@ def test_reward_matrix_validates_invariants():
     bad_u = np.array(m.left_factors)
     bad_u[:, 0] *= 2.0
     with pytest.raises(ArgumentError):
-        RewardMatrix(m.values, 2, bad_u, m.singular_values, m.right_factors)
+        RewardMatrix(bad_u, m.singular_values, m.right_factors)
     with pytest.raises(ArgumentError):
-        RewardMatrix(m.values + 1.0, 2, m.left_factors, m.singular_values,
-                     m.right_factors)
-    with pytest.raises(ArgumentError):
-        RewardMatrix(m.values.T, 2, m.right_factors, m.singular_values,
-                     m.left_factors)  # d2 < d1
+        RewardMatrix(m.right_factors, m.singular_values, m.left_factors)  # d2 < d1
+    for s in ([1.0, 2.0], [1.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [3.0], [[3.0, 1.0]]):
+        with pytest.raises(ArgumentError):
+            RewardMatrix(m.left_factors, s, m.right_factors)
 
 
 def test_reward_matrix_is_immutable():

@@ -146,12 +146,14 @@ def test_one_to_one_needs_wide_matrix():
 )
 def test_sampled_matchings_satisfy_scheme_invariants(scheme, d1, d2):
     for via in VIAS:
-        periods = []
-        for rows, cols in draw_matchings(scheme, d1, d2, 2000, np.random.default_rng(17), via):
+        drawn = draw_matchings(scheme, d1, d2, 2000, np.random.default_rng(17), via)
+        for rows, cols in drawn:
             assert np.unique(cols).size == cols.size
             assert np.all(np.diff(rows) >= 0)  # every scheme lists its rows in order
-            periods.append((rows, cols, np.zeros(cols.size)))
-        ObservationBatch.from_periods(scheme, d1, d2, 0.0, periods)  # checks the scheme
+        rows, cols = (np.concatenate([m[k] for m in drawn]) for k in range(2))
+        offsets = np.cumsum([0] + [m[0].size for m in drawn])
+        # The batch validator checks every period against the scheme.
+        ObservationBatch(scheme, d1, d2, 0.0, rows, cols, np.zeros(rows.size), offsets)
 
 
 def test_two_sided_pair_count_is_min_of_arrivals():
@@ -331,7 +333,7 @@ def test_observe_validates_arguments():
         with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
             observe(m, OneToOne(), 5, sigma, np.random.default_rng(0))
         with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
-            ObservationBatch.from_periods(OneToOne(), 1, 1, sigma, [([0], [0], [0.0])])
+            ObservationBatch(OneToOne(), 1, 1, sigma, [0], [0], [0.0], [0, 1])
     assert len(observe(m, OneToOne(), np.int64(3), 0.0, np.random.default_rng(0))) == 3
 
 
@@ -519,6 +521,7 @@ _ONE_TO_ONE_2x4 = '{"scheme": {"kind": "one_to_one"}, "d1": 2, "d2": 4, "sigma":
 _TWO_SIDED_3x4 = ('{"scheme": {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, '
                   '"c_s": 0.3, "gamma": 0.2}, "d1": 3, "d2": 4, "sigma": 0.0}')
 _GOOD_2x4 = '{"t": 1, "pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'
+_BAD_DIMS = _TWO_SIDED_3x4.replace('"d1": 3, "d2": 4', '"d1": -5, "d2": 0')
 
 
 @pytest.mark.parametrize("lines, verdict", [
@@ -537,8 +540,12 @@ _GOOD_2x4 = '{"t": 1, "pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'
     # numpy cannot read a nested pair as an array; the loader names the rule it breaks.
     ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, [1]], [1, 2]], "y": [1.0, 2.0]}'],
      "bad batch record on line 3: pairs must be a list of [row, col] integer pairs"),
+    # The header's dims are at fault, with or without a record to blame.
+    ([_BAD_DIMS], "dimensions must be positive, got (-5, 0)"),
+    ([_BAD_DIMS, '{"pairs": [[0, 1]], "y": [1.0]}'], "dimensions must be positive, got (-5, 0)"),
 ], ids=["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
-        "blank_line_good", "nan_y", "header_only", "nested_pair"])
+        "blank_line_good", "nan_y", "header_only", "nested_pair", "bad_dims_header_only",
+        "bad_dims_with_record"])
 def test_load_batch_verdicts_at_the_edges(tmp_path, lines, verdict):
     # An accepted file is given by its offsets, a rejected one by the full message.
     path = tmp_path / "edge.jsonl"
