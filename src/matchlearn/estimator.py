@@ -37,9 +37,9 @@ MIN_G_SINGULAR = 1e-10
 class EstimatorConfig:
     """Inputs of the fitting loop.
 
-    ``nu`` is the entrywise observation probability of the batch's
-    scheme (see :func:`matchlearn.samplers.entrywise_probability`); it
-    scales both the spectral initializer and the gradient.
+    ``nu`` restates the entrywise probability of the batch's scheme, which
+    every stage reads from its own batch; :func:`fit` only checks that the
+    two agree.  The field is kept for the callers that set it.
     """
 
     r: int
@@ -135,23 +135,19 @@ def partition_batches(T: int, m: int) -> list[tuple[int, int]]:
     return [(p * n0, (p + 1) * n0) for p in range(2 * m)]
 
 
-def aggregate_response(batch: ObservationBatch, nu: float) -> np.ndarray:
-    """The spectral-initialization target ``(nu N0)^-1 sum_t Y_t o X_t``."""
+def aggregate_response(batch: ObservationBatch) -> np.ndarray:
+    """The spectral-initialization target ``(nu N0)^-1 sum_t Y_t o X_t``, ``nu`` the scheme's."""
     if len(batch) == 0:
         raise ArgumentError("need at least one observation")
-    if not (0.0 < nu <= 1.0):
-        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
     d1, d2 = batch.d1, batch.d2
     flat = np.bincount(batch.rows * d2 + batch.cols, weights=batch.y, minlength=d1 * d2)
-    return flat.reshape(d1, d2) / (nu * len(batch))
+    return flat.reshape(d1, d2) / (batch.scheme.nu(d1, d2) * len(batch))
 
 
-def spectral_init(
-    batch: ObservationBatch, nu: float, r: int
-) -> tuple[np.ndarray, np.ndarray]:
+def spectral_init(batch: ObservationBatch, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r factor subspaces of the scaled response aggregate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        agg = _require_finite(aggregate_response(batch, nu), "response aggregate")
+        agg = _require_finite(aggregate_response(batch), "response aggregate")
     if not agg.any():
         raise DegenerateInitError(
             "response aggregate is identically zero; cannot initialize factors"
@@ -223,7 +219,6 @@ def gradient_step(
     step_batch: ObservationBatch,
     refit_batch: ObservationBatch,
     eta: float,
-    nu: float,
 ) -> tuple[FactorState, float]:
     """One calibrated gradient step plus the follow-up core refit.
 
@@ -232,11 +227,11 @@ def gradient_step(
         U+ = (U - eta/(2 N0 nu) * grad @ V @ G^-1) @ L_G
         V+ = (V - eta/(2 N0 nu) * grad^T @ U @ G^-T) @ R_G
 
-    with ``N0`` the periods in ``step_batch`` and ``(L_G, ., R_G)`` the
-    SVD of the current core; both factors are then re-orthonormalized by
-    an SVD retraction and the core is refit by least squares on
-    ``refit_batch`` (the next batch, never the one that produced the
-    gradient).
+    with ``N0`` the periods and ``nu`` the scheme's entrywise probability
+    of ``step_batch``, and ``(L_G, ., R_G)`` the SVD of the current core;
+    both factors are then re-orthonormalized by an SVD retraction and the
+    core is refit by least squares on ``refit_batch`` (the next batch,
+    never the one that produced the gradient).
 
     Returns the new state and the Frobenius norm of the gradient.
     """
@@ -244,6 +239,7 @@ def gradient_step(
         raise ArgumentError("need a nonempty step batch")
     _check_invertible(state)
     l_g, _, r_g = state.g_svd
+    nu = step_batch.scheme.nu(step_batch.d1, step_batch.d2)
     coef = eta / (2.0 * len(step_batch) * nu)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = batch_loss_gradient(state.estimate, step_batch)
@@ -268,9 +264,9 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
     ----------
     batch : ObservationBatch
     config : EstimatorConfig
-        ``config.nu`` must match the entrywise probability of the
-        batch's scheme (:func:`matchlearn.samplers.entrywise_probability`)
-        to a relative ``NU_CONSISTENCY_RTOL``.
+        ``config.nu`` is only checked: it must match the entrywise
+        probability of the batch's scheme, which the stages use, to a
+        relative ``NU_CONSISTENCY_RTOL``.
     truth : RewardMatrix, optional
         When supplied, the trace records the relative squared max-norm
         error ``||M^(p) - M||_max^2 / lambda_min^2`` after every batch
@@ -303,7 +299,7 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
         rows.append((err, float(s_g[-1]), float(s_g[0]), grad_norm))
 
     try:
-        u, v = spectral_init(slices[0], config.nu, config.r)
+        u, v = spectral_init(slices[0], config.r)
         g = solve_G(u, v, slices[1])
         state = FactorState(u, g, v)
     except ArgumentError:
@@ -315,8 +311,7 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
 
     for p in range(1, config.m):
         try:
-            state, grad_norm = gradient_step(
-                state, slices[2 * p], slices[2 * p + 1], config.eta, config.nu)
+            state, grad_norm = gradient_step(state, slices[2 * p], slices[2 * p + 1], config.eta)
         except Exception as exc:
             exc.args = (f"batch pair {p + 1}: {exc}",) + exc.args[1:]
             raise

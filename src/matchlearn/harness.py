@@ -37,6 +37,7 @@ from .inference import infer_linear_form, prepare_inference
 from .matmodel import (
     LinearForm,
     RewardMatrix,
+    _check_scale,
     _json_int,
     _json_real,
     generate_low_rank,
@@ -54,6 +55,7 @@ from .samplers import (
     MatchingScheme,
     OneToMany,
     OneToOne,
+    _check_sigma,
     entrywise_probability,
     load_batch,
     observe,
@@ -187,10 +189,11 @@ def _validate(cfg: RunConfig) -> list[str]:
             p.append(str(exc))
     if not (0.0 < cfg.eta < 1.0):
         p.append(f"need 0 < eta < 1, got {cfg.eta}")
-    if cfg.sigma < 0.0:
-        p.append(f"sigma must be nonnegative, got {cfg.sigma}")
-    if cfg.scale <= 0.0:
-        p.append(f"scale must be positive, got {cfg.scale}")
+    for check, value in ((_check_sigma, cfg.sigma), (_check_scale, cfg.scale)):
+        try:
+            check(value)
+        except ArgumentError as exc:
+            p.append(str(exc))
     if not (0.0 < cfg.alpha < 1.0):
         p.append(f"need 0 < alpha < 1, got {cfg.alpha}")
     if cfg.study not in STUDIES:
@@ -286,7 +289,7 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
     """Materialize a q_spec; random specs consume from ``rng``."""
     tag = _parse_q_spec(spec)
     if tag[0] == "entry":
-        return LinearForm.from_triplets(d1, d2, [(tag[1], tag[2], 1.0)])
+        return LinearForm(d1, d2, [tag[1]], [tag[2]], [1.0])
     if tag[0] == "random_oto":
         mat = sample_matching(OneToOne(), d1, d2, rng)
         return matching_to_linear_form(mat)

@@ -27,15 +27,13 @@ from .matmodel import LinearForm, _require_finite, projection_magnitude, svd_r
 from .samplers import ObservationBatch
 
 
-def debias(m_init: np.ndarray, other_half: ObservationBatch, nu: float) -> np.ndarray:
+def debias(m_init: np.ndarray, other_half: ObservationBatch) -> np.ndarray:
     """Uniform-propensity cross-sample debiasing.
 
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
-    half; the result is entrywise unbiased for M whatever M_init was,
-    because the held-out residuals are independent of it.
+    half, ``T0`` its periods and ``nu`` its scheme's; the result is entrywise
+    unbiased for M whatever M_init was, as the held-out residuals are independent of it.
     """
-    if not (0.0 < nu <= 1.0):
-        raise ArgumentError(f"nu must lie in (0, 1], got {nu}")
     m_init = np.asarray(m_init, dtype=float)
     if len(other_half) == 0:
         raise ArgumentError("need a nonempty correction half")
@@ -44,18 +42,16 @@ def debias(m_init: np.ndarray, other_half: ObservationBatch, nu: float) -> np.nd
     d1, d2 = m_init.shape
     rows, cols = other_half.rows, other_half.cols
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (other_half.y - m_init[rows, cols]) * (1.0 / nu)
+        weights = (other_half.y - m_init[rows, cols]) * (1.0 / other_half.scheme.nu(d1, d2))
         flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
         m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
     return _require_finite(m_unbs, "debiased estimate")
 
 
-def project_rank_r(
-    m_unbs: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-r approximation plus its singular factors."""
+def project_rank_r(m_unbs: np.ndarray, r: int) -> np.ndarray:
+    """Best rank-r approximation."""
     u, s, v = svd_r(np.asarray(m_unbs, dtype=float), r)
-    return (u * s) @ v.T, u, v
+    return (u * s) @ v.T
 
 
 def estimate_sigma(
@@ -198,8 +194,8 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     m1_init, _ = fit(half1, config)
     m2_init, _ = fit(half2, config)
 
-    m1, _, _ = project_rank_r(debias(m1_init, half2, config.nu), config.r)
-    m2, _, _ = project_rank_r(debias(m2_init, half1, config.nu), config.r)
+    m1 = project_rank_r(debias(m1_init, half2), config.r)
+    m2 = project_rank_r(debias(m2_init, half1), config.r)
     m_hat = 0.5 * (m1 + m2)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
     sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2)
@@ -209,7 +205,7 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
         v_hat=v_hat,
         sigma_hat_sq=sigma_hat_sq,
         t_used=2 * t0,
-        nu=config.nu,
+        nu=batch.scheme.nu(batch.d1, batch.d2),
     )
 
 

@@ -178,10 +178,14 @@ def generate_low_rank(
         raise ArgumentError(f"convention requires d2 >= d1, got ({d1}, {d2})")
     if not (1 <= r <= d1):
         raise ArgumentError(f"r={r} outside [1, {d1}]")
-    if not (0.0 < scale <= sys.float_info.max / 2):  # 2*scale, the draw's range, is finite
-        raise ArgumentError(f"scale must be positive with 2*scale finite, got {scale}")
+    _check_scale(scale)
     a = rng.uniform(-scale, scale, size=(d1, d2))
     return RewardMatrix(*svd_r(a, r))
+
+
+def _check_scale(scale) -> None:
+    if not (0.0 < scale <= sys.float_info.max / 2):  # 2*scale, the draw's range, is finite
+        raise ArgumentError(f"scale must be positive with 2*scale finite, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -243,31 +247,12 @@ class LinearForm:
         """Entrywise difference ``self - other`` with exact-zero cancellation."""
         if self.dims != other.dims:
             raise ArgumentError("linear forms have different dims")
-        acc: dict[tuple[int, int], float] = {}
-        for i, j, w in zip(self.rows, self.cols, self.weights):
-            acc[(int(i), int(j))] = float(w)
-        for i, j, w in zip(other.rows, other.cols, other.weights):
-            key = (int(i), int(j))
-            acc[key] = acc.get(key, 0.0) - float(w)
-        kept = [(i, j, w) for (i, j), w in acc.items() if w != 0.0]
-        return LinearForm.from_triplets(self.d1, self.d2, kept)
-
-    @classmethod
-    def from_triplets(
-        cls, d1: int, d2: int, triplets: list[tuple[int, int, float]]
-    ) -> "LinearForm":
-        rows = [t[0] for t in triplets]
-        cols = [t[1] for t in triplets]
-        weights = [t[2] for t in triplets]
-        return cls(d1, d2, np.array(rows, dtype=np.int64),
-                   np.array(cols, dtype=np.int64), np.array(weights, dtype=float))
-
-    def to_json(self) -> str:
-        entries = [
-            {"i": int(i), "j": int(j), "w": float(w)}
-            for i, j, w in zip(self.rows, self.cols, self.weights)
-        ]
-        return json.dumps(entries)
+        # Keys are unique within each form, so each merged weight is w, -w' or w - w'.
+        keys, inv = np.unique(np.concatenate([q.rows * self.d2 + q.cols for q in (self, other)]),
+                              return_inverse=True)
+        w = np.bincount(inv, weights=np.concatenate([self.weights, -other.weights]))
+        kept = w != 0.0
+        return LinearForm(self.d1, self.d2, keys[kept] // self.d2, keys[kept] % self.d2, w[kept])
 
     @classmethod
     def from_json(cls, text: str, d1: int, d2: int) -> "LinearForm":
@@ -277,7 +262,6 @@ class LinearForm:
             raise DataFormatError(f"linear form is not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise DataFormatError("linear form JSON must be an array of objects")
-        triplets = []
         for k, e in enumerate(entries):
             if not isinstance(e, dict) or not {"i", "j", "w"} <= set(e):
                 raise DataFormatError(f"linear form entry {k} missing i/j/w")
@@ -291,9 +275,8 @@ class LinearForm:
             w = np.asarray(e["w"])
             if w.shape or w.dtype.kind not in "iuf" or not np.isfinite(w):
                 raise DataFormatError(f"linear form entry {k}: w must be a finite JSON number")
-            triplets.append((i, j, float(w)))
         try:
-            return cls.from_triplets(d1, d2, triplets)
+            return cls(d1, d2, *([e[key] for e in entries] for key in ("i", "j", "w")))
         except ArgumentError as exc:
             raise DataFormatError(str(exc)) from exc
 

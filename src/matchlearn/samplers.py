@@ -162,8 +162,9 @@ class TwoSided:
     def feasible(self, d1: int, d2: int) -> None:
         self.arrival_pmf(d1, d2)
 
+    @functools.lru_cache(maxsize=8)
     def nu(self, d1: int, d2: int) -> float:
-        """``E[min(B_r, B_s)]/(d1*d2)``, summed exactly over :meth:`arrival_pmf`."""
+        """``E[min(B_r, B_s)]/(d1*d2)``, summed exactly over :meth:`arrival_pmf`; memoised."""
         matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
         return float(np.sum(self.arrival_pmf(d1, d2) * matched)) / (d1 * d2)
 

@@ -144,7 +144,7 @@ def inference_cells(shared_truth):
     """
     qrng = np.random.default_rng([SEED, 2])
     qs = {
-        "single": LinearForm.from_triplets(D1, D2, [(0, 0, 1.0)]),
+        "single": LinearForm(D1, D2, [0], [0], [1.0]),
         "matching": matching_to_linear_form(sample_matching(OneToOne(), D1, D2, qrng)),
         "difference": matching_to_linear_form(
             sample_matching(OneToOne(), D1, D2, qrng)
@@ -321,11 +321,7 @@ def test_oracle_equivalences():
         u = np.linalg.qr(rng.normal(size=(d1, r)))[0]
         v = np.linalg.qr(rng.normal(size=(d2, r)))[0]
         flat = rng.choice(d1 * d2, size=d1 + 3, replace=False)
-        q = LinearForm.from_triplets(
-            d1, d2,
-            [(int(f) // d2, int(f) % d2, float(w))
-             for f, w in zip(flat, rng.normal(size=flat.size))],
-        )
+        q = LinearForm(d1, d2, flat // d2, flat % d2, rng.normal(size=flat.size))
         u_perp = np.linalg.svd(u, full_matrices=True)[0][:, r:]
         v_perp = np.linalg.svd(v, full_matrices=True)[0][:, r:]
         dense = np.zeros((d1, d2))
@@ -355,7 +351,7 @@ def test_oracle_equivalences():
     rng = np.random.default_rng([SEED, 64])
     for d1, d2, r in ((8, 12, 3), (5, 20, 2)):
         m = rng.normal(size=(d1, d2))
-        projected, _, _ = project_rank_r(m, r)
+        projected = project_rank_r(m, r)
         w, s, vt = np.linalg.svd(m, full_matrices=False)
         assert np.max(np.abs(projected - (w[:, :r] * s[:r]) @ vt[:r])) <= 1e-10
 
@@ -370,7 +366,7 @@ def test_oracle_equivalences():
         i, j = rec.rows, rec.cols
         dense[i, j] += rec.y - m_init[i, j]
     oracle = m_init + dense / (len(batch) * nu)
-    assert np.max(np.abs(debias(m_init, batch, nu) - oracle)) <= 1e-10
+    assert np.max(np.abs(debias(m_init, batch) - oracle)) <= 1e-10
 
     # Truncated paired-binomial arrival draws vs the enumerated pmf.
     d1, p1, d2, p2, c_r, c_s, gamma = 6, 0.6, 10, 0.6, 0.3, 0.3, 0.3

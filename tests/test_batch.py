@@ -108,21 +108,21 @@ def test_observe_equals_concatenated_per_period_draws():
 def test_batch_functions_equal_per_period_loops(kind):
     truth, batch, periods = make_pair(SCHEMES[kind], seed=5)
     d1, d2 = truth.shape
-    nu = 0.1
+    nu = SCHEMES[kind].nu(d1, d2)
     view, part = batch[7:31], periods[7:31]
 
     agg = np.zeros((d1, d2))
     for rows, cols, y in part:
         for i, j, v in zip(rows, cols, y):
             agg[i, j] += v
-    assert np.array_equal(aggregate_response(view, nu), agg / (nu * len(part)))
+    assert np.array_equal(aggregate_response(view), agg / (nu * len(part)))
 
     m_init = truth.values + 0.05
     corr = np.zeros((d1, d2))
     for rows, cols, y in part:
         for i, j, v in zip(rows, cols, y):
             corr[i, j] += (v - m_init[i, j]) * (1.0 / nu)
-    assert np.array_equal(debias(m_init, view, nu), m_init + corr / len(part))
+    assert np.array_equal(debias(m_init, view), m_init + corr / len(part))
 
     # The core solve on the records of the periods, concatenated.
     u, v = truth.left_factors, truth.right_factors

@@ -3,13 +3,16 @@
 ``bench/workloads.py`` imports names from ``matchlearn`` and
 ``bench/tracer.py`` replaces module bindings by name and reads each
 observed batch's per-period records, so deleting or renaming any of
-them breaks the benchmark.  ``bench/test_bench.py`` finds that in a
-smoke run of every workload; this test finds it in well under a second.
+them breaks the benchmark, and so does a change to a signature its
+workloads call.  ``bench/test_bench.py`` finds that in a smoke run of
+every workload through the benchmark's driver; these tests find it in
+well under a second, in process.
 """
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from matchlearn import OneToOne, generate_low_rank, samplers
 
@@ -33,3 +36,15 @@ def test_benchmark_imports_and_traced_bindings_resolve():
     assert samplers.observe is observe
     assert [span[0] for span in tracer.spans] == ["samplers.observe.one_to_one"]
     assert tracer.counts["samplers.revealed_entries"] == batch.y.size == 12
+
+
+@pytest.mark.parametrize("name", ["study", "large_batch", "policy_study"])
+def test_smoke_workload_runs_and_passes_its_checks(tmp_path, name):
+    workloads = load_bench_module("workloads")
+    workload = workloads.build(name, "smoke", 1, tmp_path)
+    checks = workloads.Check()
+    workload.prepare()
+    workload.warm_up(checks)
+    workload.check_setup(checks)
+    workload.check_op(workload.op(), checks)
+    assert checks and [c for c in checks if not c[1]] == []

@@ -86,17 +86,17 @@ def test_spectral_init_exact_on_tiling():
     truth = generate_low_rank(4, 8, 2, 1.0, np.random.default_rng(5))
     recs = tiling_batch(truth)
     # Each entry is revealed exactly once across d2 matchings, so with
-    # nu = 1/d2 the scaled aggregate reproduces the matrix itself.
-    agg = aggregate_response(recs, 1.0 / 8)
+    # the one-to-one nu = 1/d2 the scaled aggregate reproduces the matrix itself.
+    agg = aggregate_response(recs)
     np.testing.assert_allclose(agg, truth.values, atol=1e-12)
-    u1, v1 = spectral_init(recs, 1.0 / 8, 2)
+    u1, v1 = spectral_init(recs, 2)
     assert projector_distance(u1, truth.left_factors) <= 1e-10
     assert projector_distance(v1, truth.right_factors) <= 1e-10
 
 
 def test_spectral_init_proximity_one_to_one():
     truth, batch = make_problem(5, 10, 1, 2000, 0.0, seed=7)
-    u1, _ = spectral_init(batch, 1.0 / 10, 1)
+    u1, _ = spectral_init(batch, 1)
     assert projector_distance(u1, truth.left_factors) <= 0.2
 
 
@@ -105,17 +105,13 @@ def test_spectral_init_zero_aggregate_errors():
     recs = ObservationBatch(OneToOne(), 3, 6, 0.0, rows, rows + np.repeat([0, 1], 3),
                             np.zeros(6), [0, 3, 6])
     with pytest.raises(DegenerateInitError):
-        spectral_init(recs, 1.0 / 6, 1)
+        spectral_init(recs, 1)
 
 
 def test_spectral_init_argument_validation():
     truth, batch = make_problem(3, 6, 1, 4, 0.0, seed=9)
     with pytest.raises(ArgumentError):
-        spectral_init(batch[:0], 1.0 / 6, 1)
-    with pytest.raises(ArgumentError):
-        spectral_init(batch, 0.0, 1)
-    with pytest.raises(ArgumentError):
-        spectral_init(batch, 1.5, 1)
+        spectral_init(batch[:0], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def test_gradient_step_fixed_point_at_truth():
     state = FactorState(
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
-    new, grad_norm = gradient_step(state, recs[:200], recs[200:], 0.75, 1.0 / 12)
+    new, grad_norm = gradient_step(state, recs[:200], recs[200:], 0.75)
     assert grad_norm == 0.0
     assert projector_distance(new.U, truth.left_factors) <= 1e-10
     assert projector_distance(new.V, truth.right_factors) <= 1e-10
@@ -243,7 +239,7 @@ def test_gradient_step_decreases_projector_distance():
     before = projector_distance(u0, truth.left_factors) + projector_distance(
         v0, truth.right_factors
     )
-    new, _ = gradient_step(state, recs[n0 : 2 * n0], recs[2 * n0 :], 0.5, 1.0 / d2)
+    new, _ = gradient_step(state, recs[n0 : 2 * n0], recs[2 * n0 :], 0.5)
     after = projector_distance(new.U, truth.left_factors) + projector_distance(
         new.V, truth.right_factors
     )
@@ -257,7 +253,7 @@ def test_gradient_step_singular_core_errors():
         truth.left_factors, np.diag([1.0, 0.0]), truth.right_factors
     )
     with pytest.raises(SingularCoreError):
-        gradient_step(state, batch[:20], batch[20:], 0.5, 1.0 / 8)
+        gradient_step(state, batch[:20], batch[20:], 0.5)
 
 
 def test_gradient_step_rejects_bad_n0():
@@ -266,7 +262,7 @@ def test_gradient_step_rejects_bad_n0():
         truth.left_factors, np.diag(truth.singular_values), truth.right_factors
     )
     with pytest.raises(ArgumentError):
-        gradient_step(state, batch[:0], batch[20:], 0.5, 1.0 / 8)
+        gradient_step(state, batch[:0], batch[20:], 0.5)
 
 
 def test_overflow_in_refit_or_step_is_a_numerical_error():
@@ -280,7 +276,7 @@ def test_overflow_in_refit_or_step_is_a_numerical_error():
         solve_G(u, v, huge)
     state = FactorState(u, np.array([[-1e308]]), v)
     with pytest.raises(NonFiniteResultError, match="gradient step"):
-        gradient_step(state, huge, huge, 0.5, 0.25)
+        gradient_step(state, huge, huge, 0.5)
 
 
 def test_factor_state_validates_inputs():
@@ -389,7 +385,7 @@ def test_fit_single_pair_returns_spectral_refit():
     m_hat, trace = fit(batch, cfg, truth=truth)
     assert len(trace) == 1
     assert np.isnan(trace.grad_norm[0])
-    u, v = spectral_init(batch[:200], 1.0 / 10, 2)
+    u, v = spectral_init(batch[:200], 2)
     g = solve_G(u, v, batch[200:])
     np.testing.assert_array_equal(m_hat, (u @ g) @ v.T)
 
@@ -436,7 +432,7 @@ def test_fit_estimate_is_rotation_invariant():
     o1 = np.linalg.qr(rng.standard_normal((r, r)))[0]
     o2 = np.linalg.qr(rng.standard_normal((r, r)))[0]
 
-    u, v = spectral_init(slices[0], 1.0 / d2, r)
+    u, v = spectral_init(slices[0], r)
     states = []
     for uu, vv in ((u, v), (u @ o1, v @ o2)):
         states.append(FactorState(uu, solve_G(uu, vv, slices[1]), vv))
@@ -445,7 +441,7 @@ def test_fit_estimate_is_rotation_invariant():
 
     for p in (1, 2):
         states = [
-            gradient_step(s, slices[2 * p], slices[2 * p + 1], 0.7, 1.0 / d2)[0]
+            gradient_step(s, slices[2 * p], slices[2 * p + 1], 0.7)[0]
             for s in states
         ]
         diff = np.max(np.abs(states[0].estimate - states[1].estimate))

@@ -16,7 +16,6 @@ from matchlearn import (
     ArgumentError,
     ConfigError,
     EstimatorConfig,
-    LinearForm,
     ObservationBatch,
     OneToMany,
     OneToOne,
@@ -248,12 +247,10 @@ def test_resolve_q_random_otm():
 
 
 def test_resolve_q_from_file(tmp_path):
-    form = LinearForm.from_triplets(4, 6, [(0, 1, 2.0), (3, 5, -1.0)])
     path = tmp_path / "q.json"
-    path.write_text(form.to_json())
+    path.write_text('[{"i": 3, "j": 5, "w": -1.0}, {"i": 0, "j": 1, "w": 2.0}]')
     q = resolve_q(str(path), 4, 6, np.random.default_rng(0))
-    assert np.array_equal(q.rows, form.rows)
-    assert np.array_equal(q.weights, form.weights)
+    assert (q.rows.tolist(), q.cols.tolist(), q.weights.tolist()) == ([0, 3], [1, 5], [2.0, -1.0])
 
 
 def test_resolve_q_is_deterministic():
@@ -322,15 +319,20 @@ def test_run_simulation_convergence_study(tmp_path):
 
 
 def test_run_simulation_builds_the_two_sided_arrival_table_once(tmp_path):
-    # Parsing, nu, each replication's sampler and each half-fit's nu check
-    # all read the one memoised table.
+    # Parsing, nu and each replication's sampler read the one memoised
+    # table, and every stage of each half-fit reads the one memoised nu.
     scheme = {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, "c_s": 0.3, "gamma": 0.2}
     TwoSided.arrival_pmf.cache_clear()
+    TwoSided.nu.cache_clear()
     cfg = parse_config(base_config_dict(scheme=scheme, replications=3,
                                         outputs=str(tmp_path / "o")))
     assert run_simulation(cfg).n_success == 3
-    calls = TwoSided.arrival_pmf.cache_info()  # misses: runs of the uncached builder
-    assert calls.misses == 1 and calls.hits >= 3 * 3
+    # misses: runs of the uncached builders
+    table, nu = TwoSided.arrival_pmf.cache_info(), TwoSided.nu.cache_info()
+    assert table.misses == 1 and table.hits >= 3
+    # Per replication: both halves' nu check, spectral init and gradient
+    # step (m=2), both debiases and the artifacts.
+    assert nu.misses == 1 and nu.hits >= 3 * 9
 
 
 def test_run_simulation_policy_study(tmp_path):
@@ -411,6 +413,17 @@ def test_run_simulation_requires_outputs():
     cfg = parse_config(base_config_dict())
     with pytest.raises(ConfigError, match="outputs"):
         run_simulation(cfg)
+
+
+@pytest.mark.parametrize("field, value", [("sigma", float("nan")), ("sigma", float("inf")),
+                                          ("sigma", -1.0), ("scale", float("nan")),
+                                          ("scale", 1e308), ("scale", 0.0)])
+def test_run_simulation_rejects_sigma_and_scale_before_making_outputs(tmp_path, field, value):
+    out = tmp_path / "o"
+    cfg = dataclasses.replace(parse_config(base_config_dict()), outputs=str(out), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        run_simulation(cfg)
+    assert not out.exists()
 
 
 def test_run_simulation_worker_pool_matches_serial(tmp_path):
@@ -559,7 +572,8 @@ def test_cli_rejects_a_scale_whose_draw_range_overflows(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["simulate", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 2 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ArgumentError" and "scale" in doc["message"]
+    assert doc["error"] == "ConfigError" and "scale" in doc["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_unknown_subcommand(capsys):
@@ -728,9 +742,8 @@ def test_cli_infer_noiseless_entry(capsys, saved_batch):
 
 def test_cli_infer_with_q_file(capsys, tmp_path, saved_batch):
     truth, batch_path, cfg_path = saved_batch
-    form = LinearForm.from_triplets(8, 12, [(0, 0, 1.0), (3, 7, 1.0)])
     q_path = tmp_path / "q.json"
-    q_path.write_text(form.to_json())
+    q_path.write_text('[{"i": 0, "j": 0, "w": 1.0}, {"i": 3, "j": 7, "w": 1.0}]')
     code, out, _ = run_cli(
         capsys, ["infer", str(batch_path), str(cfg_path), "--q", str(q_path)]
     )

@@ -1,9 +1,10 @@
 """Tests for matrix domain types, truncated SVD, and projection geometry."""
-import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlearn import (
     ArgumentError,
@@ -235,7 +236,7 @@ def test_reward_matrix_is_immutable():
 # ---------------------------------------------------------------------------
 
 def test_linear_form_basic_accessors():
-    q = LinearForm.from_triplets(3, 4, [(0, 1, 2.0), (2, 3, -1.5)])
+    q = LinearForm(3, 4, [0, 2], [1, 3], [2.0, -1.5])
     assert q.dims == (3, 4)
     m = np.arange(12, dtype=float).reshape(3, 4)
     assert q.inner(m) == pytest.approx(2.0 * m[0, 1] - 1.5 * m[2, 3])
@@ -243,36 +244,69 @@ def test_linear_form_basic_accessors():
 
 def test_linear_form_rejects_duplicates_and_out_of_range():
     with pytest.raises(ArgumentError):
-        LinearForm.from_triplets(3, 4, [(0, 1, 1.0), (0, 1, 2.0)])
+        LinearForm(3, 4, [0, 0], [1, 1], [1.0, 2.0])
     with pytest.raises(ArgumentError):
-        LinearForm.from_triplets(3, 4, [(3, 0, 1.0)])
+        LinearForm(3, 4, [3], [0], [1.0])
     with pytest.raises(ArgumentError):
-        LinearForm.from_triplets(3, 4, [(0, 4, 1.0)])
+        LinearForm(3, 4, [0], [4], [1.0])
 
 
 def test_linear_form_empty_is_legal():
-    q = LinearForm.from_triplets(3, 4, [])
+    q = LinearForm(3, 4, [], [], [])
     assert q.size == 0
     assert q.inner(np.ones((3, 4))) == 0.0
 
 
 def test_linear_form_subtract_cancels_shared_entries():
-    q1 = LinearForm.from_triplets(3, 4, [(0, 0, 1.0), (1, 2, 1.0)])
-    q2 = LinearForm.from_triplets(3, 4, [(1, 2, 1.0), (2, 3, 1.0)])
+    q1 = LinearForm(3, 4, [0, 1], [0, 2], [1.0, 1.0])
+    q2 = LinearForm(3, 4, [1, 2], [2, 3], [1.0, 1.0])
     d = q1.subtract(q2)
     entries = dict(zip(zip(d.rows.tolist(), d.cols.tolist()), d.weights.tolist()))
     assert entries == {(0, 0): 1.0, (2, 3): -1.0}
 
 
-def test_linear_form_json_round_trip():
-    q = LinearForm.from_triplets(5, 6, [(0, 5, 0.25), (4, 0, -3.0)])
-    text = q.to_json()
-    parsed = json.loads(text)
-    assert all(set(e) == {"i", "j", "w"} for e in parsed)
-    back = LinearForm.from_json(text, 5, 6)
-    assert np.array_equal(back.rows, q.rows)
-    assert np.array_equal(back.cols, q.cols)
-    assert np.array_equal(back.weights, q.weights)
+def dict_subtract(q1: LinearForm, q2: LinearForm) -> dict:
+    """``q1 - q2`` by the reference dict merge: w, then minus w', exact zeros dropped."""
+    acc = {}
+    for i, j, w in zip(q1.rows.tolist(), q1.cols.tolist(), q1.weights.tolist()):
+        acc[(i, j)] = w
+    for i, j, w in zip(q2.rows.tolist(), q2.cols.tolist(), q2.weights.tolist()):
+        acc[(i, j)] = acc.get((i, j), 0.0) - w
+    return {key: w for key, w in sorted(acc.items()) if w != 0.0}
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms on one small grid: keys in both or in one only, empty forms, and
+    shared keys whose weights cancel exactly."""
+    d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    weight = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])
+    keys = st.lists(st.integers(0, d1 * d2 - 1), unique=True, max_size=d1 * d2)
+    first = {k: draw(weight) for k in draw(keys)}
+    second = {k: first[k] if k in first and draw(st.booleans()) else draw(weight)
+              for k in draw(keys)}
+    return [LinearForm(d1, d2, [k // d2 for k in w], [k % d2 for k in w], list(w.values()))
+            for w in (first, second)]
+
+
+@given(form_pairs())
+@settings(max_examples=300, deadline=None)
+def test_linear_form_subtract_equals_the_dict_merge(pair):
+    q1, q2 = pair
+    d = q1.subtract(q2)
+    expected = dict_subtract(q1, q2)
+    assert d.rows.tolist() == [i for i, _ in expected]
+    assert d.cols.tolist() == [j for _, j in expected]
+    assert d.weights.tobytes() == np.array(list(expected.values()), dtype=float).tobytes()
+
+
+def test_linear_form_from_json_reads_hand_written_entries():
+    text = '[{"i": 4, "j": 0, "w": -3}, {"w": 0.25, "j": 5, "i": 0}]'
+    q = LinearForm.from_json(text, 5, 6)
+    assert q.rows.tolist() == [0, 4] and q.cols.tolist() == [5, 0]
+    assert q.weights.tolist() == [0.25, -3.0] and q.weights.dtype == np.float64
+    empty = LinearForm.from_json("[]", 5, 6)
+    assert empty.size == 0 and empty.dims == (5, 6)
 
 
 def test_linear_form_from_json_rejects_malformed():
@@ -321,7 +355,7 @@ def test_projection_magnitude_single_entry_formula():
     u = random_orthonormal(6, 2, rng)
     v = random_orthonormal(9, 2, rng)
     i, j = 4, 7
-    q = LinearForm.from_triplets(6, 9, [(i, j, 1.0)])
+    q = LinearForm(6, 9, [i], [j], [1.0])
     nu_i = u[i] @ u[i]
     nv_j = v[j] @ v[j]
     expected = np.sqrt(nu_i + nv_j - nu_i * nv_j)
@@ -386,7 +420,7 @@ def test_projection_magnitude_empty_form_is_zero():
     rng = np.random.default_rng(47)
     u = random_orthonormal(4, 2, rng)
     v = random_orthonormal(5, 2, rng)
-    assert projection_magnitude(u, v, LinearForm.from_triplets(4, 5, [])) == 0.0
+    assert projection_magnitude(u, v, LinearForm(4, 5, [], [], [])) == 0.0
 
 
 def test_projection_magnitude_dim_mismatch():
@@ -394,4 +428,4 @@ def test_projection_magnitude_dim_mismatch():
     u = random_orthonormal(4, 2, rng)
     v = random_orthonormal(5, 2, rng)
     with pytest.raises(ArgumentError):
-        projection_magnitude(u, v, LinearForm.from_triplets(5, 5, [(0, 0, 1.0)]))
+        projection_magnitude(u, v, LinearForm(5, 5, [0], [0], [1.0]))
