@@ -445,7 +445,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         n_failed=len(failed),
         failures=tuple(r["error"] for r in failed),
     )
-    _write_outputs(outdir, config, ecfg.nu, truth, q, ok, summary)
+    _write_outputs(outdir, config, truth, q, ok, summary)
     return summary
 
 
@@ -456,7 +456,7 @@ def _jsonable(x: float | None):
     return None if not np.isfinite(x) else x
 
 
-def _write_outputs(outdir, config, nu, truth, q, ok, summary) -> None:
+def _write_outputs(outdir, config, truth, q, ok, summary) -> None:
     with open(outdir / "standardized_stats.csv", "w") as fh:
         fh.write("rep,z\n")
         if config.study != "convergence":
@@ -485,7 +485,7 @@ def _write_outputs(outdir, config, nu, truth, q, ok, summary) -> None:
     doc = {
         "config": {k: v for k, v in config_to_dict(config).items()
                    if k not in ("outputs", "workers")},
-        "nu": nu,
+        "nu": config.scheme.nu(config.d1, config.d2),
         "n_success": summary.n_success,
         "n_failed": summary.n_failed,
         "failures": list(summary.failures),
@@ -633,14 +633,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     batch, cfg = _load_batch_and_config(args, 2)
     outdir = _resolve_out(args, cfg)
-    ecfg = _estimator_config(cfg)
-    m_init, trace = fit(batch, ecfg)
+    m_init, trace = fit(batch, _estimator_config(cfg))
     save_matrix_csv(m_init, outdir / "m_init.csv")
     trace.write_csv(outdir / "trace.csv")
     print(json.dumps({
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
-        "nu": ecfg.nu,
+        "nu": batch.scheme.nu(batch.d1, batch.d2),
         "batches": len(trace),
     }, sort_keys=True))
     return 0
@@ -648,11 +647,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_infer(args) -> int:
     batch, cfg = _load_batch_and_config(args, 4)
-    ecfg = _estimator_config(cfg)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
-    artifacts = prepare_inference(batch, ecfg)
+    artifacts = prepare_inference(batch, _estimator_config(cfg))
     res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
-    doc = dict(res.to_dict(), q_size=q.size, nu=ecfg.nu)
+    doc = dict(res.to_dict(), q_size=q.size, nu=artifacts.nu)
     print(json.dumps(doc, sort_keys=True))
     if args.out is not None or cfg.outputs is not None:
         outdir = _resolve_out(args, cfg)
