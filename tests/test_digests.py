@@ -5,8 +5,10 @@ The runs cover one inference study per scheme (with an entry, a random
 one-to-one and a one-to-one difference form), a convergence study, a
 policy study that redraws the matrix per replication, the bytes of one
 saved batch file, and the CLI's ``estimate``, ``infer`` (q file and
-q_spec) and ``policy`` on that batch.  The temporary directory is
-replaced by ``<tmp>`` in the CLI's stdout before hashing.
+q_spec) and ``policy`` on that batch.  The CLI's stdout is pinned too:
+theirs, ``simulate``'s for each study and ``nu``'s for each scheme.
+The temporary directory is replaced by ``<tmp>`` in the CLI's stdout
+before hashing.
 
 The digests depend on the floating-point build.  They were pinned with
 numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1 and Python 3.11.7 on
@@ -26,6 +28,7 @@ from matchlearn import (
     OneToOne,
     RunConfig,
     TwoSided,
+    config_to_dict,
     generate_low_rank,
     main,
     observe,
@@ -47,6 +50,13 @@ CLI = {
                      "--out", "{tmp}/infer"],
     "infer_random_oto": ["infer", "{batch}", "{config}", "--q", "random_oto"],
     "policy": ["policy", "{batch}", "{config}", "--out", "{tmp}/policy"],
+}
+NU = {
+    "one_to_one": ["nu", "--scheme", "oto", "--d1", "10", "--d2", "30"],
+    "one_to_many": ["nu", "--scheme", "one_to_many", "--d1", "10", "--d2", "30",
+                    "--K", "3", "--p0", "0.8"],
+    "two_sided": ["nu", "--scheme", "ts", "--d1", "10", "--d2", "30", "--p1", "0.8",
+                  "--p2", "0.8", "--c-r", "0.3", "--c-s", "0.3", "--gamma", "0.2"],
 }
 Q_FILE = '[{"i": 0, "j": 3, "w": 1.5}, {"i": 9, "j": 29, "w": -0.25}, {"i": 4, "j": 0, "w": 2}]'
 
@@ -117,6 +127,22 @@ PINNED = {
         "63324b6fa68c6140d8caf533ff80c2cd39c308201d592f7e479eaef558232a5c",
     "cli/policy/matching.json":
         "89a3d1be3f28a9839265a59a1deea287773eb4027da45e4980f88179cf8c25ed",
+    "cli/simulate/one_to_one/stdout":
+        "e57ff66113a3674a9d1582d2491204054e081a7e2c83a2fc8a1052a70507b964",
+    "cli/simulate/one_to_many/stdout":
+        "c4114d20887384520ba8a55f54df885683b3f490f1e52825a1e469e740a7574a",
+    "cli/simulate/two_sided/stdout":
+        "ecf582aad898057d1f5b9ebb1c119c985278656bd6e7ca729da186af4ca63b31",
+    "cli/simulate/convergence/stdout":
+        "caa50d5b9204c4ad7523c5411f12d3b2ef3a13933caa23b2ec614c8485c4d441",
+    "cli/simulate/policy/stdout":
+        "27efc260672d4e863f5708535fac76a428cdf8e4815814f60ac1b670ad995f71",
+    "cli/nu/one_to_one/stdout":
+        "a303ef9b6d3a461578ae3420d741b6beee3e3176bbf373a89f1f4b6a9ad8c0b6",
+    "cli/nu/one_to_many/stdout":
+        "4c424d6f05512224d72e9117bffb41f2b56c325d719bed966c8a1aa3e5e9fffc",
+    "cli/nu/two_sided/stdout":
+        "dbcc0868e19ea8d5ac9d1eaa39ee9b061a187c639989c9dd92ffb6ef9621d995",
 }
 
 
@@ -124,16 +150,30 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _cli_stdout(argv, tmp_path, capsys) -> str:
+    """Digest of the CLI's stdout for ``argv``, with ``tmp_path`` written as ``<tmp>``."""
+    capsys.readouterr()
+    assert main(argv) == 0, argv
+    return _sha(capsys.readouterr().out.replace(str(tmp_path), "<tmp>").encode())
+
+
 def run_digests(tmp_path, capsys) -> dict[str, str]:
     """Run every pinned study and command under ``tmp_path``; digest each output."""
     out = {}
     for label, kwargs in STUDIES.items():
         outdir = tmp_path / "studies" / label
-        cfg = dict(d1=D1, d2=D2, r=2, T=T, seed=5, m=5, sigma=0.5, scale=2.0,
-                   replications=3, outputs=str(outdir)) | kwargs
-        run_simulation(RunConfig(**cfg))
+        cfg = RunConfig(**dict(d1=D1, d2=D2, r=2, T=T, seed=5, m=5, sigma=0.5, scale=2.0,
+                               replications=3, outputs=str(outdir)) | kwargs)
+        run_simulation(cfg)
         for path in sorted(outdir.iterdir()):
             out[f"{label}/{path.name}"] = _sha(path.read_bytes())
+        config = tmp_path / f"simulate_{label}.json"
+        config.write_text(json.dumps(config_to_dict(cfg)))
+        out[f"cli/simulate/{label}/stdout"] = _cli_stdout(
+            ["simulate", str(config), "--out", str(tmp_path / "simulate" / label)],
+            tmp_path, capsys)
+    for label, argv in NU.items():
+        out[f"cli/nu/{label}/stdout"] = _cli_stdout(argv, tmp_path, capsys)
 
     truth = generate_low_rank(D1, D2, 2, 2.0, np.random.default_rng([23, 1]))
     batch = observe(truth, OneToOne(), T, 0.5, np.random.default_rng([23, 2]), seed=23)
@@ -145,11 +185,9 @@ def run_digests(tmp_path, capsys) -> dict[str, str]:
         "d1": D1, "d2": D2, "r": 2, "T": T, "m": 5, "seed": 23, "sigma": 0.5,
         "scheme": {"kind": "one_to_one"}}))
     (tmp_path / "q.json").write_text(Q_FILE)
-    capsys.readouterr()
     for label, argv in CLI.items():
-        assert main([a.format(**paths) for a in argv]) == 0, label
-        stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
-        out[f"cli/{label}/stdout"] = _sha(stdout.encode())
+        out[f"cli/{label}/stdout"] = _cli_stdout([a.format(**paths) for a in argv],
+                                                 tmp_path, capsys)
     for sub in ("estimate", "infer", "policy"):
         for path in sorted((tmp_path / sub).iterdir()):
             out[f"cli/{sub}/{path.name}"] = _sha(path.read_bytes())
