@@ -23,7 +23,7 @@ from .errors import (
     RemainderDroppedWarning,
     SingularCoreError,
 )
-from .matmodel import RewardMatrix, _require_finite, svd_r
+from .matmodel import RewardMatrix, _check_orthonormal, _require_finite, svd_r
 from .samplers import ObservationBatch, entrywise_probability
 
 NU_CONSISTENCY_RTOL = 1e-9
@@ -73,10 +73,8 @@ class FactorState:
             raise ArgumentError("G must be square")
         if self.U.shape[1] != r or self.V.shape[1] != r:
             raise ArgumentError("factor widths must match G")
-        for name, q in (("U", self.U), ("V", self.V)):
-            dev = np.max(np.abs(q.T @ q - np.eye(r)))
-            if dev > ORTHONORMALITY_LOOP_TOL:
-                raise ArgumentError(f"{name} not orthonormal (max deviation {dev:.2e})")
+        _check_orthonormal("U", self.U, ORTHONORMALITY_LOOP_TOL)
+        _check_orthonormal("V", self.V, ORTHONORMALITY_LOOP_TOL)
         object.__setattr__(self, "g_svd", svd_r(self.G, r))
 
     @property
@@ -96,11 +94,6 @@ class FitTrace:
 
     def __len__(self) -> int:
         return self.rel_max_err_sq.size
-
-    @property
-    def batches(self) -> np.ndarray:
-        """The batch-pair numbers ``1..m``."""
-        return np.arange(1, len(self) + 1)
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -139,9 +132,7 @@ def aggregate_response(batch: ObservationBatch) -> np.ndarray:
     """The spectral-initialization target ``(nu N0)^-1 sum_t Y_t o X_t``, ``nu`` the scheme's."""
     if len(batch) == 0:
         raise ArgumentError("need at least one observation")
-    d1, d2 = batch.d1, batch.d2
-    flat = np.bincount(batch.rows * d2 + batch.cols, weights=batch.y, minlength=d1 * d2)
-    return flat.reshape(d1, d2) / (batch.scheme.nu(d1, d2) * len(batch))
+    return batch.scatter(batch.y) / (batch.nu * len(batch))
 
 
 def spectral_init(batch: ObservationBatch, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +198,7 @@ def batch_loss_gradient(m_dense: np.ndarray, batch: ObservationBatch) -> np.ndar
     Equals ``2 sum_t (X_t o M - Y_t)``; entries unseen in the batch are
     zero.
     """
-    d1, d2 = m_dense.shape
-    rows, cols = batch.rows, batch.cols
-    resid = m_dense[rows, cols] - batch.y
-    flat = np.bincount(rows * d2 + cols, weights=2.0 * resid, minlength=d1 * d2)
-    return flat.reshape(d1, d2)
+    return batch.scatter(2.0 * (m_dense[batch.rows, batch.cols] - batch.y))
 
 
 def gradient_step(
@@ -239,8 +226,7 @@ def gradient_step(
         raise ArgumentError("need a nonempty step batch")
     _check_invertible(state)
     l_g, _, r_g = state.g_svd
-    nu = step_batch.scheme.nu(step_batch.d1, step_batch.d2)
-    coef = eta / (2.0 * len(step_batch) * nu)
+    coef = eta / (2.0 * len(step_batch) * step_batch.nu)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = batch_loss_gradient(state.estimate, step_batch)
         grad_norm = float(np.linalg.norm(grad))

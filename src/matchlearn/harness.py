@@ -449,11 +449,16 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     return summary
 
 
-def _jsonable(x: float | None):
-    if x is None:
-        return None
+def _jsonable(x: float):
     x = float(x)
-    return None if not np.isfinite(x) else x
+    return x if np.isfinite(x) else None
+
+
+def _aggregates(summary: ReplicationSummary) -> dict:
+    """The aggregates that ``summary.json`` and ``simulate``'s stdout both report."""
+    return {"n_success": summary.n_success, "n_failed": summary.n_failed,
+            "recovery_count": summary.recovery_count} | {
+        k: _jsonable(getattr(summary, k)) for k in ("ks_distance", "coverage", "mean", "sd")}
 
 
 def _write_outputs(outdir, config, truth, q, ok, summary) -> None:
@@ -486,14 +491,8 @@ def _write_outputs(outdir, config, truth, q, ok, summary) -> None:
         "config": {k: v for k, v in config_to_dict(config).items()
                    if k not in ("outputs", "workers")},
         "nu": config.scheme.nu(config.d1, config.d2),
-        "n_success": summary.n_success,
-        "n_failed": summary.n_failed,
+        **_aggregates(summary),
         "failures": list(summary.failures),
-        "ks_distance": _jsonable(summary.ks_distance),
-        "coverage": _jsonable(summary.coverage),
-        "mean": _jsonable(summary.mean),
-        "sd": _jsonable(summary.sd),
-        "recovery_count": summary.recovery_count,
         "q_size": q.size,
         "truth_value": _jsonable(q.inner(truth.values)) if truth is not None else None,
     }
@@ -617,16 +616,7 @@ def _cmd_simulate(args) -> int:
     if args.out is not None:
         cfg = replace(cfg, outputs=args.out)
     summary = run_simulation(cfg)
-    print(json.dumps({
-        "out": cfg.outputs,
-        "n_success": summary.n_success,
-        "n_failed": summary.n_failed,
-        "ks_distance": _jsonable(summary.ks_distance),
-        "coverage": _jsonable(summary.coverage),
-        "mean": _jsonable(summary.mean),
-        "sd": _jsonable(summary.sd),
-        "recovery_count": summary.recovery_count,
-    }, sort_keys=True))
+    print(json.dumps({"out": cfg.outputs, **_aggregates(summary)}, sort_keys=True))
     return 0
 
 
@@ -639,7 +629,7 @@ def _cmd_estimate(args) -> int:
     print(json.dumps({
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
-        "nu": batch.scheme.nu(batch.d1, batch.d2),
+        "nu": batch.nu,
         "batches": len(trace),
     }, sort_keys=True))
     return 0

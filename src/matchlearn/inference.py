@@ -39,12 +39,9 @@ def debias(m_init: np.ndarray, other_half: ObservationBatch) -> np.ndarray:
         raise ArgumentError("need a nonempty correction half")
     if (other_half.d1, other_half.d2) != m_init.shape:
         raise ArgumentError("correction records must match the estimate's dims")
-    d1, d2 = m_init.shape
-    rows, cols = other_half.rows, other_half.cols
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (other_half.y - m_init[rows, cols]) * (1.0 / other_half.scheme.nu(d1, d2))
-        flat = np.bincount(rows * d2 + cols, weights=weights, minlength=d1 * d2)
-        m_unbs = m_init + flat.reshape(d1, d2) / len(other_half)
+        weights = (other_half.y - m_init[other_half.rows, other_half.cols]) * (1.0 / other_half.nu)
+        m_unbs = m_init + other_half.scatter(weights) / len(other_half)
     return _require_finite(m_unbs, "debiased estimate")
 
 
@@ -205,7 +202,7 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
         v_hat=v_hat,
         sigma_hat_sq=sigma_hat_sq,
         t_used=2 * t0,
-        nu=batch.scheme.nu(batch.d1, batch.d2),
+        nu=batch.nu,
     )
 
 

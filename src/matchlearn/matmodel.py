@@ -46,10 +46,36 @@ def _require_finite(a, what: str):
     return a
 
 
-def _locked(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _locked(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``."""
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _flat(a, dtype, name: str) -> np.ndarray:
+    """``a`` as a flat read-only ``dtype`` view, copied only to convert: indices (np.int64)
+    take integers, values (float) numbers, and a list is looked through for booleans."""
+    what, kinds = ("integers", "iu") if dtype is np.int64 else ("numbers", "iuf")
+    arr = np.asarray(a)
+    if arr.size and (arr.dtype.kind not in kinds or not isinstance(a, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.array(a, dtype=object).ravel())):
+        raise ArgumentError(f"{name} must hold only {what}, never booleans or strings")
+    out = arr.astype(dtype, copy=False).reshape(-1).view()
+    out.flags.writeable = False
+    return out
+
+
+def _positive_dims(d1: int, d2: int) -> None:
+    if d1 < 1 or d2 < 1:
+        raise ArgumentError(f"dimensions must be positive, got ({d1}, {d2})")
+
+
+def _check_orthonormal(name: str, q: np.ndarray, tol: float) -> None:
+    """ArgumentError unless the columns of ``q`` are orthonormal to ``tol`` (max deviation)."""
+    dev = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
+    if dev > tol:
+        raise ArgumentError(f"{name} not orthonormal (max deviation {dev:.2e})")
 
 
 def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,24 +172,17 @@ class RewardMatrix:
             raise ArgumentError("factor shapes inconsistent with the singular values")
         if v.shape[0] < u.shape[0]:
             raise ArgumentError(f"convention requires d2 >= d1, got {(u.shape[0], v.shape[0])}")
-        for name, q in (("left_factors", u), ("right_factors", v)):
-            dev = np.max(np.abs(q.T @ q - np.eye(r)))
-            if dev > ORTHONORMALITY_TOL:
-                raise ArgumentError(f"{name} not orthonormal (max deviation {dev:.2e})")
+        _check_orthonormal("left_factors", u, ORTHONORMALITY_TOL)
+        _check_orthonormal("right_factors", v, ORTHONORMALITY_TOL)
         if not np.all((0.0 < s) & (s < np.inf)) or np.any(np.diff(s) > 0.0):
             raise ArgumentError("singular values must be finite, positive and nonincreasing")
-        object.__setattr__(self, "values", _locked((u * s) @ v.T))
-        object.__setattr__(self, "left_factors", _locked(u))
-        object.__setattr__(self, "singular_values", _locked(s))
-        object.__setattr__(self, "right_factors", _locked(v))
+        for name, a in (("values", (u * s) @ v.T), ("left_factors", u),
+                        ("singular_values", s), ("right_factors", v)):
+            object.__setattr__(self, name, _locked(a, float))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    @property
-    def rank(self) -> int:
-        return self.singular_values.size
 
 
 def generate_low_rank(
@@ -203,28 +222,23 @@ class LinearForm:
     weights: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(self.cols, dtype=np.int64).reshape(-1)
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        rows, cols = _flat(self.rows, np.int64, "rows"), _flat(self.cols, np.int64, "cols")
+        weights = _flat(self.weights, float, "weights")
         if not (rows.size == cols.size == weights.size):
             raise ArgumentError("rows, cols, weights must have equal length")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ArgumentError("dimensions must be positive")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.d1:
-                raise ArgumentError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.d2:
-                raise ArgumentError("column index out of range")
-            if not np.all(np.isfinite(weights)):
-                raise ArgumentError("weights must be finite")
-            keys = rows * self.d2 + cols
-            if np.unique(keys).size != keys.size:
-                raise ArgumentError("duplicate (i, j) keys in linear form")
-            order = np.argsort(keys)
-            rows, cols, weights = rows[order], cols[order], weights[order]
-        object.__setattr__(self, "rows", _locked_int(rows))
-        object.__setattr__(self, "cols", _locked_int(cols))
-        object.__setattr__(self, "weights", _locked(weights))
+        _positive_dims(self.d1, self.d2)
+        if np.any((rows < 0) | (rows >= self.d1)):
+            raise ArgumentError("row index out of range")
+        if np.any((cols < 0) | (cols >= self.d2)):
+            raise ArgumentError("column index out of range")
+        if not np.all(np.isfinite(weights)):
+            raise ArgumentError("weights must be finite")
+        keys = rows * self.d2 + cols
+        if np.unique(keys).size != keys.size:
+            raise ArgumentError("duplicate (i, j) keys in linear form")
+        order = np.argsort(keys)
+        for name, a in (("rows", rows), ("cols", cols), ("weights", weights)):
+            object.__setattr__(self, name, _locked(a[order], a.dtype))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -293,12 +307,6 @@ def _json_real(value, name: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _locked_int(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.int64, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def projection_magnitude(u, v, q: LinearForm) -> float:

@@ -40,7 +40,7 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix, _json_int, _json_real
+from .matmodel import RewardMatrix, _flat, _json_int, _json_real, _locked, _positive_dims
 
 
 # draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
@@ -53,9 +53,12 @@ def _prefixes(rng: np.random.Generator, d: int, counts: np.ndarray) -> np.ndarra
     return tile[np.arange(d) < counts[:, None]]
 
 
-def _positive_dims(d1: int, d2: int) -> None:
-    if d1 < 1 or d2 < 1:
-        raise ArgumentError(f"dimensions must be positive, got ({d1}, {d2})")
+def _numeric_fields(scheme) -> None:
+    """ArgumentError unless every field is a number, never a boolean: what a batch header holds."""
+    for f in fields(scheme):
+        v = getattr(scheme, f.name)
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ArgumentError(f"{f.name} must be a number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ class OneToMany:
     p0: float
 
     def __post_init__(self):
+        _numeric_fields(self)
         if not (isinstance(self.K, int) and self.K >= 1):
             raise ArgumentError(f"K must be a positive integer, got {self.K!r}")
         if not (0.0 < self.p0 <= 1.0):
@@ -143,6 +147,7 @@ class TwoSided:
     gamma: float
 
     def __post_init__(self):
+        _numeric_fields(self)
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not (0.0 < p < 1.0):
                 raise ArgumentError(f"{name} must lie in (0, 1), got {p}")
@@ -191,9 +196,7 @@ class TwoSided:
             )
         log_pmf = np.where(kept, _binom_logpmf(d1, self.p1)[:, None]
                            + _binom_logpmf(d2, self.p2), -np.inf)
-        pmf = np.exp(log_pmf - logsumexp(log_pmf))
-        pmf.flags.writeable = False
-        return pmf
+        return _locked(np.exp(log_pmf - logsumexp(log_pmf)), float)
 
     def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator, int], tuple]:
         """The draw ``(rng, n) -> (B_r, B_s)``: n uniforms inverted through the cumulated
@@ -313,13 +316,12 @@ class Matching:
     cols: np.ndarray
 
     def __post_init__(self):
-        rows, cols = (np.array(a, dtype=np.int64).reshape(-1) for a in (self.rows, self.cols))
+        rows, cols = (_flat(getattr(self, name), np.int64, name) for name in ("rows", "cols"))
         if rows.size != cols.size:
             raise ArgumentError("rows and cols must have equal length")
         _check_periods(self.d1, self.d2, rows, cols, np.array([0, rows.size]))
-        for name, arr in (("rows", rows), ("cols", cols)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def size(self) -> int:
@@ -355,9 +357,7 @@ class ObservationBatch:
         _check_sigma(self.sigma)
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("y", float),
                             ("offsets", np.int64)):
-            locked = np.asarray(getattr(self, name), dtype=dtype).reshape(-1).view()
-            locked.flags.writeable = False
-            object.__setattr__(self, name, locked)
+            object.__setattr__(self, name, _flat(getattr(self, name), dtype, name))
         offsets = self.offsets
         if offsets[:1].tolist() != [0] or np.any(np.diff(offsets) < 0) \
                 or not offsets[-1] == self.rows.size == self.cols.size == self.y.size:
@@ -374,13 +374,22 @@ class ObservationBatch:
         if step != 1:
             raise ArgumentError("batch slices must be contiguous")
         lo, hi = self.offsets[start], self.offsets[max(start, stop)]
-        offsets = self.offsets[start : max(start, stop) + 1] - lo
-        offsets.flags.writeable = False
+        offsets = _flat(self.offsets[start : max(start, stop) + 1] - lo, np.int64, "offsets")
         # Parts of validated arrays: built without __init__, so not checked again.
         view = object.__new__(ObservationBatch)
         vars(view).update(vars(self), rows=self.rows[lo:hi], cols=self.cols[lo:hi],
                           y=self.y[lo:hi], offsets=offsets)
         return view
+
+    @property
+    def nu(self) -> float:
+        """The entrywise observation probability of the batch's scheme at its dims."""
+        return self.scheme.nu(self.d1, self.d2)
+
+    def scatter(self, weights: np.ndarray) -> np.ndarray:
+        """Dense ``d1 x d2`` sums of one weight per revealed entry, each cell's in entry order."""
+        return np.bincount(self.rows * self.d2 + self.cols, weights=weights,
+                           minlength=self.d1 * self.d2).reshape(self.d1, self.d2)
 
     @property
     def records(self) -> tuple["ObservationBatch", ...]:
@@ -406,12 +415,7 @@ class NuEstimate:
 
 
 def entrywise_probability(scheme: MatchingScheme, d1: int, d2: int) -> NuEstimate:
-    """Probability that any fixed entry (i, j) is observed in one period.
-
-    ``1/d2`` for one-to-one, ``K*p0/d2`` for one-to-many and, for
-    two-sided, ``E[min(B_r, B_s)]/(d1*d2)`` summed exactly over
-    :meth:`TwoSided.arrival_pmf`.
-    """
+    """Probability that any fixed entry (i, j) is observed in one period: ``scheme.nu(d1, d2)``."""
     return NuEstimate(nu=scheme.nu(d1, d2))
 
 

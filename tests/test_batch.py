@@ -171,6 +171,48 @@ def test_slices_are_views_of_the_parent():
             batch[key]
 
 
+def test_scatter_adds_each_cell_in_entry_order_and_nu_is_the_schemes():
+    _, batch, _ = make_pair(SCHEMES["one_to_many"], seed=9)
+    weights = np.random.default_rng(3).standard_normal(batch.y.size)
+    dense = np.zeros((batch.d1, batch.d2))
+    for i, j, w in zip(batch.rows, batch.cols, weights):
+        dense[i, j] += w
+    assert batch.scatter(weights).tobytes() == dense.tobytes()
+    assert batch[5:9].nu == batch.nu == SCHEMES["one_to_many"].nu(batch.d1, batch.d2)
+
+
+def entries(kind, rows=(0, 1), cols=(0, 1), values=(1.0, 2.0)):
+    """A 2x4 batch (one period), matching or linear form of these entries."""
+    if kind == "batch":
+        return ObservationBatch(OneToOne(), 2, 4, 0.5, rows, cols, values, [0, 2])
+    if kind == "matching":
+        return Matching(2, 4, rows, cols)
+    return LinearForm(2, 4, rows, cols, values)
+
+
+_BAD_ENTRIES = [("rows", [0, 1.9]), ("cols", [0.0, 1.0]), ("rows", [True, False]),
+                ("cols", [0, True]), ("rows", ["0", "1"]), ("values", ["1.5", "2.5"]),
+                ("values", [1.0, True]), ("values", [None, 1.0])]
+_BAD_CASES = [(kind, field, value) for kind in ("batch", "matching", "form")
+              for field, value in _BAD_ENTRIES if kind != "matching" or field != "values"]
+
+
+@pytest.mark.parametrize("kind, field, value", _BAD_CASES,
+                         ids=[f"{kind}-{field}={value}" for kind, field, value in _BAD_CASES])
+def test_entry_constructors_take_only_integer_indices_and_numeric_values(kind, field, value):
+    # numpy alone truncates 1.9 to 1, reads booleans as 0 and 1 and parses "1.5",
+    # all of which the loaders reject in a file.
+    entries(kind)
+    with pytest.raises(ArgumentError, match="must hold only"):
+        entries(kind, **{field: value})
+
+
+def test_entry_constructors_take_empty_lists():
+    assert Matching(2, 4, [], []).size == LinearForm(2, 4, [], [], []).size == 0
+    batch = ObservationBatch(OneToMany(1, 0.5), 2, 4, 0.5, [], [], [], [0, 0])
+    assert len(batch) == 1 and batch.y.size == 0
+
+
 def test_validator_rejects_a_column_repeated_within_one_period():
     scheme = SCHEMES["two_sided"]
     with pytest.raises(ArgumentError, match="in period 1") as info:

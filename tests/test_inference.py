@@ -133,6 +133,9 @@ def test_debias_overflow_is_a_numerical_error():
     batch = overflowing_batch([25])
     with pytest.raises(NonFiniteResultError, match="debiased estimate"):
         debias(np.zeros((2, 4)), batch)
+    # Here the residual y - m_init itself overflows, inside the same errstate.
+    with pytest.raises(NonFiniteResultError, match="debiased estimate"):
+        debias(np.full((2, 4), -1e308), batch)
     with pytest.raises(NonFiniteResultError):
         prepare_inference(batch, EstimatorConfig(r=1, eta=0.5, m=1, nu=0.25))
 

@@ -411,6 +411,25 @@ def test_scheme_from_json_reads_an_integer_real_as_a_float():
     assert scheme_from_json({"kind": "one_to_many", "K": 2, "p0": 1}) == OneToMany(2, 1.0)
 
 
+@pytest.mark.parametrize("cls, bad, good", [
+    (OneToMany, (True, 0.8), (1, 0.8)),
+    (OneToMany, (3, True), (3, 1.0)),
+    (TwoSided, (0.8, 0.8, 0.3, 0.3, True), (0.8, 0.8, 0.3, 0.3, 1.0)),
+])
+def test_scheme_constructors_take_no_booleans_so_every_saved_batch_loads(tmp_path, cls, bad, good):
+    # A boolean field would construct, observe and save, and the file would then
+    # fail load_batch, whose scheme reader takes only JSON numbers.
+    with pytest.raises(ArgumentError, match="must be a number"):
+        cls(*bad)
+    truth = generate_low_rank(2, 8, 1, 1.0, np.random.default_rng(0))
+    batch = observe(truth, cls(*good), 6, 0.5, np.random.default_rng(1))
+    save_batch(batch, tmp_path / "batch.jsonl")
+    loaded = load_batch(tmp_path / "batch.jsonl")
+    assert loaded.scheme == batch.scheme
+    for name in ("rows", "cols", "y", "offsets"):
+        assert np.array_equal(getattr(loaded, name), getattr(batch, name))
+
+
 _STRICT_HEADER = {"scheme": {"kind": "one_to_one"}, "d1": 1, "d2": 2, "sigma": 0.5, "seed": 3}
 
 
