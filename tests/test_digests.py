@@ -8,7 +8,9 @@ saved batch file, and the CLI's ``estimate``, ``infer`` (q file and
 q_spec) and ``policy`` on that batch.  The CLI's stdout is pinned too:
 theirs, ``simulate``'s for each study and ``nu``'s for each scheme.
 The temporary directory is replaced by ``<tmp>`` in the CLI's stdout
-before hashing.
+before hashing.  One saved batch per scheme at 8x1400, T=300 is pinned as
+well: its (T, d2) permutation tile is 3.4 MB, so drawn in rows of 1 MB it
+spans four chunks, where the 10x30 runs span one.
 
 The digests depend on the floating-point build.  They were pinned with
 numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1 and Python 3.11.7 on
@@ -57,6 +59,11 @@ NU = {
                     "--K", "3", "--p0", "0.8"],
     "two_sided": ["nu", "--scheme", "ts", "--d1", "10", "--d2", "30", "--p1", "0.8",
                   "--p2", "0.8", "--c-r", "0.3", "--c-s", "0.3", "--gamma", "0.2"],
+}
+CHUNKED = {
+    "one_to_one": OneToOne(),
+    "one_to_many": OneToMany(3, 0.8),
+    "two_sided": TwoSided(0.8, 0.8, 0.3, 0.3, 0.2),
 }
 Q_FILE = '[{"i": 0, "j": 3, "w": 1.5}, {"i": 9, "j": 29, "w": -0.25}, {"i": 4, "j": 0, "w": 2}]'
 
@@ -143,6 +150,12 @@ PINNED = {
         "4c424d6f05512224d72e9117bffb41f2b56c325d719bed966c8a1aa3e5e9fffc",
     "cli/nu/two_sided/stdout":
         "dbcc0868e19ea8d5ac9d1eaa39ee9b061a187c639989c9dd92ffb6ef9621d995",
+    "chunked/one_to_one/batch.jsonl":
+        "e4849a237d76f2dd07ab86d808d293f9b1615c46dc9ce481169f87fcce53c6d0",
+    "chunked/one_to_many/batch.jsonl":
+        "38b5788f2e6560dfeef67e2b7c262df5d06f83b44cb84e899c6879e6bd98e584",
+    "chunked/two_sided/batch.jsonl":
+        "a65a9e98b2f19ef10ae7521bee531e66988a708cf04f2f9cb634113aa73e9afd",
 }
 
 
@@ -191,6 +204,12 @@ def run_digests(tmp_path, capsys) -> dict[str, str]:
     for sub in ("estimate", "infer", "policy"):
         for path in sorted((tmp_path / sub).iterdir()):
             out[f"cli/{sub}/{path.name}"] = _sha(path.read_bytes())
+
+    wide = generate_low_rank(8, 1400, 2, 2.0, np.random.default_rng([29, 1]))
+    for label, scheme in CHUNKED.items():
+        path = tmp_path / f"chunked_{label}.jsonl"
+        save_batch(observe(wide, scheme, 300, 0.5, np.random.default_rng([29, 2]), seed=29), path)
+        out[f"chunked/{label}/batch.jsonl"] = _sha(path.read_bytes())
     return out
 
 
