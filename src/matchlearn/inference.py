@@ -33,6 +33,7 @@ def debias(m_init: np.ndarray, other_half: ObservationBatch) -> np.ndarray:
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
     half, ``T0`` its periods and ``nu`` its scheme's; the result is entrywise
     unbiased for M whatever M_init was, as the held-out residuals are independent of it.
+    Transients: one weight per held-out entry, updated in place, and the scatter's index.
     """
     m_init = np.asarray(m_init, dtype=float)
     if len(other_half) == 0:
@@ -40,8 +41,12 @@ def debias(m_init: np.ndarray, other_half: ObservationBatch) -> np.ndarray:
     if (other_half.d1, other_half.d2) != m_init.shape:
         raise ArgumentError("correction records must match the estimate's dims")
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (other_half.y - m_init[other_half.rows, other_half.cols]) * (1.0 / other_half.nu)
-        m_unbs = m_init + other_half.scatter(weights) / len(other_half)
+        weights = m_init[other_half.rows, other_half.cols]
+        np.subtract(other_half.y, weights, out=weights)
+        weights *= 1.0 / other_half.nu
+        m_unbs = other_half.scatter(weights)
+        m_unbs /= len(other_half)
+        m_unbs += m_init
     return _require_finite(m_unbs, "debiased estimate")
 
 
@@ -177,8 +182,9 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     (``config.m`` batch pairs per half), cross-debiases each initial
     estimate with the other half's residuals, projects both back to
     rank r, and averages them into ``m_hat``; ``u_hat``, ``v_hat`` are
-    its top-r factors.  Each half scored against the other's fit gives
-    the noise variance.
+    its top-r factors.  The noise variance, each half scored against the other's fit,
+    comes first, so each initial estimate is dropped once its projection exists: beyond
+    the batch, two dense d1 x d2 matrices are held besides the running stage's arrays.
     """
     t0 = len(batch) // 2
     if t0 < 1:
@@ -190,12 +196,14 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
 
     m1_init, _ = fit(half1, config)
     m2_init, _ = fit(half2, config)
-
-    m1 = project_rank_r(debias(m1_init, half2), config.r)
-    m2 = project_rank_r(debias(m2_init, half1), config.r)
-    m_hat = 0.5 * (m1 + m2)
-    u_hat, _, v_hat = svd_r(m_hat, config.r)
     sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2)
+
+    m_hat = project_rank_r(debias(m1_init, half2), config.r)
+    del m1_init
+    m_hat += project_rank_r(debias(m2_init, half1), config.r)
+    del m2_init
+    m_hat *= 0.5
+    u_hat, _, v_hat = svd_r(m_hat, config.r)
     return EstimationArtifacts(
         m_hat=m_hat,
         u_hat=u_hat,

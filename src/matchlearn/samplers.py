@@ -45,12 +45,23 @@ from .matmodel import RewardMatrix, _flat, _json_int, _json_real, _locked, _posi
 
 # draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
 Draw = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+_CHUNK = 2**17  # index tile elements _prefixes permutes at a time: 1 MiB of int64
 
 
 def _prefixes(rng: np.random.Generator, d: int, counts: np.ndarray) -> np.ndarray:
-    """The first ``counts[t]`` entries of row t of a permuted ``(T, d)`` tile, flat in row order."""
-    tile = rng.permuted(np.broadcast_to(np.arange(d), (counts.size, d)), axis=1)
-    return tile[np.arange(d) < counts[:, None]]
+    """The first ``counts[t]`` entries of row t of a permuted ``(T, d)`` tile, flat in row order;
+    drawn ``max(1, _CHUNK // d)`` rows at a time into one output, which leaves the output and
+    the generator's state the whole tile's, as ``rng.permuted`` shuffles row after row."""
+    columns, step = np.arange(d), max(1, _CHUNK // d)
+    if counts.size > step:
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        out = np.empty(bounds[-1], dtype=columns.dtype)
+        for a in range(0, counts.size, step):
+            chunk = counts[a : a + step]
+            out[bounds[a] : bounds[a + chunk.size]] = _prefixes(rng, d, chunk)
+        return out
+    tile = rng.permuted(np.broadcast_to(columns, (counts.size, d)), axis=1)
+    return tile[columns < counts[:, None]]
 
 
 def _numeric_fields(scheme) -> None:
@@ -302,7 +313,7 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
 
 
 def _check_sigma(sigma) -> None:
-    if not 0.0 <= sigma < np.inf:  # NaN fails both comparisons
+    if isinstance(sigma, bool) or not 0.0 <= sigma < np.inf:  # NaN fails both comparisons
         raise ArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
 
 
@@ -355,6 +366,9 @@ class ObservationBatch:
     def __post_init__(self):
         _positive_dims(self.d1, self.d2)
         _check_sigma(self.sigma)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer, type(None))):
+            raise ArgumentError(f"seed must be an integer, got {self.seed!r}")
+        vars(self).update(sigma=float(self.sigma), seed=None if self.seed is None else int(self.seed))
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("y", float),
                             ("offsets", np.int64)):
             object.__setattr__(self, name, _flat(getattr(self, name), dtype, name))
@@ -388,7 +402,9 @@ class ObservationBatch:
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:
         """Dense ``d1 x d2`` sums of one weight per revealed entry, each cell's in entry order."""
-        return np.bincount(self.rows * self.d2 + self.cols, weights=weights,
+        index = self.rows * self.d2
+        index += self.cols
+        return np.bincount(index, weights=weights,
                            minlength=self.d1 * self.d2).reshape(self.d1, self.d2)
 
     @property
@@ -433,7 +449,9 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
     _check_sigma(sigma)
     d1, d2 = m.shape
     rows, cols, counts = scheme.sampler(d1, d2)(rng, T)
-    y = m.values[rows, cols] + sigma * rng.standard_normal(rows.size)
+    y = rng.standard_normal(rows.size)
+    y *= sigma
+    y += m.values[rows, cols]
     offsets = np.concatenate(([0], np.cumsum(counts)))
     return ObservationBatch(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
 

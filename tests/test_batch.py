@@ -19,6 +19,7 @@ from matchlearn import (
     ArgumentError,
     DataFormatError,
     EmptyMatchingWarning,
+    EstimatorConfig,
     LinearForm,
     Matching,
     ObservationBatch,
@@ -32,6 +33,7 @@ from matchlearn import (
     load_batch,
     main,
     observe,
+    prepare_inference,
     save_batch,
     solve_G,
 )
@@ -271,6 +273,30 @@ def test_loading_and_validating_a_batch_hold_little_beyond_its_columns(kind, tmp
     size = batch.rows.nbytes + batch.cols.nbytes + batch.y.nbytes
     assert load_peak <= 2.0 * size
     assert build_peak <= 0.6 * size
+
+
+def test_observe_and_prepare_inference_hold_no_whole_tile_and_no_spare_dense_matrix():
+    """At 50x1500, T=800 the (T, d2) index tile of the column draw is ten times the batch.
+
+    ``observe`` permutes it in 1 MiB row chunks, so its traced peak stays within
+    four times the rows, cols and y it returns (about 12 times for the whole tile).
+    ``prepare_inference`` holds two dense d1 x d2 matrices besides the running
+    stage's arrays, so it peaks within five of them above the batch (about six
+    when every estimate is kept to the end).
+    """
+    truth = generate_low_rank(50, 1500, 2, 3.0, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        batch = observe(truth, OneToOne(), 800, 0.5, np.random.default_rng(2))
+        held, observe_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        prepare_inference(batch, EstimatorConfig(r=2, eta=0.75, m=5, nu=batch.nu))
+        prepare_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = batch.rows.nbytes + batch.cols.nbytes + batch.y.nbytes
+    assert observe_peak <= 4.0 * size
+    assert prepare_peak <= 5.0 * truth.values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from matchlearn import (
     scheme_from_json,
     scheme_to_json,
 )
+from matchlearn.samplers import _CHUNK, _prefixes
 
 
 def make_two_sided(**kwargs) -> TwoSided:
@@ -428,6 +429,54 @@ def test_scheme_constructors_take_no_booleans_so_every_saved_batch_loads(tmp_pat
     assert loaded.scheme == batch.scheme
     for name in ("rows", "cols", "y", "offsets"):
         assert np.array_equal(getattr(loaded, name), getattr(batch, name))
+
+
+@pytest.mark.parametrize("sigma, seed", [(True, 3), (0.5, True), (0.5, 2.5), (0.5, "3")])
+def test_batch_rejects_a_sigma_or_seed_that_its_file_header_cannot_hold(sigma, seed):
+    # Each of these used to build and save a batch whose file then failed load_batch.
+    truth = generate_low_rank(2, 8, 1, 1.0, np.random.default_rng(0))
+    with pytest.raises(ArgumentError, match="sigma must be|seed must be"):
+        observe(truth, OneToOne(), 3, sigma, np.random.default_rng(1), seed=seed)
+    with pytest.raises(ArgumentError, match="sigma must be|seed must be"):
+        ObservationBatch(OneToOne(), 1, 2, sigma, [0], [1], [1.0], [0, 1], seed)
+
+
+@pytest.mark.parametrize("sigma, seed", [
+    (np.float32(0.5), 3), (0.5, np.int64(3)), (np.float64(0.25), np.uint8(7)), (1, None),
+])
+def test_batch_stores_sigma_and_seed_as_python_numbers_so_its_file_loads(tmp_path, sigma, seed):
+    # numpy scalars used to reach save_batch's json.dumps and raise a TypeError.
+    truth = generate_low_rank(2, 8, 1, 1.0, np.random.default_rng(0))
+    batch = observe(truth, OneToOne(), 3, sigma, np.random.default_rng(1), seed=seed)
+    assert type(batch.sigma) is float and batch.sigma == sigma
+    assert batch.seed == seed and (seed is None or type(batch.seed) is int)
+    save_batch(batch, tmp_path / "batch.jsonl")
+    loaded = load_batch(tmp_path / "batch.jsonl")
+    assert (loaded.sigma, loaded.seed) == (batch.sigma, batch.seed)
+    assert np.array_equal(loaded.y, batch.y)
+
+
+def _whole_tile_prefixes(rng, d, counts):
+    """The reference: the whole ``(T, d)`` tile permuted in one call."""
+    tile = rng.permuted(np.broadcast_to(np.arange(d), (counts.size, d)), axis=1)
+    return tile[np.arange(d) < counts[:, None]]
+
+
+@pytest.mark.parametrize("d, T", [
+    (_CHUNK // 8, 8),  # one chunk of 8 rows
+    (_CHUNK // 8, 24),  # three whole chunks
+    (_CHUNK // 8, 21),  # a ragged last chunk of 5 rows
+    (_CHUNK + 1, 3),  # rows wider than a chunk: one row a chunk
+    (5, 1),
+])
+@pytest.mark.parametrize("zeros", ["some", "all"])
+def test_chunked_prefixes_equal_the_whole_tile_and_leave_the_same_stream(d, T, zeros):
+    counts = np.random.default_rng([d, T]).integers(0, d + 1, size=T)
+    counts[:: 1 if zeros == "all" else 3] = 0
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got, want = _prefixes(got_rng, d, counts), _whole_tile_prefixes(want_rng, d, counts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes()
 
 
 _STRICT_HEADER = {"scheme": {"kind": "one_to_one"}, "d1": 1, "d2": 2, "sigma": 0.5, "seed": 3}
