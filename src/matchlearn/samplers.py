@@ -24,7 +24,12 @@ study draws from its own ``[seed, salt, rep]`` stream.
 from __future__ import annotations
 
 import functools
+import io
 import json
+import math
+import multiprocessing
+import os
+import signal
 import warnings
 from array import array
 from dataclasses import dataclass, fields
@@ -224,7 +229,9 @@ class TwoSided:
             # The rows ranked below n in a uniform permutation: a uniform
             # n-subset, in ascending order, matched to n uniform distinct columns.
             ranks = rng.permuted(np.broadcast_to(np.arange(d1), (T, d1)), axis=1)
-            return np.nonzero(ranks < n[:, None])[1], _prefixes(rng, d2, n), n
+            # nonzero's columns are a strided view of one (N, 2) array: copied, so the
+            # batch holds 8 bytes per row index, not 16.
+            return np.nonzero(ranks < n[:, None])[1].copy(), _prefixes(rng, d2, n), n
         return draw
 
 
@@ -460,8 +467,13 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
 # JSON-lines serialization
 # ---------------------------------------------------------------------------
 
+# Least file per parsing process: at 1 MiB a second process costs more than it saves.
+_SPLIT_BYTES = 2**20
+_PIECE = 2**20  # most bytes of a column in one message from a parsing child
+
+
 def save_batch(batch: ObservationBatch, path: str | Path) -> None:
-    """Write a batch as JSON lines: one header line, then one record per t."""
+    """Write a batch as UTF-8 JSON lines: one header line, then one record per t."""
     header = {
         "scheme": scheme_to_json(batch.scheme),
         "d1": batch.d1,
@@ -470,7 +482,7 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
         "seed": batch.seed,
     }
     bounds = batch.offsets.tolist()
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
             line = {
@@ -510,16 +522,206 @@ def _append_record(line: str, columns: tuple[array, array, array]) -> int:
     return len(y)
 
 
+class _Window(io.RawIOBase):
+    """Bytes ``[start, stop)`` of a file opened unbuffered, as a stream of their own;
+    ``stop`` None reads to the end.  A pipe, which cannot seek, is read on from where it is."""
+
+    def __init__(self, raw, start: int, stop: int | None):
+        if raw.seekable():
+            raw.seek(start)
+        self._raw, self._left = raw, math.inf if stop is None else stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(memoryview(buffer)[: min(len(buffer), self._left)])
+        self._left -= n
+        return n
+
+
+def _lines(raw, start: int, stop: int | None) -> io.TextIOWrapper:
+    """The lines of a byte range as ``open(path, encoding="utf-8")`` splits them: at ``\\n``,
+    ``\\r\\n`` and a lone ``\\r``, each given ending in ``\\n``.  A byte that is not UTF-8
+    comes as a lone surrogate, for :func:`_utf8` to reject on its own line."""
+    return io.TextIOWrapper(io.BufferedReader(_Window(raw, start, stop)), encoding="utf-8",
+                            errors="surrogateescape")
+
+
+def _utf8(line: str) -> str:
+    """``line``, else UnicodeDecodeError at its first byte that is not UTF-8; the position
+    it names is within the line, so the error reads the same whatever range holds the line."""
+    if not line.isascii():
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    return line
+
+
+def _line_end(raw, pos: int) -> int:
+    """The offset just past the first line end at or after ``pos``, by the split of
+    :func:`_lines`, or the end of the file."""
+    raw.seek(pos)
+    while block := raw.read(io.DEFAULT_BUFFER_SIZE):
+        ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
+        if ends:
+            i = min(ends)
+            end = pos + i + 1
+            if block[i] == ord("\r"):  # one line end with the \n after it, if one follows
+                raw.seek(end)
+                end += raw.read(1) == b"\n"
+            return end
+        pos += len(block)
+    return pos
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _bounds(raw) -> list:
+    """Where the byte ranges of a file start, then None for its end: one range per CPU this
+    process may use and per ``_SPLIT_BYTES`` of file, each after the first cut at a line end."""
+    size = os.fstat(raw.fileno()).st_size  # 0 for a pipe, read as one range without a seek
+    n = max(1, min(_usable_cpus(), size // _SPLIT_BYTES))
+    cuts = sorted({_line_end(raw, k * size // n) for k in range(1, n)} - {size})
+    return [0, *cuts, None]
+
+
+class _Fault(Exception):
+    """A range's first fault, ``(line, detail)``: a bad record on a line counted from 1 at the
+    range's start, or with line None a file that cannot be read."""
+
+
+def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list, int]:
+    """The one record parser: append the records of a byte range's ``lines`` to ``columns``.
+
+    Returns each record's entry count and line, and the range's number of lines, blank ones
+    included; raises _Fault at the first bad record or unreadable byte.
+    """
+    counts, line_of, k = [], [], 0
+    try:
+        for k, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            _utf8(line)
+            try:
+                counts.append(_append_record(line, columns))
+            except (ValueError, RecursionError) as exc:
+                raise _Fault(k, str(exc)) from exc
+            line_of.append(k)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Fault(None, str(exc)) from exc
+    return counts, line_of, k
+
+
+def _send_range(path, start: int, stop: int | None, sender, receivers) -> None:
+    """A parsing child's work: send :func:`_parse_range`'s report on one byte range, then each
+    column in pieces of at most ``_PIECE`` bytes; or send its _Fault.
+
+    The child first closes the read ends it inherited, its own among them, so that a write
+    to a pipe whose parent end is closed fails, and the child ends, instead of waiting.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for receiver in receivers:
+        receiver.close()
+    columns = tuple(array(code) for code in "qqd")
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            try:
+                report = _parse_range(_lines(raw, start, stop), columns)
+            except _Fault as fault:
+                sender.send(fault)
+                return
+        sender.send(report)
+        for column in columns:
+            view = memoryview(column).cast("B")
+            for i in range(0, len(view), _PIECE):
+                sender.send_bytes(view[i : i + _PIECE])
+    except OSError:  # the file is gone, or the parent stopped reading: no whole report
+        pass
+
+
+def _start(path, start: int, stop: int | None, receivers: list):
+    """A forked child parsing one byte range of ``path``, and the read end of its pipe;
+    None when this process cannot start one.  ``receivers`` are the read ends this
+    process already holds."""
+    if multiprocessing.current_process().daemon \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # Forked, not spawned: a spawned child would start an interpreter and import numpy
+    # before parsing a byte.  The child runs only json and numpy conversions, never BLAS,
+    # so no lock held by another thread of the parent at the fork can stall it.
+    context = multiprocessing.get_context("fork")
+    try:
+        receiver, sender = context.Pipe(duplex=False)
+    except OSError:  # out of file descriptors
+        return None
+    with sender:  # the child's end: closed here once the child holds it
+        child = context.Process(target=_send_range, daemon=True,
+                                args=(path, start, stop, sender, [*receivers, receiver]))
+        try:
+            child.start()
+        except OSError:  # out of processes or memory
+            receiver.close()
+            return None
+    return child, receiver
+
+
+def _receive(child, columns: tuple[array, array, array]):
+    """A child's report, its columns appended to ``columns``, or the child's _Fault raised;
+    None, with nothing appended, when it exited without a whole report."""
+    receiver, sizes = child[1], [len(column) for column in columns]
+    try:
+        report = receiver.recv()
+        if isinstance(report, _Fault):
+            raise report
+        entries = sum(report[0])
+        for column, size in zip(columns, sizes):
+            while len(column) < size + entries:
+                column.frombytes(receiver.recv_bytes())
+        return report
+    except (EOFError, OSError):
+        for column, size in zip(columns, sizes):
+            del column[size:]
+        return None
+
+
+def _reap(children) -> None:
+    """Close every pipe's read end first, which ends a child blocked writing to it, then
+    wait for each child, killed if it still runs."""
+    for child in filter(None, children):
+        child[1].close()
+    for child in filter(None, children):
+        if child[0].is_alive():
+            child[0].kill()
+        child[0].join()
+        child[0].close()
+
+
 def load_batch(path: str | Path) -> ObservationBatch:
     """Inverse of :func:`save_batch`; DataFormatError names the first malformed line.
 
     Records stream onto three growable typed columns, which the batch then
-    holds without a copy: about 24 bytes per entry.
+    holds without a copy: about 24 bytes per entry.  A file of at least
+    ``2 * _SPLIT_BYTES`` bytes (2 MiB) is cut at line ends into one byte range per
+    CPU this process may use, at most one per ``_SPLIT_BYTES``.  This process parses
+    the first range and a forked child each later one, all at once; a child's
+    columns come back in pieces of at most 1 MiB and are appended in file order.
+    A range whose child cannot be started or exits without a whole report is
+    parsed here.  The batch and every message are the same for any number of
+    ranges: the first faulty line wins, and lines are counted from the file's
+    start, blank ones included.  No child outlives the call.
     """
     columns, counts, line_of = tuple(array(code) for code in "qqd"), [], []
+    children = [None]  # each range's child and pipe; the first range is this process's
     try:
-        with open(path) as fh:
-            first = fh.readline()
+        with open(path, "rb", buffering=0) as raw:
+            bounds = _bounds(raw)
+            lines = _lines(raw, 0, bounds[1])
+            first = _utf8(lines.readline())
             if not first:
                 raise DataFormatError(f"batch file {path} is empty")
             try:
@@ -536,16 +738,27 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 seed = None if seed is None else _json_int(seed, "seed")
             except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
-            for k, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                children.append(_start(path, a, b, [c[1] for c in children if c]))
+            base = 1  # lines before the range: the header's, then each range's
+            for a, b, child in zip(bounds, bounds[1:], children):
                 try:
-                    counts.append(_append_record(line, columns))
-                except (ValueError, RecursionError) as exc:
-                    raise DataFormatError(f"bad batch record on line {k}: {exc}") from exc
-                line_of.append(k)
+                    report = _receive(child, columns) if child else None
+                    if report is None:
+                        report = _parse_range(_lines(raw, a, b) if a else lines, columns)
+                except _Fault as fault:
+                    line, detail = fault.args
+                    raise DataFormatError(
+                        f"cannot read batch file {path}: {detail}" if line is None
+                        else f"bad batch record on line {base + line}: {detail}"
+                    ) from fault.__cause__
+                counts += report[0]
+                line_of += [base + line for line in report[1]]
+                base += report[2]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read batch file {path}: {exc}") from exc
+    finally:
+        _reap(children)
     rows, cols, y = (np.frombuffer(column, column.typecode) for column in columns)
     offsets = np.cumsum([0] + counts)
     try:

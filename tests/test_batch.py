@@ -37,6 +37,10 @@ from matchlearn import (
     save_batch,
     solve_G,
 )
+from matchlearn import samplers
+
+# load_batch forks parsing children for large files: none may outlive a test.
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 SCHEMES = {
     "one_to_one": OneToOne(),
@@ -399,6 +403,27 @@ def test_load_batch_accepts_or_raises_data_format_error(
     # An accepted header may still disagree with the config: exit 2.
     matches_config = accepted and (batch.d1, batch.d2, batch.scheme) == (2, 4, OneToOne())
     assert code == (4 if not accepted else 0 if matches_config else 2)
+
+
+@pytest.mark.parametrize("ranges", [1, 3])
+def test_a_batch_file_that_is_not_utf8_is_a_data_format_error(
+    valid_lines, tmp_path, monkeypatch, capsys, ranges
+):
+    # The byte sits in the last record: with three ranges, a child meets it.  The
+    # position named is within that record's line, whatever range holds it.
+    data = ("\n".join([json.dumps(_HEADER)] + valid_lines) + "\n").encode()
+    path, config = tmp_path / "latin.jsonl", tmp_path / "config.json"
+    path.write_bytes(data[:-8] + b"\xff" + data[-8:])
+    config.write_text(json.dumps(_CONFIG))
+    monkeypatch.setattr(samplers, "_SPLIT_BYTES", 16)
+    monkeypatch.setattr(samplers, "_usable_cpus", lambda: ranges)
+    with pytest.raises(DataFormatError) as info:
+        load_batch(path)
+    assert str(info.value) == (f"cannot read batch file {path}: 'utf-8' codec can't decode "
+                               f"byte 0xff in position {len(valid_lines[-1]) - 7}: "
+                               "invalid start byte")
+    assert main(["infer", str(path), str(config), "--q", "entry(0,0)"]) == 4
+    assert "cannot read batch file" in capsys.readouterr().err
 
 
 # An entry of a 2 x 4 form that is valid for distinct (i, j) keys.

@@ -1,5 +1,8 @@
 """Tests for matching mechanisms, observation probability, and reward draws."""
+import errno
 import json
+import multiprocessing
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -26,7 +29,11 @@ from matchlearn import (
     scheme_from_json,
     scheme_to_json,
 )
+from matchlearn import samplers
 from matchlearn.samplers import _CHUNK, _prefixes
+
+# load_batch forks parsing children for large files: none may outlive a test.
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def make_two_sided(**kwargs) -> TwoSided:
@@ -325,6 +332,22 @@ def test_observation_frequency_matches_nu(scheme, d1, d2, T):
     assert abs(count / T - est.nu) <= 4 * np.sqrt(est.nu / T)
 
 
+every_scheme = pytest.mark.parametrize(
+    "scheme", [OneToOne(), OneToMany(2, 0.6), make_two_sided()],
+    ids=["one_to_one", "one_to_many", "two_sided"])
+
+
+@every_scheme
+def test_observed_index_arrays_are_contiguous(scheme):
+    # A strided view would pin its whole base array: two-sided rows once came as
+    # one column of an (N, 2) array, 16 bytes held per 8-byte index.
+    truth = generate_low_rank(6, 20, 2, 1.0, np.random.default_rng(0))
+    batch = observe(truth, scheme, 30, 0.5, np.random.default_rng(1))
+    for a in (batch.rows, batch.cols, batch.y):
+        assert a.strides == (8,)
+        assert a.base is None or a.base.nbytes == a.nbytes
+
+
 def test_observe_validates_arguments():
     m = generate_low_rank(3, 6, 1, 1.0, np.random.default_rng(0))
     for T in (0, 2.5, True, "3", None):
@@ -564,23 +587,27 @@ def test_load_batch_rejects_malformed(tmp_path):
         load_batch(path)  # column out of range
 
 
-@pytest.mark.parametrize(
-    "pairs, y",
-    [
-        ('[{"a": 1}]', "[1.0]"),  # a pair given as an object
-        ("[[0, 1, 3]]", "[1.0]"),  # three elements
-        ("[[0.9, 1.7]]", "[1.0]"),  # float indices
-        ('[["1", "2"]]', "[1.0]"),  # string indices
-        ("[[0, true]]", "[1.0]"),  # a boolean index
-        ("[[0, 1]]", '["1.0"]'),  # a string reward
-    ],
-    ids=["object", "three", "float", "string", "bool", "string_y"],
-)
+_MALFORMED_PAIRS = [
+    ('[{"a": 1}]', "[1.0]"),  # a pair given as an object
+    ("[[0, 1, 3]]", "[1.0]"),  # three elements
+    ("[[0.9, 1.7]]", "[1.0]"),  # float indices
+    ('[["1", "2"]]', "[1.0]"),  # string indices
+    ("[[0, true]]", "[1.0]"),  # a boolean index
+    ("[[0, 1]]", '["1.0"]'),  # a string reward
+]
+_MALFORMED_PAIRS_IDS = ["object", "three", "float", "string", "bool", "string_y"]
+
+
+def malformed_pairs_lines(pairs: str, y: str) -> list[str]:
+    """A two-sided file whose second record, on line 3, holds ``pairs`` and ``y``."""
+    return [_TWO_SIDED_3x4, '{"t": 1, "pairs": [[0, 0]], "y": [1.0]}',
+            f'{{"t": 2, "pairs": {pairs}, "y": {y}}}']
+
+
+@pytest.mark.parametrize("pairs, y", _MALFORMED_PAIRS, ids=_MALFORMED_PAIRS_IDS)
 def test_load_batch_rejects_malformed_pairs(tmp_path, pairs, y):
     path = tmp_path / "bad.jsonl"
-    header = '{"scheme": {"kind": "two_sided", "p1": 0.8, "p2": 0.8, "c_r": 0.3, "c_s": 0.3, "gamma": 0.2}, "d1": 3, "d2": 4, "sigma": 0.0}\n'
-    good = '{"t": 1, "pairs": [[0, 0]], "y": [1.0]}\n'
-    path.write_text(header + good + f'{{"t": 2, "pairs": {pairs}, "y": {y}}}\n')
+    path.write_text("\n".join(malformed_pairs_lines(pairs, y)) + "\n")
     with pytest.raises(DataFormatError, match="line 3"):
         load_batch(path)
 
@@ -592,7 +619,7 @@ _GOOD_2x4 = '{"t": 1, "pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'
 _BAD_DIMS = _TWO_SIDED_3x4.replace('"d1": 3, "d2": 4', '"d1": -5, "d2": 0')
 
 
-@pytest.mark.parametrize("lines, verdict", [
+_EDGE_CASES = [
     ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, 1], [1, %d]], "y": [1.0, 2.0]}' % 2**63],
      "bad batch record on line 3: pairs must be a list of [row, col] integer pairs"),
     ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[%d, 1], [1, 2]], "y": [1.0, 2.0]}' % -2**63],
@@ -611,9 +638,13 @@ _BAD_DIMS = _TWO_SIDED_3x4.replace('"d1": 3, "d2": 4', '"d1": -5, "d2": 0')
     # The header's dims are at fault, with or without a record to blame.
     ([_BAD_DIMS], "dimensions must be positive, got (-5, 0)"),
     ([_BAD_DIMS, '{"pairs": [[0, 1]], "y": [1.0]}'], "dimensions must be positive, got (-5, 0)"),
-], ids=["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
-        "blank_line_good", "nan_y", "header_only", "nested_pair", "bad_dims_header_only",
-        "bad_dims_with_record"])
+]
+_EDGE_IDS = ["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
+             "blank_line_good", "nan_y", "header_only", "nested_pair", "bad_dims_header_only",
+             "bad_dims_with_record"]
+
+
+@pytest.mark.parametrize("lines, verdict", _EDGE_CASES, ids=_EDGE_IDS)
 def test_load_batch_verdicts_at_the_edges(tmp_path, lines, verdict):
     # An accepted file is given by its offsets, a rejected one by the full message.
     path = tmp_path / "edge.jsonl"
@@ -640,3 +671,215 @@ def test_load_batch_rejects_records_that_violate_the_scheme(tmp_path):
         load_batch(path)
     path.write_text(header + '{"t": 1, "pairs": [[0, 0], [2, 1]], "y": [1.0, 2.0]}\n')
     assert len(load_batch(path)) == 1
+
+
+# ---------------------------------------------------------------------------
+# load_batch over several byte ranges
+# ---------------------------------------------------------------------------
+
+
+def loaded(path):
+    """What load_batch makes of a file: the bytes of the batch's rows, cols, y and
+    offsets, or the message of its DataFormatError."""
+    try:
+        batch = load_batch(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return [getattr(batch, name).tobytes() for name in ("rows", "cols", "y", "offsets")]
+
+
+def split_into(monkeypatch, n: int) -> list:
+    """Make load_batch cut any file of 16 bytes or more into up to ``n`` ranges; the
+    returned list gains one entry per child started."""
+    started = []
+
+    def start(*args):
+        child = start_child(*args)
+        if child:
+            started.append(child)
+        return child
+
+    start_child = samplers._start
+    monkeypatch.setattr(samplers, "_SPLIT_BYTES", 16)
+    monkeypatch.setattr(samplers, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(samplers, "_start", start)
+    return started
+
+
+def cut_at(monkeypatch, *cuts) -> None:
+    """Make load_batch cut its file at exactly these byte offsets."""
+    monkeypatch.setattr(samplers, "_bounds", lambda raw: [0, *cuts, None])
+
+
+@pytest.mark.parametrize(
+    "lines", [lines for lines, _ in _EDGE_CASES]
+    + [malformed_pairs_lines(*case) for case in _MALFORMED_PAIRS],
+    ids=_EDGE_IDS + _MALFORMED_PAIRS_IDS)
+def test_split_loads_give_the_verdict_of_one_range(tmp_path, monkeypatch, lines):
+    path = tmp_path / "edge.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    one = loaded(path)
+    split_into(monkeypatch, 4)
+    assert loaded(path) == one
+
+
+# Blank and whitespace lines and empty periods, so that some cut falls before each.
+_RAGGED = [_TWO_SIDED_3x4, '{"pairs": [[0, 1], [2, 3]], "y": [1.0, 2.0]}', "",
+           '{"pairs": [], "y": []}', "  ", '{"pairs": [[1, 0]], "y": [3.5]}', "",
+           '{"pairs": [], "y": []}', '{"pairs": [[2, 2], [0, 0], [1, 3]], "y": [4, 5, 6]}']
+_BAD_LAST = '{"pairs": [[2, 2], [0, 2]], "y": [7.0, 8.0]}'  # a column twice
+_BAD_Y = '{"pairs": [[2, 2]], "y": ["7.0"]}'
+_NOT_UTF8 = "\udcff"  # written as the byte 0xff
+
+
+@pytest.mark.parametrize("lines, verdict", [
+    (_RAGGED, None),
+    (_RAGGED + ["", _BAD_LAST], "record on line 11: a column appears more than once in period 5"),
+    (_RAGGED + ["", _BAD_Y, _NOT_UTF8],
+     "bad batch record on line 11: y must be a list of one number per pair"),
+    (_RAGGED + [_NOT_UTF8, _BAD_Y], "cannot read batch file {path}: 'utf-8' codec can't decode "
+                                    "byte 0xff in position 0: invalid start byte"),
+], ids=["good", "bad_last", "bad_record_then_byte", "byte_then_bad_record"])
+def test_split_loads_agree_with_one_range_for_every_cut(tmp_path, monkeypatch, lines, verdict):
+    # Every line start after the header, as one cut and as one of two.
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    path = tmp_path / "ragged.jsonl"
+    path.write_bytes(data)
+    one = loaded(path)
+    assert isinstance(one, list) if verdict is None else one == verdict.format(path=path)
+    starts = [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")][1:]
+    for k, cut in enumerate(starts):
+        cut_at(monkeypatch, cut)
+        assert loaded(path) == one, cut
+        cut_at(monkeypatch, *sorted({cut, starts[(k + 3) % len(starts)]}))
+        assert loaded(path) == one, cut
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_split_loads_count_lines_at_every_universal_newline(tmp_path, monkeypatch, newline):
+    path = tmp_path / "newlines.jsonl"
+    lines = _RAGGED + _RAGGED[1:] * 2 + ["", _BAD_LAST, '{"pairs": [], "y": []}']
+    path.write_text("\n".join(lines) + "\n")
+    expected = loaded(path)
+    assert expected == "record on line 27: a column appears more than once in period 15"
+    path.write_bytes(("\n".join(lines) + "\n").replace("\n", newline).encode())
+    assert loaded(path) == expected
+    for n in (2, 3, 4):
+        started = split_into(monkeypatch, n)
+        assert loaded(path) == expected
+        assert len(started) == n - 1
+
+
+def test_a_line_end_split_across_reads_is_one_line_end(tmp_path):
+    path = tmp_path / "lines.bin"
+    path.write_bytes(b"x" * 8191 + b"\r\n" + b"y\rz")
+    with open(path, "rb", buffering=0) as raw:
+        assert [samplers._line_end(raw, pos) for pos in (0, 8191, 8192, 8193, 8195)] == \
+            [8193, 8193, 8193, 8195, 8196]
+
+
+def test_a_bad_line_in_a_childs_range_is_named_by_its_line_in_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "late.jsonl"
+    path.write_text("\n".join([_TWO_SIDED_3x4] + ["", '{"pairs": [[0, 1]], "y": [1.0]}'] * 20
+                              + ['{"pairs": [[0, 1]], "y": [true]}'] + [_RAGGED[1]] * 5) + "\n")
+    message = "bad batch record on line 42: y must be a list of one number per pair"
+    assert loaded(path) == message
+    started = split_into(monkeypatch, 4)
+    assert loaded(path) == message
+    assert len(started) == 3
+
+
+def test_a_bad_line_in_the_parents_range_stops_a_child_blocked_on_a_full_pipe(
+        tmp_path, monkeypatch):
+    # The child's range holds far more than a pipe buffers, and the parent meets
+    # its bad line only at the end of its own range.
+    header = '{"scheme": {"kind": "one_to_one"}, "d1": 4, "d2": 8, "sigma": 0.0}'
+    good = '{"pairs": [[0, 1], [1, 2], [2, 3], [3, 4]], "y": [1.0, 2.0, 3.0, 4.0]}'
+    bad = good.replace("4.0]", '"4.0"]')
+    path = tmp_path / "early.jsonl"
+    path.write_text("\n".join([header] + [good] * 4000 + [bad] + [good] * 4000) + "\n")
+    message = "bad batch record on line 4002: y must be a list of one number per pair"
+    assert loaded(path) == message
+    started = split_into(monkeypatch, 2)
+    with open(path, "rb", buffering=0) as raw:
+        cut = samplers._bounds(raw)[1]
+    assert path.read_bytes()[:cut].endswith((bad + "\n").encode())
+    assert loaded(path) == message
+    assert len(started) == 1
+
+
+@every_scheme
+def test_a_saved_batch_loads_the_same_from_one_range_or_four(tmp_path, monkeypatch, scheme):
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    batch = observe(truth, scheme, 300, 0.5, np.random.default_rng(8), seed=9)
+    path = tmp_path / "batch.jsonl"
+    save_batch(batch, path)
+    one = loaded(path)
+    assert one == [getattr(batch, name).tobytes() for name in ("rows", "cols", "y", "offsets")]
+    started = split_into(monkeypatch, 4)
+    assert loaded(path) == one
+    assert len(started) == 3
+
+
+def _exit_without_a_report(path, start, stop, sender, receivers):
+    pass
+
+
+def _exit_within_the_columns(path, start, stop, sender, receivers):
+    columns = tuple(array(code) for code in "qqd")
+    with open(path, "rb", buffering=0) as raw:
+        sender.send(samplers._parse_range(samplers._lines(raw, start, stop), columns))
+    sender.send_bytes(memoryview(columns[0]).cast("B")[:8])
+
+
+def _fork_fails(process):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fault", ["no_fork", "eagain", "no_report", "part_report"])
+def test_a_range_without_a_working_child_is_parsed_by_the_parent(tmp_path, monkeypatch, fault):
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    path = tmp_path / "batch.jsonl"
+    save_batch(observe(truth, OneToMany(2, 0.6), 60, 0.5, np.random.default_rng(8)), path)
+    one = loaded(path)
+    started = split_into(monkeypatch, 3)
+    if fault == "no_fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif fault == "eagain":
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen",
+                            staticmethod(_fork_fails))
+    else:
+        monkeypatch.setattr(samplers, "_send_range", _exit_without_a_report
+                            if fault == "no_report" else _exit_within_the_columns)
+    assert loaded(path) == one
+    assert len(started) == (0 if fault in ("no_fork", "eagain") else 2)
+
+
+def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch):
+    path = tmp_path / "batch.jsonl"
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
+    started = split_into(monkeypatch, 3)
+
+    def interrupt(child, columns):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(samplers, "_receive", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        load_batch(path)
+    assert len(started) == 2
+
+
+def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path):
+    # Its range's columns fill the pipe; the child must not wait on it for ever.
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(['{"pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'] * 20000) + "\n")
+    child, receiver = samplers._start(path, 0, None, [])
+    try:
+        receiver.close()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
