@@ -30,6 +30,7 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass, fields
@@ -524,18 +525,29 @@ def _append_record(line: str, columns: tuple[array, array, array]) -> int:
 
 class _Window(io.RawIOBase):
     """Bytes ``[start, stop)`` of a file opened unbuffered, as a stream of their own;
-    ``stop`` None reads to the end.  A pipe, which cannot seek, is read on from where it is."""
+    ``stop`` None reads to the end.  They are read at offsets of their own (``os.pread``),
+    so the file position, which a forked child shares with its parent, never moves.
+    A pipe, which has no offsets, is read on from where it is, and so is a file where
+    there is no ``os.pread`` (nor a fork, so no child either)."""
 
     def __init__(self, raw, start: int, stop: int | None):
-        if raw.seekable():
+        self._raw, self._pos = raw, start if raw.seekable() and hasattr(os, "pread") else None
+        self._left = math.inf if stop is None else stop - start
+        if self._pos is None and raw.seekable():
             raw.seek(start)
-        self._raw, self._left = raw, math.inf if stop is None else stop - start
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        n = self._raw.readinto(memoryview(buffer)[: min(len(buffer), self._left)])
+        size = min(len(buffer), self._left)
+        if self._pos is None:
+            n = self._raw.readinto(memoryview(buffer)[:size])
+        else:
+            data = os.pread(self._raw.fileno(), size, self._pos)
+            n = len(data)
+            buffer[:n] = data
+            self._pos += n
         self._left -= n
         return n
 
@@ -591,102 +603,108 @@ def _bounds(raw) -> list:
 
 
 class _Fault(Exception):
-    """A range's first fault, ``(line, detail)``: a bad record on a line counted from 1 at the
-    range's start, or with line None a file that cannot be read."""
+    """A range's first bad record, ``(line, error)``: its line counted from 1 at the range's
+    start, and the error that rejects it."""
 
 
 def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list, int]:
     """The one record parser: append the records of a byte range's ``lines`` to ``columns``.
 
     Returns each record's entry count and line, and the range's number of lines, blank ones
-    included; raises _Fault at the first bad record or unreadable byte.
+    included.  Raises _Fault at the first bad record, and OSError or UnicodeDecodeError at
+    the first byte that cannot be read.
     """
     counts, line_of, k = [], [], 0
-    try:
-        for k, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            _utf8(line)
-            try:
-                counts.append(_append_record(line, columns))
-            except (ValueError, RecursionError) as exc:
-                raise _Fault(k, str(exc)) from exc
-            line_of.append(k)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _Fault(None, str(exc)) from exc
+    for k, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        _utf8(line)
+        try:
+            counts.append(_append_record(line, columns))
+        except (ValueError, RecursionError) as exc:
+            raise _Fault(k, exc)
+        line_of.append(k)
     return counts, line_of, k
 
 
-def _send_range(path, start: int, stop: int | None, sender, receivers) -> None:
-    """A parsing child's work: send :func:`_parse_range`'s report on one byte range, then each
-    column in pieces of at most ``_PIECE`` bytes; or send its _Fault.
+def _send_range(raw, start: int, stop: int | None, sender, receivers) -> None:
+    """A parsing child's work: send :func:`_parse_range`'s report on one byte range of the
+    file open as ``raw``, then each column in pieces of at most ``_PIECE`` bytes; or send the
+    exception that stopped it, for the parent to raise.
 
-    The child first closes the read ends it inherited, its own among them, so that a write
-    to a pipe whose parent end is closed fails, and the child ends, instead of waiting.
+    The child reads the descriptor it inherited, not the file's path, which may name another
+    file by now.  It first closes the read ends it inherited, its own among them, so that a
+    write to a pipe whose parent end is closed fails, and the child ends, instead of waiting.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for receiver in receivers:
         receiver.close()
     columns = tuple(array(code) for code in "qqd")
     try:
-        with open(path, "rb", buffering=0) as raw:
-            try:
-                report = _parse_range(_lines(raw, start, stop), columns)
-            except _Fault as fault:
-                sender.send(fault)
-                return
+        report = _parse_range(_lines(raw, start, stop), columns)
+    except (_Fault, OSError, UnicodeDecodeError) as exc:
+        report = exc
+    try:
         sender.send(report)
-        for column in columns:
-            view = memoryview(column).cast("B")
-            for i in range(0, len(view), _PIECE):
-                sender.send_bytes(view[i : i + _PIECE])
-    except OSError:  # the file is gone, or the parent stopped reading: no whole report
+        if not isinstance(report, Exception):
+            for column in columns:
+                view = memoryview(column).cast("B")
+                for i in range(0, len(view), _PIECE):
+                    sender.send_bytes(view[i : i + _PIECE])
+    except OSError:  # the parent stopped reading
         pass
 
 
-def _start(path, start: int, stop: int | None, receivers: list):
-    """A forked child parsing one byte range of ``path``, and the read end of its pipe;
-    None when this process cannot start one.  ``receivers`` are the read ends this
-    process already holds."""
-    if multiprocessing.current_process().daemon \
+def _start(raw, start: int, stop: int | None, children: list) -> None:
+    """Append to ``children`` a forked child parsing one byte range of the file open as
+    ``raw``, with the read end of its pipe; or None when this process cannot start one.
+
+    Forked, not spawned: a spawned child would start an interpreter and import numpy before
+    parsing a byte.  None while this process runs other Python threads, whose locks the
+    child would inherit, held or not.  The child calls no BLAS.
+    """
+    children.append(None)
+    if multiprocessing.current_process().daemon or threading.active_count() > 1 \
             or "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # Forked, not spawned: a spawned child would start an interpreter and import numpy
-    # before parsing a byte.  The child runs only json and numpy conversions, never BLAS,
-    # so no lock held by another thread of the parent at the fork can stall it.
+        return
     context = multiprocessing.get_context("fork")
+    receivers = [child[1] for child in children if child]
+    # An interrupt waits until the child is listed, so that the caller reaps it.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         receiver, sender = context.Pipe(duplex=False)
-    except OSError:  # out of file descriptors
-        return None
-    with sender:  # the child's end: closed here once the child holds it
-        child = context.Process(target=_send_range, daemon=True,
-                                args=(path, start, stop, sender, [*receivers, receiver]))
-        try:
-            child.start()
-        except OSError:  # out of processes or memory
-            receiver.close()
-            return None
-    return child, receiver
+        with sender:  # the child's end: closed here once the child holds it
+            child = context.Process(target=_send_range, daemon=True,
+                                    args=(raw, start, stop, sender, [*receivers, receiver]))
+            try:
+                child.start()
+            except OSError:
+                receiver.close()
+                raise
+        children[-1] = child, receiver
+    except OSError:  # out of file descriptors, processes or memory
+        pass
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _receive(child, columns: tuple[array, array, array]):
-    """A child's report, its columns appended to ``columns``, or the child's _Fault raised;
-    None, with nothing appended, when it exited without a whole report."""
+    """A child's report, its columns appended to ``columns``, or the exception that stopped
+    the child raised; None, with nothing appended, when it exited without a whole report."""
     receiver, sizes = child[1], [len(column) for column in columns]
     try:
         report = receiver.recv()
-        if isinstance(report, _Fault):
-            raise report
-        entries = sum(report[0])
-        for column, size in zip(columns, sizes):
-            while len(column) < size + entries:
-                column.frombytes(receiver.recv_bytes())
-        return report
+        if not isinstance(report, Exception):
+            entries = sum(report[0])
+            for column, size in zip(columns, sizes):
+                while len(column) < size + entries:
+                    column.frombytes(receiver.recv_bytes())
+            return report
     except (EOFError, OSError):
         for column, size in zip(columns, sizes):
             del column[size:]
         return None
+    raise report
 
 
 def _reap(children) -> None:
@@ -708,12 +726,13 @@ def load_batch(path: str | Path) -> ObservationBatch:
     holds without a copy: about 24 bytes per entry.  A file of at least
     ``2 * _SPLIT_BYTES`` bytes (2 MiB) is cut at line ends into one byte range per
     CPU this process may use, at most one per ``_SPLIT_BYTES``.  This process parses
-    the first range and a forked child each later one, all at once; a child's
-    columns come back in pieces of at most 1 MiB and are appended in file order.
-    A range whose child cannot be started or exits without a whole report is
-    parsed here.  The batch and every message are the same for any number of
-    ranges: the first faulty line wins, and lines are counted from the file's
-    start, blank ones included.  No child outlives the call.
+    the first range and a child forked from it each later one, all at once, from
+    the one open file; a child's columns come back in pieces of at most 1 MiB and
+    are appended in file order.  A range whose child cannot be started (while this
+    process runs other Python threads, none is) or exits without a whole report is
+    parsed here.  The batch, every message and its cause are the same for any
+    number of ranges: the first faulty line wins, and lines are counted from the
+    file's start, blank ones included.  No child outlives the call.
     """
     columns, counts, line_of = tuple(array(code) for code in "qqd"), [], []
     children = [None]  # each range's child and pipe; the first range is this process's
@@ -739,7 +758,7 @@ def load_batch(path: str | Path) -> ObservationBatch:
             except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for a, b in zip(bounds[1:-1], bounds[2:]):
-                children.append(_start(path, a, b, [c[1] for c in children if c]))
+                _start(raw, a, b, children)
             base = 1  # lines before the range: the header's, then each range's
             for a, b, child in zip(bounds, bounds[1:], children):
                 try:
@@ -747,11 +766,9 @@ def load_batch(path: str | Path) -> ObservationBatch:
                     if report is None:
                         report = _parse_range(_lines(raw, a, b) if a else lines, columns)
                 except _Fault as fault:
-                    line, detail = fault.args
-                    raise DataFormatError(
-                        f"cannot read batch file {path}: {detail}" if line is None
-                        else f"bad batch record on line {base + line}: {detail}"
-                    ) from fault.__cause__
+                    line, exc = fault.args
+                    raise DataFormatError(f"bad batch record on line {base + line}: {exc}") \
+                        from exc
                 counts += report[0]
                 line_of += [base + line for line in report[1]]
                 base += report[2]

@@ -422,6 +422,7 @@ def test_a_batch_file_that_is_not_utf8_is_a_data_format_error(
     assert str(info.value) == (f"cannot read batch file {path}: 'utf-8' codec can't decode "
                                f"byte 0xff in position {len(valid_lines[-1]) - 7}: "
                                "invalid start byte")
+    assert type(info.value.__cause__) is UnicodeDecodeError
     assert main(["infer", str(path), str(config), "--q", "entry(0,0)"]) == 4
     assert "cannot read batch file" in capsys.readouterr().err
 

@@ -2,6 +2,9 @@
 import errno
 import json
 import multiprocessing
+import os
+import signal
+import threading
 from array import array
 from fractions import Fraction
 from math import comb
@@ -688,16 +691,22 @@ def loaded(path):
     return [getattr(batch, name).tobytes() for name in ("rows", "cols", "y", "offsets")]
 
 
+def failure(path) -> tuple[str, str]:
+    """load_batch's DataFormatError on ``path``: its message and the repr of its cause."""
+    with pytest.raises(DataFormatError) as info:
+        load_batch(path)
+    return str(info.value), repr(info.value.__cause__)
+
+
 def split_into(monkeypatch, n: int) -> list:
     """Make load_batch cut any file of 16 bytes or more into up to ``n`` ranges; the
     returned list gains one entry per child started."""
     started = []
 
-    def start(*args):
-        child = start_child(*args)
-        if child:
-            started.append(child)
-        return child
+    def start(raw, a, b, children):
+        start_child(raw, a, b, children)
+        if children[-1]:
+            started.append(children[-1])
 
     start_child = samplers._start
     monkeypatch.setattr(samplers, "_SPLIT_BYTES", 16)
@@ -719,8 +728,11 @@ def test_split_loads_give_the_verdict_of_one_range(tmp_path, monkeypatch, lines)
     path = tmp_path / "edge.jsonl"
     path.write_text("\n".join(lines) + "\n")
     one = loaded(path)
+    cause = failure(path) if isinstance(one, str) else None
     split_into(monkeypatch, 4)
     assert loaded(path) == one
+    if cause:
+        assert failure(path) == cause
 
 
 # Blank and whitespace lines and empty periods, so that some cut falls before each.
@@ -783,9 +795,9 @@ def test_a_bad_line_in_a_childs_range_is_named_by_its_line_in_the_file(tmp_path,
     path.write_text("\n".join([_TWO_SIDED_3x4] + ["", '{"pairs": [[0, 1]], "y": [1.0]}'] * 20
                               + ['{"pairs": [[0, 1]], "y": [true]}'] + [_RAGGED[1]] * 5) + "\n")
     message = "bad batch record on line 42: y must be a list of one number per pair"
-    assert loaded(path) == message
+    assert failure(path) == (message, "ValueError('y must be a list of one number per pair')")
     started = split_into(monkeypatch, 4)
-    assert loaded(path) == message
+    assert failure(path) == (message, "ValueError('y must be a list of one number per pair')")
     assert len(started) == 3
 
 
@@ -821,14 +833,13 @@ def test_a_saved_batch_loads_the_same_from_one_range_or_four(tmp_path, monkeypat
     assert len(started) == 3
 
 
-def _exit_without_a_report(path, start, stop, sender, receivers):
+def _exit_without_a_report(raw, start, stop, sender, receivers):
     pass
 
 
-def _exit_within_the_columns(path, start, stop, sender, receivers):
+def _exit_within_the_columns(raw, start, stop, sender, receivers):
     columns = tuple(array(code) for code in "qqd")
-    with open(path, "rb", buffering=0) as raw:
-        sender.send(samplers._parse_range(samplers._lines(raw, start, stop), columns))
+    sender.send(samplers._parse_range(samplers._lines(raw, start, stop), columns))
     sender.send_bytes(memoryview(columns[0]).cast("B")[:8])
 
 
@@ -855,6 +866,62 @@ def test_a_range_without_a_working_child_is_parsed_by_the_parent(tmp_path, monke
     assert len(started) == (0 if fault in ("no_fork", "eagain") else 2)
 
 
+def test_no_child_is_forked_beside_another_python_thread(tmp_path, monkeypatch):
+    path = tmp_path / "batch.jsonl"
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
+    one = loaded(path)
+    started = split_into(monkeypatch, 3)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert loaded(path) == one
+    finally:
+        done.set()
+        thread.join()
+    assert started == []
+
+
+def test_a_file_replaced_during_a_load_is_read_as_it_was_opened(tmp_path, monkeypatch):
+    # The children read the file the load opened, not whatever its path names by then.
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    path, other = tmp_path / "batch.jsonl", tmp_path / "other.jsonl"
+    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
+    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(9)), other)
+    one = loaded(path)
+    started = split_into(monkeypatch, 3)
+    start = samplers._start
+
+    def replace_then_start(*args):
+        if other.exists():
+            os.replace(other, path)
+        start(*args)
+
+    monkeypatch.setattr(samplers, "_start", replace_then_start)
+    assert loaded(path) == one
+    assert len(started) == 2
+
+
+def test_an_interrupt_as_a_child_starts_leaves_no_child(tmp_path, monkeypatch):
+    # The interrupt comes just after the fork; the load must still know the child to reap it.
+    path = tmp_path / "batch.jsonl"
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
+    split_into(monkeypatch, 2)
+    fork, forked = multiprocessing.context.ForkProcess.start, []
+
+    def fork_then_interrupt(process):
+        fork(process)
+        forked.append(process)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        load_batch(path)
+    assert len(forked) == 1  # and no_child_left finds it reaped
+
+
 def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch):
     path = tmp_path / "batch.jsonl"
     truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
@@ -870,11 +937,30 @@ def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch):
     assert len(started) == 2
 
 
+def test_a_child_reads_its_range_without_moving_the_position_it_shares(tmp_path):
+    # A forked child shares the file's position with the process parsing beside it.
+    path = tmp_path / "batch.jsonl"
+    path.write_text('{"pairs": [[0, 1]], "y": [1.0]}\n' * 3)
+    children, columns = [], tuple(array(code) for code in "qqd")
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(5)
+        try:
+            samplers._start(raw, 32, None, children)
+            assert samplers._receive(children[0], columns) == ([1, 1], [1, 2], 2)
+        finally:
+            samplers._reap(children)
+        assert raw.tell() == 5
+    assert columns[0].tolist() == [0, 0] and columns[2].tolist() == [1.0, 1.0]
+
+
 def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path):
     # Its range's columns fill the pipe; the child must not wait on it for ever.
     path = tmp_path / "batch.jsonl"
     path.write_text("\n".join(['{"pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'] * 20000) + "\n")
-    child, receiver = samplers._start(path, 0, None, [])
+    children = []
+    with open(path, "rb", buffering=0) as raw:
+        samplers._start(raw, 0, None, children)
+    child, receiver = children[0]
     try:
         receiver.close()
         child.join(timeout=30)
