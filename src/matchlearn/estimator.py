@@ -23,7 +23,7 @@ from .errors import (
     RemainderDroppedWarning,
     SingularCoreError,
 )
-from .matmodel import RewardMatrix, _check_orthonormal, _require_finite, svd_r
+from .matmodel import RewardMatrix, _check_orthonormal, _int, _read_numbers, _require_finite, svd_r
 from .samplers import ObservationBatch, entrywise_probability
 
 NU_CONSISTENCY_RTOL = 1e-9
@@ -48,6 +48,7 @@ class EstimatorConfig:
     nu: float
 
     def __post_init__(self):
+        _read_numbers(self)
         if self.r < 1:
             raise ArgumentError(f"r must be >= 1, got {self.r}")
         if not (0.0 < self.eta < 1.0):
@@ -113,9 +114,9 @@ def partition_batches(T: int, m: int) -> list[tuple[int, int]]:
     theory assumes exact divisibility and nothing downstream may peek at
     the remainder.
     """
-    if m < 1:
+    if _int(m, "m") < 1:
         raise ArgumentError(f"m must be >= 1, got {m}")
-    if T < 2 * m:
+    if _int(T, "T") < 2 * m:
         raise ArgumentError(f"need T >= 2m to form batches, got T={T}, m={m}")
     n0 = T // (2 * m)
     dropped = T - 2 * m * n0

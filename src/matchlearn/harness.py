@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +39,8 @@ from .matmodel import (
     LinearForm,
     RewardMatrix,
     _check_scale,
-    _json_int,
-    _json_real,
+    _int,
+    _real,
     generate_low_rank,
     save_matrix_csv,
 )
@@ -154,35 +155,57 @@ def _parse_q_spec(spec: str) -> tuple:
     return ("file", spec)
 
 
-def _validate(cfg: RunConfig) -> list[str]:
-    p: list[str] = []
-    for f in fields(cfg):
-        if f.type == "int" and not isinstance(getattr(cfg, f.name), int):
-            p.append(f"{f.name} must be an integer")
+def _instance_of(types, what: str):
+    """A reader taking a value of ``types`` as is, else ArgumentError."""
+    def read(value, name: str):
+        if not isinstance(value, types):
+            raise ArgumentError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+# Readers of RunConfig's fields by annotation, in the order their problems are reported.
+_READERS = {"int": _int, "float": _real, "str": _instance_of(str, "a string"),
+            "bool": _instance_of(bool, "a boolean"),
+            "MatchingScheme": _instance_of(MatchingScheme, "a matching scheme"),
+            "str | None": _instance_of((str, os.PathLike, type(None)), "a path")}
+
+
+def _validate(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with each field read by its annotation's reader, numbers as Python ones, else
+    ConfigError with every problem; the fields' types are checked before any comparison."""
+    p, values = [], {}
+    for type_name, read in _READERS.items():
+        for f in fields(cfg):
+            if f.type == type_name:
+                try:
+                    values[f.name] = read(getattr(cfg, f.name), f.name)
+                except ArgumentError as exc:
+                    p.append(str(exc))
+    if p:
+        raise ConfigError(p)
+    cfg = replace(cfg, **values)
     dims_ok = False
-    if not p:
-        if cfg.d1 < 1 or cfg.d2 < cfg.d1:
-            p.append(f"need 1 <= d1 <= d2, got d1={cfg.d1}, d2={cfg.d2}")
-        elif cfg.d1 * cfg.d2 > np.iinfo(np.intp).max // 8:
-            p.append(f"a {cfg.d1}x{cfg.d2} float64 matrix is too large to address")
-        else:
-            dims_ok = True
-        if not (1 <= cfg.r <= cfg.d1):
-            p.append(f"need 1 <= r <= d1, got r={cfg.r}")
-        k = 2 if cfg.study == "convergence" else 4  # two halves, each fit with m pairs
-        if cfg.T < k * cfg.m:
-            p.append(f"need T >= {k}m for study {cfg.study!r}, got T={cfg.T}, m={cfg.m}")
-        if cfg.m < 1:
-            p.append(f"need m >= 1, got {cfg.m}")
-        if not 0 <= cfg.seed < 2**32:  # larger seeds' streams collide with smaller ones'
-            p.append(f"seed must lie in [0, 2**32), got {cfg.seed}")
-        if cfg.replications < 0:
-            p.append(f"replications must be nonnegative, got {cfg.replications}")
-        if cfg.workers < 1:
-            p.append(f"workers must be >= 1, got {cfg.workers}")
-    if not isinstance(cfg.scheme, MatchingScheme):
-        p.append(f"scheme must be a matching scheme, got {type(cfg.scheme).__name__}")
-    elif dims_ok:
+    if cfg.d1 < 1 or cfg.d2 < cfg.d1:
+        p.append(f"need 1 <= d1 <= d2, got d1={cfg.d1}, d2={cfg.d2}")
+    elif cfg.d1 * cfg.d2 > np.iinfo(np.intp).max // 8:
+        p.append(f"a {cfg.d1}x{cfg.d2} float64 matrix is too large to address")
+    else:
+        dims_ok = True
+    if not (1 <= cfg.r <= cfg.d1):
+        p.append(f"need 1 <= r <= d1, got r={cfg.r}")
+    k = 2 if cfg.study == "convergence" else 4  # two halves, each fit with m pairs
+    if cfg.T < k * cfg.m:
+        p.append(f"need T >= {k}m for study {cfg.study!r}, got T={cfg.T}, m={cfg.m}")
+    if cfg.m < 1:
+        p.append(f"need m >= 1, got {cfg.m}")
+    if not 0 <= cfg.seed < 2**32:  # larger seeds' streams collide with smaller ones'
+        p.append(f"seed must lie in [0, 2**32), got {cfg.seed}")
+    if cfg.replications < 0:
+        p.append(f"replications must be nonnegative, got {cfg.replications}")
+    if cfg.workers < 1:
+        p.append(f"workers must be >= 1, got {cfg.workers}")
+    if dims_ok:
         try:
             cfg.scheme.feasible(cfg.d1, cfg.d2)
         except ArgumentError as exc:
@@ -203,9 +226,8 @@ def _validate(cfg: RunConfig) -> list[str]:
     except ArgumentError as exc:
         p.append(str(exc))
     else:
-        if tag[0] == "entry" and isinstance(cfg.d1, int):
-            if tag[1] >= cfg.d1 or tag[2] >= cfg.d2:
-                p.append(f"q_spec {cfg.q_spec} indexes outside {cfg.d1}x{cfg.d2}")
+        if tag[0] == "entry" and (tag[1] >= cfg.d1 or tag[2] >= cfg.d2):
+            p.append(f"q_spec {cfg.q_spec} indexes outside {cfg.d1}x{cfg.d2}")
         if tag[0] == "random_otm" and dims_ok:
             try:
                 tag[1].feasible(cfg.d1, cfg.d2)
@@ -213,22 +235,9 @@ def _validate(cfg: RunConfig) -> list[str]:
                 p.append(f"q_spec {cfg.q_spec}: {exc}")
         if tag[0] == "file" and not Path(tag[1]).is_file():
             p.append(f"q_spec file not found: {tag[1]}")
-    return p
-
-
-def _json_of(types, what: str):
-    """A reader taking a JSON value of ``types`` as is, else ValueError."""
-    def read(value, name: str):
-        if not isinstance(value, types):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        return value
-    return read
-
-
-# JSON readers of RunConfig's fields by type, in the order their problems are reported.
-_READERS = {"int": _json_int, "float": _json_real, "str": _json_of(str, "a string"),
-            "bool": _json_of(bool, "a boolean"),
-            "str | None": _json_of((str, type(None)), "a string path")}
+    if p:
+        raise ConfigError(p)
+    return cfg
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -248,23 +257,10 @@ def parse_config(obj: dict) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     try:
-        kwargs = {"scheme": scheme_from_json(obj["scheme"])}
-    except (DataFormatError, ArgumentError) as exc:
+        scheme = scheme_from_json(obj["scheme"])
+    except DataFormatError as exc:
         raise ConfigError([f"bad scheme: {exc}"]) from None
-    for type_name, read in _READERS.items():
-        for f in schema:
-            if f.type == type_name and f.name in obj:
-                try:
-                    kwargs[f.name] = read(obj[f.name], f.name)
-                except ValueError as exc:
-                    problems.append(str(exc))
-    if problems:
-        raise ConfigError(problems)
-    cfg = RunConfig(**kwargs)
-    problems = _validate(cfg)
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    return _validate(RunConfig(**obj | {"scheme": scheme}))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -375,11 +371,9 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     the aggregates and reported; more than ``MAX_FAILURE_FRACTION`` of
     them failing aborts the run.
     """
-    problems = _validate(config)
+    config = _validate(config)
     if config.outputs is None:
-        problems.append("outputs directory is required to run a study")
-    if problems:
-        raise ConfigError(problems)
+        raise ConfigError(["outputs directory is required to run a study"])
     outdir = Path(config.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -583,9 +577,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_batch_and_config(args, k: int):
     """The batch and config of ``estimate`` (k=2) or ``infer``/``policy`` (k=4),
-    checked to agree and the batch to hold the ``k * m`` periods the command fits."""
-    batch = load_batch(args.batch)
+    checked to agree and the batch to hold the ``k * m`` periods the command fits.
+    The config is read first: a bad one fails before a large batch is parsed."""
     cfg = load_config(args.config)
+    batch = load_batch(args.batch)
     problems = []
     if len(batch) < k * cfg.m:
         problems.append(f"{args.command} needs a batch of T >= {k}m periods, "

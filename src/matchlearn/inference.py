@@ -23,7 +23,7 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .estimator import EstimatorConfig, fit
-from .matmodel import LinearForm, _require_finite, projection_magnitude, svd_r
+from .matmodel import LinearForm, _real, _require_finite, projection_magnitude, svd_r
 from .samplers import ObservationBatch
 
 
@@ -115,7 +115,7 @@ def standard_error(sigma_hat_sq: float, proj_mag_hat: float, t: int, nu: float) 
 
 def confidence_interval(point: float, se: float, alpha: float) -> tuple[float, float]:
     """Symmetric normal interval ``point +- z_{alpha/2} * se``."""
-    if not (0.0 < alpha < 1.0):
+    if not 0.0 < _real(alpha, "alpha") < 1.0:
         raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
     if se < 0.0:
         raise ArgumentError("se must be nonnegative")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +66,35 @@ def _flat(a, dtype, name: str) -> np.ndarray:
     return out
 
 
+def _int(value, name: str) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too), else ArgumentError;
+    a boolean is not one.  One of the package's two rules for scalar inputs."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float if it is a finite number (numpy's too), else ArgumentError;
+    a boolean is not one.  The other rule for scalar inputs."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ArgumentError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _read_numbers(obj) -> None:
+    """Store each ``int`` and ``float`` field of the dataclass ``obj`` as a Python number,
+    read by :func:`_int` or :func:`_real` as its annotation says."""
+    for f in fields(obj):
+        if f.type in ("int", "float"):
+            vars(obj)[f.name] = (_int if f.type == "int" else _real)(getattr(obj, f.name), f.name)
+
+
 def _positive_dims(d1: int, d2: int) -> None:
-    if d1 < 1 or d2 < 1:
+    if _int(d1, "d1") < 1 or _int(d2, "d2") < 1:
         raise ArgumentError(f"dimensions must be positive, got ({d1}, {d2})")
 
 
@@ -121,7 +148,7 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = _as_float_matrix(a, "a")
     n, m = a.shape
     k = min(n, m)
-    if not (1 <= r <= k):
+    if not (1 <= _int(r, "r") <= k):
         raise ArgumentError(f"r={r} outside [1, min{a.shape}]")
     if r == k:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -193,9 +220,9 @@ def generate_low_rank(
     A dense ``d1 x d2`` matrix with i.i.d. Uniform[-scale, scale] entries
     is drawn from ``rng`` and truncated to its top ``r`` singular triplets.
     """
-    if d2 < d1:
+    if _int(d2, "d2") < _int(d1, "d1"):
         raise ArgumentError(f"convention requires d2 >= d1, got ({d1}, {d2})")
-    if not (1 <= r <= d1):
+    if not (1 <= _int(r, "r") <= d1):
         raise ArgumentError(f"r={r} outside [1, {d1}]")
     _check_scale(scale)
     a = rng.uniform(-scale, scale, size=(d1, d2))
@@ -203,7 +230,7 @@ def generate_low_rank(
 
 
 def _check_scale(scale) -> None:
-    if not (0.0 < scale <= sys.float_info.max / 2):  # 2*scale, the draw's range, is finite
+    if not 0.0 < _real(scale, "scale") <= sys.float_info.max / 2:  # so the range 2*scale is finite
         raise ArgumentError(f"scale must be positive with 2*scale finite, got {scale}")
 
 
@@ -222,6 +249,7 @@ class LinearForm:
     weights: np.ndarray
 
     def __post_init__(self):
+        _read_numbers(self)
         rows, cols = _flat(self.rows, np.int64, "rows"), _flat(self.cols, np.int64, "cols")
         weights = _flat(self.weights, float, "weights")
         if not (rows.size == cols.size == weights.size):
@@ -280,33 +308,15 @@ class LinearForm:
             if not isinstance(e, dict) or not {"i", "j", "w"} <= set(e):
                 raise DataFormatError(f"linear form entry {k} missing i/j/w")
             try:
-                i, j = _json_int(e["i"], "i"), _json_int(e["j"], "j")
+                i, j, _ = _int(e["i"], "i"), _int(e["j"], "j"), _real(e["w"], "w")
                 if not (-2**63 <= min(i, j) and max(i, j) < 2**63):
-                    raise ValueError("outside int64")
-            except ValueError:
-                raise DataFormatError(
-                    f"linear form entry {k}: i and j must be JSON integers") from None
-            w = np.asarray(e["w"])
-            if w.shape or w.dtype.kind not in "iuf" or not np.isfinite(w):
-                raise DataFormatError(f"linear form entry {k}: w must be a finite JSON number")
+                    raise ArgumentError(f"i and j must fit in int64, got ({i}, {j})")
+            except ArgumentError as exc:
+                raise DataFormatError(f"linear form entry {k}: {exc}") from None
         try:
             return cls(d1, d2, *([e[key] for e in entries] for key in ("i", "j", "w")))
         except ArgumentError as exc:
             raise DataFormatError(str(exc)) from exc
-
-
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer, else ValueError (bool, float and str are not)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _json_real(value, name: str) -> float:
-    """``value`` as a float if it is a finite JSON number, else ValueError (bool and str are not)."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def projection_magnitude(u, v, q: LinearForm) -> float:

@@ -46,7 +46,7 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix, _flat, _json_int, _json_real, _locked, _positive_dims
+from .matmodel import RewardMatrix, _flat, _int, _locked, _positive_dims, _read_numbers, _real
 
 
 # draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
@@ -68,14 +68,6 @@ def _prefixes(rng: np.random.Generator, d: int, counts: np.ndarray) -> np.ndarra
         return out
     tile = rng.permuted(np.broadcast_to(columns, (counts.size, d)), axis=1)
     return tile[columns < counts[:, None]]
-
-
-def _numeric_fields(scheme) -> None:
-    """ArgumentError unless every field is a number, never a boolean: what a batch header holds."""
-    for f in fields(scheme):
-        v = getattr(scheme, f.name)
-        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-            raise ArgumentError(f"{f.name} must be a number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,8 @@ class OneToMany:
     p0: float
 
     def __post_init__(self):
-        _numeric_fields(self)
-        if not (isinstance(self.K, int) and self.K >= 1):
+        _read_numbers(self)
+        if self.K < 1:
             raise ArgumentError(f"K must be a positive integer, got {self.K!r}")
         if not (0.0 < self.p0 <= 1.0):
             raise ArgumentError(f"p0 must lie in (0, 1], got {self.p0}")
@@ -164,7 +156,7 @@ class TwoSided:
     gamma: float
 
     def __post_init__(self):
-        _numeric_fields(self)
+        _read_numbers(self)
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not (0.0 < p < 1.0):
                 raise ArgumentError(f"{name} must lie in (0, 1), got {p}")
@@ -184,13 +176,14 @@ class TwoSided:
     def feasible(self, d1: int, d2: int) -> None:
         self.arrival_pmf(d1, d2)
 
-    @functools.lru_cache(maxsize=8)
+    @functools.lru_cache(maxsize=8, typed=True)  # typed: d1=4.0 misses d1=4's entry, and fails
     def nu(self, d1: int, d2: int) -> float:
         """``E[min(B_r, B_s)]/(d1*d2)``, summed exactly over :meth:`arrival_pmf`; memoised."""
+        pmf = self.arrival_pmf(d1, d2)  # first: it checks the dims
         matched = np.minimum(np.arange(d1 + 1)[:, None], np.arange(d2 + 1))
-        return float(np.sum(self.arrival_pmf(d1, d2) * matched)) / (d1 * d2)
+        return float(np.sum(pmf * matched)) / (d1 * d2)
 
-    @functools.lru_cache(maxsize=8)
+    @functools.lru_cache(maxsize=8, typed=True)
     def arrival_pmf(self, d1: int, d2: int) -> np.ndarray:
         """Joint pmf of the arrival counts: entry ``[b_r, b_s]`` is P(B_r = b_r, B_s = b_s).
 
@@ -263,12 +256,11 @@ def scheme_from_json(obj) -> MatchingScheme:
     if cls is None:
         raise DataFormatError(f"unknown scheme kind {kind!r}")
     try:
-        return cls(**{f.name: (_json_int if f.type == "int" else _json_real)(obj[f.name], f.name)
-                      for f in fields(cls)})
-    except (KeyError, ValueError) as exc:
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+    except KeyError as exc:
+        raise DataFormatError(f"bad parameters for scheme '{kind}': missing field {exc}") from None
+    except ValueError as exc:
         raise DataFormatError(f"bad parameters for scheme '{kind}': {exc}") from exc
-    except ArgumentError as exc:
-        raise DataFormatError(str(exc)) from exc
 
 
 def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
@@ -321,7 +313,7 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
 
 
 def _check_sigma(sigma) -> None:
-    if isinstance(sigma, bool) or not 0.0 <= sigma < np.inf:  # NaN fails both comparisons
+    if _real(sigma, "sigma") < 0.0:
         raise ArgumentError(f"sigma must be finite and nonnegative, got {sigma}")
 
 
@@ -335,6 +327,7 @@ class Matching:
     cols: np.ndarray
 
     def __post_init__(self):
+        _read_numbers(self)
         rows, cols = (_flat(getattr(self, name), np.int64, name) for name in ("rows", "cols"))
         if rows.size != cols.size:
             raise ArgumentError("rows and cols must have equal length")
@@ -372,11 +365,11 @@ class ObservationBatch:
     seed: int | None = None
 
     def __post_init__(self):
+        _read_numbers(self)
         _positive_dims(self.d1, self.d2)
         _check_sigma(self.sigma)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer, type(None))):
-            raise ArgumentError(f"seed must be an integer, got {self.seed!r}")
-        vars(self).update(sigma=float(self.sigma), seed=None if self.seed is None else int(self.seed))
+        if self.seed is not None:
+            vars(self)["seed"] = _int(self.seed, "seed")
         for name, dtype in (("rows", np.int64), ("cols", np.int64), ("y", float),
                             ("offsets", np.int64)):
             object.__setattr__(self, name, _flat(getattr(self, name), dtype, name))
@@ -452,7 +445,7 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
     independently across entries and periods.  ``seed`` is carried as
     provenance metadata only; the randomness comes from ``rng``.
     """
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+    if _int(T, "T") < 1:
         raise ArgumentError(f"T must be an integer >= 1, got {T!r}")
     _check_sigma(sigma)
     d1, d2 = m.shape
@@ -751,10 +744,10 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 raise DataFormatError("batch header must carry scheme, d1, d2, sigma")
             scheme = scheme_from_json(header["scheme"])
             try:
-                d1, d2 = _json_int(header["d1"], "d1"), _json_int(header["d2"], "d2")
-                sigma = _json_real(header["sigma"], "sigma")
+                d1, d2 = _int(header["d1"], "d1"), _int(header["d2"], "d2")
+                sigma = _real(header["sigma"], "sigma")
                 seed = header.get("seed")
-                seed = None if seed is None else _json_int(seed, "seed")
+                seed = None if seed is None else _int(seed, "seed")
             except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for a, b in zip(bounds[1:-1], bounds[2:]):

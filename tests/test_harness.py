@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,15 @@ from matchlearn import (
     ArgumentError,
     ConfigError,
     EstimatorConfig,
+    LinearForm,
+    Matching,
     ObservationBatch,
     OneToMany,
     OneToOne,
     ReplicationFailureError,
     RunConfig,
     TwoSided,
+    confidence_interval,
     config_to_dict,
     entrywise_probability,
     fit,
@@ -32,10 +36,12 @@ from matchlearn import (
     main,
     observe,
     parse_config,
+    partition_batches,
     resolve_q,
     run_simulation,
     save_batch,
     scheme_to_json,
+    svd_r,
 )
 
 
@@ -106,7 +112,7 @@ def test_parse_config_applies_defaults():
     assert cfg.regenerate_m is False and cfg.outputs is None
 
 
-def test_config_round_trip_is_idempotent():
+def test_config_round_trip_is_idempotent(tmp_path):
     obj = base_config_dict(
         scheme={"kind": "one_to_many", "K": 1, "p0": 0.5},
         outputs="some/dir",
@@ -117,6 +123,17 @@ def test_config_round_trip_is_idempotent():
     again = parse_config(config_to_dict(cfg))
     assert again == cfg
     assert config_to_dict(again) == config_to_dict(cfg)
+    # A config built in code, with numpy numbers and an integer for a float, echoes
+    # a summary.json config that parse_config takes back as the same study.
+    cfg = RunConfig(d1=np.int64(6), d2=9, r=np.int32(1), scheme=OneToMany(np.int64(1), 0.5),
+                    T=80, seed=np.uint32(7), m=2, eta=np.float64(0.7), sigma=1,
+                    scale=np.float32(0.5), replications=0, outputs=str(tmp_path), workers=2)
+    run_simulation(cfg)
+    echo = json.loads((tmp_path / "summary.json").read_text())["config"]
+    again = parse_config(echo | {"outputs": cfg.outputs, "workers": cfg.workers})
+    assert again == cfg
+    assert config_to_dict(again) == echo | {"outputs": cfg.outputs, "workers": cfg.workers}
+    assert type(echo["sigma"]) is float and type(again.sigma) is float
 
 
 def test_parse_config_aggregates_all_problems():
@@ -602,6 +619,16 @@ def test_cli_missing_batch_file_is_data_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "DataFormatError"
 
 
+@pytest.mark.parametrize("command", ["estimate", "infer", "policy"])
+def test_cli_reads_the_config_before_the_batch(capsys, tmp_path, command):
+    # A bad config fails before the batch is parsed, so a missing batch is not reached.
+    cfg_path = write_config(tmp_path, eta=2.0)
+    code, _, err = run_cli(capsys, [command, str(tmp_path / "none.jsonl"), str(cfg_path),
+                                    *(["--q", "entry(0,0)"] if command == "infer" else [])])
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError" and "eta" in json.loads(err)["message"]
+
+
 def write_one_to_one_batch(path, *records):
     """A 3x4 one-to-one batch file with the given records, written as text."""
     header = {"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": None}
@@ -614,7 +641,7 @@ def test_cli_infer_rejects_partial_one_to_one_batch(capsys, tmp_path):
     # the file is written as text.
     path = tmp_path / "partial.jsonl"
     write_one_to_one_batch(path, {"t": 1, "pairs": [[0, 3], [2, 1]], "y": [1.0, 2.0]})
-    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=4, m=1, sigma=0.0)
     code, _, err = run_cli(
         capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"]
     )
@@ -629,7 +656,7 @@ def test_cli_infer_rejects_non_integer_pairs(capsys, tmp_path):
     write_one_to_one_batch(
         path, good, {"t": 2, "pairs": [[0, 1], [1.5, 2], [2, 3]], "y": [1.0, 2.0, 3.0]}
     )
-    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=4, m=1, sigma=0.0)
     code, _, err = run_cli(
         capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"]
     )
@@ -646,7 +673,7 @@ def test_cli_infer_rejects_a_coerced_header_field(capsys, tmp_path, field, value
     header[field] = value
     good = {"t": 1, "pairs": [[0, 0], [1, 1], [2, 2]], "y": [1.0, 2.0, 3.0]}
     path.write_text(json.dumps(header) + "\n" + json.dumps(good) + "\n")
-    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=2, m=1, sigma=0.0)
+    cfg_path = write_config(tmp_path, d1=3, d2=4, r=1, T=4, m=1, sigma=0.0)
     code, _, err = run_cli(capsys, ["infer", str(path), str(cfg_path), "--q", "entry(0,0)"])
     assert code == 4
     diag = json.loads(err)
@@ -666,6 +693,78 @@ def test_cli_rejects_a_coerced_config_scheme_parameter(capsys, tmp_path, scheme)
 def test_parse_config_rejects_a_boolean_for_a_number():
     with pytest.raises(ConfigError, match="eta must be a finite number"):
         parse_config(base_config_dict(eta=True))
+
+
+_TS = dict(p1=0.8, p2=0.8, c_r=0.3, c_s=0.3, gamma=0.2)
+_RUN = dict(d1=2, d2=4, r=1, T=8, seed=1, m=1, replications=0, workers=1,
+            eta=0.5, sigma=0.5, scale=1.0, alpha=0.05)
+
+
+def _observed(**kwargs):
+    truth = generate_low_rank(2, 8, 1, 1.0, np.random.default_rng(0))
+    batch = observe(truth, OneToOne(), kwargs["T"], kwargs["sigma"], np.random.default_rng(1),
+                    seed=kwargs["seed"])
+    return {"T": len(batch), "sigma": batch.sigma, "seed": batch.seed}
+
+
+def _simulated(**kwargs):
+    with tempfile.TemporaryDirectory() as out:
+        run_simulation(RunConfig(scheme=OneToOne(), outputs=out, **kwargs))
+        return json.loads((Path(out) / "summary.json").read_text())["config"]
+
+
+# Each Python entry point that takes scalars: (a call, returning what it stores by field
+# if it stores any, its good arguments, its integer fields, its number fields).
+_SCALAR_ENTRY_POINTS = {
+    "OneToMany": (lambda **kw: vars(OneToMany(**kw)), dict(K=2, p0=0.5), ["K"], ["p0"]),
+    "TwoSided": (lambda **kw: vars(TwoSided(**kw)), _TS, [], list(_TS)),
+    "ObservationBatch": (
+        lambda **kw: vars(ObservationBatch(OneToOne(), rows=[0], cols=[1], y=[1.0],
+                                           offsets=[0, 1], **kw)),
+        dict(d1=1, d2=2, sigma=0.5, seed=3), ["d1", "d2", "seed"], ["sigma"]),
+    "observe": (_observed, dict(T=3, sigma=0.5, seed=3), ["T", "seed"], ["sigma"]),
+    "Matching": (lambda **kw: vars(Matching(rows=[0], cols=[1], **kw)),
+                 dict(d1=1, d2=2), ["d1", "d2"], []),
+    "LinearForm": (lambda **kw: vars(LinearForm(rows=[0], cols=[1], weights=[1.0], **kw)),
+                   dict(d1=1, d2=2), ["d1", "d2"], []),
+    "OneToOne.nu": (OneToOne().nu, dict(d1=2, d2=4), ["d1", "d2"], []),
+    "OneToMany.feasible": (OneToMany(2, 0.5).feasible, dict(d1=2, d2=8), ["d1", "d2"], []),
+    "TwoSided.nu": (TwoSided(**_TS).nu, dict(d1=4, d2=8), ["d1", "d2"], []),
+    "TwoSided.feasible": (TwoSided(**_TS).feasible, dict(d1=4, d2=8), ["d1", "d2"], []),
+    "EstimatorConfig": (lambda **kw: vars(EstimatorConfig(**kw)),
+                        dict(r=1, eta=0.5, m=2, nu=0.5), ["r", "m"], ["eta", "nu"]),
+    "partition_batches": (partition_batches, dict(T=12, m=2), ["T", "m"], []),
+    "generate_low_rank": (lambda **kw: generate_low_rank(rng=np.random.default_rng(0), **kw),
+                          dict(d1=2, d2=4, r=1, scale=1.0), ["d1", "d2", "r"], ["scale"]),
+    "svd_r": (lambda **kw: svd_r(np.diag([3.0, 2.0, 1.0]), **kw), dict(r=1), ["r"], []),
+    "confidence_interval": (lambda **kw: confidence_interval(0.0, 1.0, **kw), dict(alpha=0.05),
+                            [], ["alpha"]),
+    "run_simulation": (_simulated, _RUN, [k for k, v in _RUN.items() if type(v) is int],
+                       [k for k, v in _RUN.items() if type(v) is float]),
+}
+_SCALAR_CASES = [(name, field, kind) for name, (_, _, ints, reals) in _SCALAR_ENTRY_POINTS.items()
+                 for kind, names in ((int, ints), (float, reals)) for field in names]
+
+
+@pytest.mark.parametrize("name, field, kind", _SCALAR_CASES,
+                         ids=[f"{name}-{field}" for name, field, _ in _SCALAR_CASES])
+def test_every_entry_point_reads_scalars_by_one_integer_and_one_number_rule(name, field, kind):
+    # An integer field takes Python or numpy integers, a number field floats too, and
+    # each is stored as a Python number; a boolean, a string, None or NaN is refused.
+    call, good, _, _ = _SCALAR_ENTRY_POINTS[name]
+    call(**good)  # first, so that a memoised call has the good arguments' entry to misuse
+    numpy_value = (np.int64 if kind is int else np.float64)(good[field])
+    stored = call(**good | {field: numpy_value})
+    if isinstance(stored, dict) and field in stored:
+        assert type(stored[field]) is kind and stored[field] == good[field]
+    bad = [True, np.True_, "1", None, float("nan")]
+    if kind is int:
+        bad += [2.5, float(good[field])]
+    if field == "seed" and name != "run_simulation":
+        bad.remove(None)  # a batch's seed is optional
+    for value in bad:
+        with pytest.raises(ConfigError if name == "run_simulation" else ArgumentError):
+            call(**good | {field: value})
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():

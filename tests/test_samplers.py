@@ -356,10 +356,11 @@ def test_observe_validates_arguments():
     for T in (0, 2.5, True, "3", None):
         with pytest.raises(ArgumentError, match="T must be an integer"):
             observe(m, OneToOne(), T, 1.0, np.random.default_rng(0))
+    bad_sigma = "sigma must be (finite and nonnegative|a finite number)"
     for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ArgumentError, match=bad_sigma):
             observe(m, OneToOne(), 5, sigma, np.random.default_rng(0))
-        with pytest.raises(ArgumentError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ArgumentError, match=bad_sigma):
             ObservationBatch(OneToOne(), 1, 1, sigma, [0], [0], [0.0], [0, 1])
     assert len(observe(m, OneToOne(), np.int64(3), 0.0, np.random.default_rng(0))) == 3
 
@@ -434,6 +435,12 @@ def test_scheme_from_json_takes_only_json_integers_and_numbers(obj):
         scheme_from_json(obj)
 
 
+def test_scheme_from_json_names_a_missing_field():
+    with pytest.raises(DataFormatError) as info:
+        scheme_from_json({"kind": "one_to_many", "K": 3})
+    assert str(info.value) == "bad parameters for scheme 'one_to_many': missing field 'p0'"
+
+
 def test_scheme_from_json_reads_an_integer_real_as_a_float():
     assert scheme_from_json({"kind": "one_to_many", "K": 2, "p0": 1}) == OneToMany(2, 1.0)
 
@@ -446,7 +453,7 @@ def test_scheme_from_json_reads_an_integer_real_as_a_float():
 def test_scheme_constructors_take_no_booleans_so_every_saved_batch_loads(tmp_path, cls, bad, good):
     # A boolean field would construct, observe and save, and the file would then
     # fail load_batch, whose scheme reader takes only JSON numbers.
-    with pytest.raises(ArgumentError, match="must be a number"):
+    with pytest.raises(ArgumentError, match="must be (an integer|a finite number), got True"):
         cls(*bad)
     truth = generate_low_rank(2, 8, 1, 1.0, np.random.default_rng(0))
     batch = observe(truth, cls(*good), 6, 0.5, np.random.default_rng(1))
