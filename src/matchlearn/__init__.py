@@ -64,7 +64,9 @@ from .inference import (
     confidence_interval,
     debias,
     estimate_sigma,
+    held_out_residual,
     infer_linear_form,
+    period_mean_squares,
     prepare_inference,
     project_rank_r,
     standard_error,

@@ -39,6 +39,7 @@ from .matmodel import (
     LinearForm,
     RewardMatrix,
     _check_scale,
+    _instance_of,
     _int,
     _real,
     generate_low_rank,
@@ -57,6 +58,7 @@ from .samplers import (
     OneToMany,
     OneToOne,
     _check_sigma,
+    _scheme,
     entrywise_probability,
     load_batch,
     observe,
@@ -64,18 +66,6 @@ from .samplers import (
     scheme_from_json,
     scheme_to_json,
 )
-
-__all__ = [
-    "RunConfig",
-    "ReplicationSummary",
-    "parse_config",
-    "load_config",
-    "config_to_dict",
-    "resolve_q",
-    "run_simulation",
-    "ks_statistic",
-    "main",
-]
 
 logger = logging.getLogger("matchlearn.harness")
 
@@ -155,19 +145,10 @@ def _parse_q_spec(spec: str) -> tuple:
     return ("file", spec)
 
 
-def _instance_of(types, what: str):
-    """A reader taking a value of ``types`` as is, else ArgumentError."""
-    def read(value, name: str):
-        if not isinstance(value, types):
-            raise ArgumentError(f"{name} must be {what}, got {value!r}")
-        return value
-    return read
-
-
 # Readers of RunConfig's fields by annotation, in the order their problems are reported.
 _READERS = {"int": _int, "float": _real, "str": _instance_of(str, "a string"),
             "bool": _instance_of(bool, "a boolean"),
-            "MatchingScheme": _instance_of(MatchingScheme, "a matching scheme"),
+            "MatchingScheme": _scheme,
             "str | None": _instance_of((str, os.PathLike, type(None)), "a path")}
 
 
@@ -286,16 +267,13 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
     tag = _parse_q_spec(spec)
     if tag[0] == "entry":
         return LinearForm(d1, d2, [tag[1]], [tag[2]], [1.0])
-    if tag[0] == "random_oto":
-        mat = sample_matching(OneToOne(), d1, d2, rng)
-        return matching_to_linear_form(mat)
+    if tag[0] in ("random_oto", "random_otm"):
+        scheme = tag[1] if tag[0] == "random_otm" else OneToOne()
+        return matching_to_linear_form(sample_matching(scheme, d1, d2, rng))
     if tag[0] == "oto_difference":
         q1 = matching_to_linear_form(sample_matching(OneToOne(), d1, d2, rng))
         q2 = matching_to_linear_form(sample_matching(OneToOne(), d1, d2, rng))
         return q1.subtract(q2)
-    if tag[0] == "random_otm":
-        mat = sample_matching(tag[1], d1, d2, rng)
-        return matching_to_linear_form(mat)
     try:
         text = Path(tag[1]).read_text()
     except OSError as exc:
@@ -668,9 +646,13 @@ def _cmd_policy(args) -> int:
 def _cmd_nu(args) -> int:
     cls = _BY_KIND[_NU_ALIASES.get(args.scheme, args.scheme)]
     names = [f.name for f in fields(cls)]
+    problems = [f"unknown {cls.kind} flag: {_flag(f.name)}" for c in _BY_KIND.values()
+                for f in fields(c) if f.name not in names and getattr(args, f.name) is not None]
     missing = [_flag(n) for n in names if getattr(args, n) is None]
     if missing:
-        raise ConfigError([f"{cls.kind} needs {' '.join(missing)}"])
+        problems.append(f"{cls.kind} needs {' '.join(missing)}")
+    if problems:
+        raise ConfigError(problems)
     scheme = cls(**{n: getattr(args, n) for n in names})
     print(json.dumps({"nu": entrywise_probability(scheme, args.d1, args.d2).nu}))
     return 0

@@ -4,7 +4,9 @@ The pipeline: split the batch into two halves of ``T // 2`` periods, fit
 each half with the batch-split gradient descent, debias each half's
 estimate using the other half's residuals, project back to rank r, and
 average.  The averaged estimator admits normal inference on any linear
-form <M, Q> with a plug-in variance built from held-out residuals.
+form <M, Q> with a plug-in variance built from held-out residuals.  Each
+held-out residual ``Y - M_init`` is gathered once, by ``held_out_residual``,
+and read by both the debiasing and the variance.
 """
 from __future__ import annotations
 
@@ -27,24 +29,40 @@ from .matmodel import LinearForm, _real, _require_finite, projection_magnitude, 
 from .samplers import ObservationBatch
 
 
-def debias(m_init: np.ndarray, other_half: ObservationBatch) -> np.ndarray:
+def held_out_residual(m_init: np.ndarray, half: ObservationBatch) -> np.ndarray:
+    """``Y - M_init`` at each of ``half``'s revealed entries, in entry order: what both
+    ``debias`` and ``period_mean_squares`` read of a held-out half."""
+    m_init = np.asarray(m_init, dtype=float)
+    if (half.d1, half.d2) != m_init.shape:
+        raise ArgumentError("held-out records must match the estimate's dims")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return half.y - m_init[half.rows, half.cols]
+
+
+def _check_residual(half: ObservationBatch, residual: np.ndarray) -> None:
+    if np.shape(residual) != half.y.shape:
+        raise ArgumentError(f"need one residual per held-out entry ({half.y.size}), "
+                            f"got shape {np.shape(residual)}")
+
+
+def debias(m_init: np.ndarray, other_half: ObservationBatch, residual: np.ndarray) -> np.ndarray:
     """Uniform-propensity cross-sample debiasing.
 
     Adds ``(T0 nu)^-1 sum_t (Y_t - X_t o M_init)`` over the held-out
     half, ``T0`` its periods and ``nu`` its scheme's; the result is entrywise
     unbiased for M whatever M_init was, as the held-out residuals are independent of it.
-    Transients: one weight per held-out entry, updated in place, and the scatter's index.
+    ``residual`` is ``held_out_residual(m_init, other_half)``, and it is scaled in place:
+    the only transients are the scatter's index and sum.
     """
     m_init = np.asarray(m_init, dtype=float)
     if len(other_half) == 0:
         raise ArgumentError("need a nonempty correction half")
     if (other_half.d1, other_half.d2) != m_init.shape:
         raise ArgumentError("correction records must match the estimate's dims")
+    _check_residual(other_half, residual)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = m_init[other_half.rows, other_half.cols]
-        np.subtract(other_half.y, weights, out=weights)
-        weights *= 1.0 / other_half.nu
-        m_unbs = other_half.scatter(weights)
+        residual *= 1.0 / other_half.nu
+        m_unbs = other_half.scatter(residual)
         m_unbs /= len(other_half)
         m_unbs += m_init
     return _require_finite(m_unbs, "debiased estimate")
@@ -56,29 +74,41 @@ def project_rank_r(m_unbs: np.ndarray, r: int) -> np.ndarray:
     return (u * s) @ v.T
 
 
-def estimate_sigma(
-    m1_init: np.ndarray,
-    m2_init: np.ndarray,
-    half1: ObservationBatch,
-    half2: ObservationBatch,
-) -> float:
-    """Held-out residual variance: each half scored against the other's fit.
+def period_mean_squares(half: ObservationBatch, residual: np.ndarray) -> np.ndarray:
+    """Each nonempty period's mean squared residual, its squares added left to right.
 
-    Each period's squared residuals are summed left to right, in entry
-    order, and divided by that period's revealed count; ``math.fsum``
-    adds these means exactly, and the total is divided by the periods of
-    both halves.  Empty matchings carry no residual information and are
-    skipped with a warning.
+    Whole periods of about 2**17 entries are squared and summed at a time, so beside
+    the residual the transients stay near 2 MiB whatever the half's size.
     """
-    t_used = len(half1) + len(half2)
-    means = np.concatenate([_period_means(half2, m1_init), _period_means(half1, m2_init)])
+    _check_residual(half, residual)
+    counts = np.diff(half.offsets)
+    step = max(1, 2**17 // max(1, int(counts.max(initial=0))))  # periods per slice
+    sums = np.empty(counts.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, counts.size, step):
+            part = counts[lo : lo + step]
+            sq = np.square(residual[half.offsets[lo] : half.offsets[lo + part.size]])
+            # bincount adds each period's entries in order, unlike add.reduceat.
+            sums[lo : lo + part.size] = np.bincount(
+                np.repeat(np.arange(part.size), part), weights=sq, minlength=part.size)
+        seen = counts > 0
+        return sums[seen] / counts[seen]
+
+
+def estimate_sigma(period_means: list[np.ndarray], t_used: int) -> float:
+    """Held-out residual variance from both halves' ``period_mean_squares``.
+
+    ``math.fsum`` adds the per-period means exactly, and the total is divided by
+    ``t_used``, the periods of both halves.  Empty matchings carry no residual
+    information and are skipped with a warning.
+    """
+    means = np.concatenate(period_means)
     skipped = t_used - means.size
+    if skipped < 0:
+        raise ArgumentError(f"{means.size} period means from only {t_used} periods")
     if skipped:
-        warnings.warn(
-            f"skipped {skipped} empty matching(s) in the variance estimate",
-            EmptyMatchingWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"skipped {skipped} empty matching(s) in the variance estimate",
+                      EmptyMatchingWarning, stacklevel=2)
     if means.size == 0:
         raise UndefinedVarianceError("no revealed entries; noise variance is undefined")
     try:
@@ -86,22 +116,6 @@ def estimate_sigma(
     except OverflowError:  # finite means whose exact sum exceeds the float range
         total = math.inf
     return _require_finite(total, "residual variance") / t_used
-
-
-def _period_means(half: ObservationBatch, m_fit: np.ndarray) -> np.ndarray:
-    """Each nonempty period's mean squared residual of ``half`` against ``m_fit``.
-
-    A function of its own, so one half's temporaries are freed before the next half's.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = half.y - m_fit[half.rows, half.cols]
-        np.square(sq, out=sq)
-        counts = np.diff(half.offsets)
-        # bincount adds each period's entries in order, unlike add.reduceat.
-        sums = np.bincount(np.repeat(np.arange(counts.size), counts), weights=sq,
-                           minlength=counts.size)
-        seen = counts > 0
-        return sums[seen] / counts[seen]
 
 
 def standard_error(sigma_hat_sq: float, proj_mag_hat: float, t: int, nu: float) -> float:
@@ -173,18 +187,29 @@ class EstimationArtifacts:
     nu: float
 
 
+def _half_projection(fitted: ObservationBatch, held_out: ObservationBatch,
+                     config: EstimatorConfig, means: list) -> np.ndarray:
+    """Fit ``fitted``, debias by ``held_out``, append its period means, project to rank r."""
+    m_init = fit(fitted, config)[0]
+    residual = held_out_residual(m_init, held_out)
+    means.append(period_mean_squares(held_out, residual))
+    m_unbs = debias(m_init, held_out, residual)
+    del m_init, residual  # before the SVD, which holds its own copy of m_unbs
+    return project_rank_r(m_unbs, config.r)
+
+
 def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> EstimationArtifacts:
     """The split/fit/debias/project/average pipeline plus the noise variance.
 
     Half 1 is periods ``t0..2*t0-1`` and half 2 ``0..t0-1``, ``t0 = T // 2``;
     an odd last period is dropped with a RemainderDroppedWarning.
-    Fits the gradient-descent estimator separately on each half
-    (``config.m`` batch pairs per half), cross-debiases each initial
-    estimate with the other half's residuals, projects both back to
-    rank r, and averages them into ``m_hat``; ``u_hat``, ``v_hat`` are
-    its top-r factors.  The noise variance, each half scored against the other's fit,
-    comes first, so each initial estimate is dropped once its projection exists: beyond
-    the batch, two dense d1 x d2 matrices are held besides the running stage's arrays.
+    One pass per half, half 1 first: fit the gradient-descent estimator on it
+    (``config.m`` batch pairs), gather the other half's residuals against that fit
+    once, take their per-period mean squares, debias the fit with them, drop the fit
+    and the residuals, and project back to rank r.  ``m_hat`` is half 1's projection
+    plus half 2's, halved; ``u_hat``, ``v_hat`` are its top-r factors.  The noise
+    variance adds both halves' period means.  Beyond the batch, at most two dense
+    d1 x d2 matrices are held besides the running stage's arrays.
     """
     t0 = len(batch) // 2
     if t0 < 1:
@@ -194,24 +219,14 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
                       RemainderDroppedWarning, stacklevel=2)
     half1, half2 = batch[t0 : 2 * t0], batch[:t0]
 
-    m1_init, _ = fit(half1, config)
-    m2_init, _ = fit(half2, config)
-    sigma_hat_sq = estimate_sigma(m1_init, m2_init, half1, half2)
-
-    m_hat = project_rank_r(debias(m1_init, half2), config.r)
-    del m1_init
-    m_hat += project_rank_r(debias(m2_init, half1), config.r)
-    del m2_init
+    means = []
+    m_hat = _half_projection(half1, half2, config, means)
+    m_hat += _half_projection(half2, half1, config, means)
     m_hat *= 0.5
+    sigma_hat_sq = estimate_sigma(means, 2 * t0)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
-    return EstimationArtifacts(
-        m_hat=m_hat,
-        u_hat=u_hat,
-        v_hat=v_hat,
-        sigma_hat_sq=sigma_hat_sq,
-        t_used=2 * t0,
-        nu=batch.nu,
-    )
+    return EstimationArtifacts(m_hat=m_hat, u_hat=u_hat, v_hat=v_hat,
+                               sigma_hat_sq=sigma_hat_sq, t_used=2 * t0, nu=batch.nu)
 
 
 def infer_linear_form(

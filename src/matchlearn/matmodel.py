@@ -85,6 +85,15 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _instance_of(types, what: str):
+    """A reader taking a value of ``types`` as is, else ArgumentError."""
+    def read(value, name: str):
+        if not isinstance(value, types):
+            raise ArgumentError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
+
+
 def _read_numbers(obj) -> None:
     """Store each ``int`` and ``float`` field of the dataclass ``obj`` as a Python number,
     read by :func:`_int` or :func:`_real` as its annotation says."""
@@ -108,23 +117,10 @@ def _check_orthonormal(name: str, q: np.ndarray, tol: float) -> None:
 def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``r`` truncated SVD with a deterministic sign convention.
 
-    Parameters
-    ----------
-    a : array_like, shape (n, m)
-        Matrix to factor.  Must be finite.
-    r : int
-        Number of leading singular triplets to keep, ``1 <= r <= min(n, m)``.
+    Returns ``U`` (n x r), the ``r`` leading singular values ``s``, nonincreasing, and
+    ``V`` (m x r), with ``a ~= U @ np.diag(s) @ V.T``, for a finite n x m ``a`` and
+    ``1 <= r <= min(n, m)``.
 
-    Returns
-    -------
-    U : ndarray, shape (n, r)
-    s : ndarray, shape (r,)
-        Leading singular values, nonincreasing.
-    V : ndarray, shape (m, r)
-        ``a ~= U @ np.diag(s) @ V.T``.
-
-    Notes
-    -----
     With ``r == min(n, m)`` this is one dense LAPACK SVD.  Otherwise it is
     Rayleigh-Ritz on the short side (Halko, Martinsson & Tropp 2011, with
     the exact Gram matrix as the sketch): ``b`` is ``a``, short side first,

@@ -20,13 +20,6 @@ from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
 from .matmodel import LinearForm, _require_finite
 from .samplers import Matching
 
-__all__ = [
-    "optimal_one_to_one",
-    "matching_to_linear_form",
-    "evaluate_policy",
-    "matching_to_json",
-]
-
 # Slack when deciding whether a candidate assignment still attains the
 # optimum; sums of d1 float rewards can disagree in the last few ulps
 # depending on summation order.

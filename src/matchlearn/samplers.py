@@ -46,7 +46,8 @@ from .errors import (
     InfeasibleTruncationError,
     OutsideTheoryWarning,
 )
-from .matmodel import RewardMatrix, _flat, _int, _locked, _positive_dims, _read_numbers, _real
+from .matmodel import (RewardMatrix, _flat, _instance_of, _int, _locked, _positive_dims,
+                       _read_numbers, _real)
 
 
 # draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
@@ -242,6 +243,7 @@ def _binom_logpmf(n: int, p: float) -> np.ndarray:
 
 MatchingScheme = Union[OneToOne, OneToMany, TwoSided]
 _BY_KIND = {cls.kind: cls for cls in (OneToOne, OneToMany, TwoSided)}
+_scheme = _instance_of(MatchingScheme, "a matching scheme")  # a reader: _scheme(value, name)
 
 
 def scheme_to_json(scheme: MatchingScheme) -> dict:
@@ -328,6 +330,7 @@ class Matching:
 
     def __post_init__(self):
         _read_numbers(self)
+        _positive_dims(self.d1, self.d2)
         rows, cols = (_flat(getattr(self, name), np.int64, name) for name in ("rows", "cols"))
         if rows.size != cols.size:
             raise ArgumentError("rows and cols must have equal length")
@@ -365,6 +368,7 @@ class ObservationBatch:
     seed: int | None = None
 
     def __post_init__(self):
+        _scheme(self.scheme, "scheme")
         _read_numbers(self)
         _positive_dims(self.d1, self.d2)
         _check_sigma(self.sigma)
@@ -421,7 +425,7 @@ def sample_matching(scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Gen
     the drawn arrival counts (degrees for one-to-many, (B_r, B_s) for
     two-sided).
     """
-    return Matching(d1, d2, *scheme.sampler(d1, d2)(rng, 1)[:2])
+    return Matching(d1, d2, *_scheme(scheme, "scheme").sampler(d1, d2)(rng, 1)[:2])
 
 
 @dataclass(frozen=True)
@@ -445,6 +449,7 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
     independently across entries and periods.  ``seed`` is carried as
     provenance metadata only; the randomness comes from ``rng``.
     """
+    _scheme(scheme, "scheme")
     if _int(T, "T") < 1:
         raise ArgumentError(f"T must be an integer >= 1, got {T!r}")
     _check_sigma(sigma)

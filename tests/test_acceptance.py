@@ -36,6 +36,7 @@ from matchlearn import (
     entrywise_probability,
     fit,
     generate_low_rank,
+    held_out_residual,
     infer_linear_form,
     ks_statistic,
     matching_to_linear_form,
@@ -366,7 +367,8 @@ def test_oracle_equivalences():
         i, j = rec.rows, rec.cols
         dense[i, j] += rec.y - m_init[i, j]
     oracle = m_init + dense / (len(batch) * nu)
-    assert np.max(np.abs(debias(m_init, batch) - oracle)) <= 1e-10
+    debiased = debias(m_init, batch, held_out_residual(m_init, batch))
+    assert np.max(np.abs(debiased - oracle)) <= 1e-10
 
     # Truncated paired-binomial arrival draws vs the enumerated pmf.
     d1, p1, d2, p2, c_r, c_s, gamma = 6, 0.6, 10, 0.6, 0.3, 0.3, 0.3

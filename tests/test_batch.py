@@ -30,9 +30,11 @@ from matchlearn import (
     debias,
     estimate_sigma,
     generate_low_rank,
+    held_out_residual,
     load_batch,
     main,
     observe,
+    period_mean_squares,
     prepare_inference,
     save_batch,
     solve_G,
@@ -128,7 +130,8 @@ def test_batch_functions_equal_per_period_loops(kind):
     for rows, cols, y in part:
         for i, j, v in zip(rows, cols, y):
             corr[i, j] += (v - m_init[i, j]) * (1.0 / nu)
-    assert np.array_equal(debias(m_init, view), m_init + corr / len(part))
+    residual = held_out_residual(m_init, view)
+    assert np.array_equal(debias(m_init, view, residual), m_init + corr / len(part))
 
     # The core solve on the records of the periods, concatenated.
     u, v = truth.left_factors, truth.right_factors
@@ -141,7 +144,10 @@ def test_batch_functions_equal_per_period_loops(kind):
     # the per-period means added exactly.
     m1, m2 = truth.values + 0.01, truth.values - 0.02
     total, _ = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
-    assert estimate_sigma(m1, m2, batch[20:], batch[:20]) == total / 40
+    h1, h2 = batch[20:], batch[:20]
+    means = [period_mean_squares(h2, held_out_residual(m1, h2)),
+             period_mean_squares(h1, held_out_residual(m2, h1))]
+    assert estimate_sigma(means, 40) == total / 40
 
 
 def test_sigma_skips_empty_periods_anywhere_in_either_half():
@@ -155,8 +161,28 @@ def test_sigma_skips_empty_periods_anywhere_in_either_half():
     m1, m2 = truth.values + 0.01, truth.values - 0.02
     total, skipped = sigma_oracle([(periods[:20], m1), (periods[20:], m2)])
     assert skipped == 5
+    h1, h2 = batch[20:], batch[:20]
+    means = [period_mean_squares(h2, held_out_residual(m1, h2)),
+             period_mean_squares(h1, held_out_residual(m2, h1))]
     with pytest.warns(EmptyMatchingWarning, match="skipped 5 empty"):
-        assert estimate_sigma(m1, m2, batch[20:], batch[:20]) == total / 40
+        assert estimate_sigma(means, 40) == total / 40
+
+
+def test_period_means_taken_in_slices_equal_one_bincount_over_the_half():
+    # 200 entries per period: periods are squared and summed 655 at a time, so
+    # these 700 periods, with an empty one at the cut, take two slices.
+    truth = generate_low_rank(200, 400, 2, 3.0, np.random.default_rng(3))
+    full = observe(truth, OneToOne(), 700, 0.7, np.random.default_rng(4))
+    cut = range(131000, 131200)  # period 655 emptied
+    offsets = full.offsets.copy()
+    offsets[656:] -= 200
+    half = ObservationBatch(SCHEMES["two_sided"], 200, 400, 0.7, np.delete(full.rows, cut),
+                            np.delete(full.cols, cut), np.delete(full.y, cut), offsets)
+    residual = held_out_residual(truth.values + 0.01, half)
+    counts = np.diff(half.offsets)
+    sums = np.bincount(np.repeat(np.arange(700), counts), weights=residual**2)
+    expect = sums[counts > 0] / counts[counts > 0]
+    assert period_mean_squares(half, residual).tobytes() == expect.tobytes()
 
 
 def test_slices_are_views_of_the_parent():

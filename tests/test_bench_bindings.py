@@ -9,12 +9,13 @@ every workload through the benchmark's driver; these tests find it in
 well under a second, in process.
 """
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchlearn import OneToOne, generate_low_rank, samplers
+from matchlearn import EstimatorConfig, OneToOne, generate_low_rank, inference, samplers
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,6 +37,18 @@ def test_benchmark_imports_and_traced_bindings_resolve():
     assert samplers.observe is observe
     assert [span[0] for span in tracer.spans] == ["samplers.observe.one_to_one"]
     assert tracer.counts["samplers.revealed_entries"] == batch.y.size == 12
+
+
+def test_prepare_inference_runs_every_stage_through_its_traced_name():
+    tracer = load_bench_module("tracer").Tracer()
+    truth = generate_low_rank(6, 12, 1, 1.0, np.random.default_rng(0))
+    batch = samplers.observe(truth, OneToOne(), 40, 0.5, np.random.default_rng(1))
+    with tracer.patched():
+        inference.prepare_inference(batch, EstimatorConfig(r=1, eta=0.7, m=2, nu=batch.nu))
+    stages = {"estimator.fit": 2, "inference.debias": 2, "inference.project_rank_r": 2,
+              "inference.estimate_sigma": 1}
+    spans = Counter(span[0] for span in tracer.spans)
+    assert {name: spans[name] for name in stages} == stages
 
 
 @pytest.mark.parametrize("name", ["study", "large_batch", "policy_study"])

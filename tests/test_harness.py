@@ -574,6 +574,14 @@ def test_scheme_fields_json_keys_and_nu_flags_agree(capsys, scheme):
         flag = argv.index("--" + name.replace("_", "-"))
         code, _, err = run_cli(capsys, argv[:flag] + argv[flag + 2:])
         assert code == 2 and "--" + name.replace("_", "-") in json.loads(err)["message"]
+    # Another scheme's flag is refused, not dropped: `nu --scheme oto ... --K 3`.
+    for other in (OneToOne(), OneToMany(3, 0.8), TwoSided(0.8, 0.8, 0.3, 0.3, 0.2)):
+        for name in {f.name for f in dataclasses.fields(other)} - set(names):
+            flag = "--" + name.replace("_", "-")
+            code, out, err = run_cli(capsys, argv + [flag, "3"])
+            doc = json.loads(err)
+            assert (code, out, doc["error"]) == (2, "", "ConfigError")
+            assert f"unknown {scheme.kind} flag: {flag}" in doc["problems"]
 
 
 def test_cli_rejects_malformed_config(capsys, tmp_path):

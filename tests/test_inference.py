@@ -22,8 +22,10 @@ from matchlearn import (
     debias,
     estimate_sigma,
     generate_low_rank,
+    held_out_residual,
     infer_linear_form,
     observe,
+    period_mean_squares,
     prepare_inference,
     project_rank_r,
     projection_magnitude,
@@ -71,7 +73,7 @@ def test_prepare_inference_needs_two_periods():
 
 def test_debias_exact_init_noiseless_is_identity():
     truth, batch = make_problem(5, 10, 2, 40, 0.0, seed=71)
-    est = debias(truth.values, batch)
+    est = debias(truth.values, batch, held_out_residual(truth.values, batch))
     assert np.array_equal(est, truth.values)
 
 
@@ -79,7 +81,7 @@ def test_debias_hand_computed_single_matching():
     m_init = np.arange(6, dtype=float).reshape(2, 3)
     rec = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1], [1, 2], [10.0, -3.0], [0, 2])
     nu = 1.0 / 3.0
-    est = debias(m_init, rec)
+    est = debias(m_init, rec, held_out_residual(m_init, rec))
     expect = m_init.copy()
     expect[0, 1] += (10.0 - m_init[0, 1]) / nu  # T0 = 1
     expect[1, 2] += (-3.0 - m_init[1, 2]) / nu
@@ -102,7 +104,7 @@ def test_debias_is_unbiased_over_replications(scheme, reps):
     samples = np.empty((reps, 20))
     for rep in range(reps):
         batch = observe(truth, scheme, t0, 1.0, np.random.default_rng([73, 5, rep]))
-        est = debias(m_init, batch)
+        est = debias(m_init, batch, held_out_residual(m_init, batch))
         samples[rep] = est[idx]
     dev = samples.mean(axis=0) - truth.values[idx]
     bound = 4.0 * samples.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -111,10 +113,18 @@ def test_debias_is_unbiased_over_replications(scheme, reps):
 
 def test_debias_argument_validation():
     truth, batch = make_problem(4, 8, 1, 10, 0.0, seed=83)
+    residual = held_out_residual(truth.values, batch)
     with pytest.raises(ArgumentError):
-        debias(truth.values, batch[:0])
+        debias(truth.values, batch[:0], held_out_residual(truth.values, batch[:0]))
     with pytest.raises(ArgumentError):
-        debias(truth.values[:, :7], batch)
+        debias(truth.values[:, :7], batch, residual)
+    with pytest.raises(ArgumentError, match="dims"):
+        held_out_residual(truth.values[:, :7], batch)
+    for short in (residual[1:], residual[:, None], 0.0):
+        with pytest.raises(ArgumentError, match="one residual per held-out entry"):
+            debias(truth.values, batch, short)
+        with pytest.raises(ArgumentError, match="one residual per held-out entry"):
+            period_mean_squares(batch, short)
 
 
 def overflowing_batch(big_periods):
@@ -131,11 +141,16 @@ def test_debias_overflow_is_a_numerical_error():
     # Finite rewards whose correction overflows fail as numerics, not as
     # a bad argument.
     batch = overflowing_batch([25])
+    m0 = np.zeros((2, 4))
     with pytest.raises(NonFiniteResultError, match="debiased estimate"):
-        debias(np.zeros((2, 4)), batch)
-    # Here the residual y - m_init itself overflows, inside the same errstate.
+        debias(m0, batch, held_out_residual(m0, batch))
+    # Here the residual y - m_init itself overflows, to inf and without a warning.
+    m0 = np.full((2, 4), -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = held_out_residual(m0, batch)
     with pytest.raises(NonFiniteResultError, match="debiased estimate"):
-        debias(np.full((2, 4), -1e308), batch)
+        debias(m0, batch, residual)
     with pytest.raises(NonFiniteResultError):
         prepare_inference(batch, EstimatorConfig(r=1, eta=0.5, m=1, nu=0.25))
 
@@ -239,9 +254,15 @@ def test_odd_t_warns_once():
 # estimate_sigma
 # ---------------------------------------------------------------------------
 
+def sigma_of(m1, m2, half1, half2):
+    """sigma^2 as prepare_inference forms it: half 2 scored against m1, half 1 against m2."""
+    means = [period_mean_squares(h, held_out_residual(m, h)) for m, h in ((m1, half2), (m2, half1))]
+    return estimate_sigma(means, len(half1) + len(half2))
+
+
 def test_estimate_sigma_zero_for_exact_fit():
     truth, batch = make_problem(5, 10, 2, 40, 0.0, seed=97)
-    out = estimate_sigma(truth.values, truth.values, batch[20:], batch[:20])
+    out = sigma_of(truth.values, truth.values, batch[20:], batch[:20])
     assert out == 0.0
 
 
@@ -251,7 +272,7 @@ def test_estimate_sigma_single_residual_formula():
     empty = ObservationBatch(PARTIAL, 2, 3, 0.0, [], [], [], [0, 0])
     rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [0.7], [0, 1])
     with pytest.warns(EmptyMatchingWarning):
-        out = estimate_sigma(m1, m2, empty, rec)
+        out = sigma_of(m1, m2, empty, rec)
     assert out == pytest.approx(0.7**2 / 2.0, rel=1e-15)
 
 
@@ -259,11 +280,11 @@ def test_estimate_sigma_overflow_is_a_numerical_error():
     m0 = np.zeros((2, 3))
     rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [1e200], [0, 1])
     with pytest.raises(NonFiniteResultError, match="residual variance"):
-        estimate_sigma(m0, m0, rec, rec)
+        sigma_of(m0, m0, rec, rec)
     # Finite per-period means (1e308 each) whose exact sum overflows.
     rec = ObservationBatch(PARTIAL, 2, 3, 0.0, [1], [2], [1e154], [0, 1])
     with pytest.raises(NonFiniteResultError, match="residual variance"):
-        estimate_sigma(m0, m0, rec, rec)
+        sigma_of(m0, m0, rec, rec)
 
 
 def test_estimate_sigma_concentrates_around_noise_variance():
@@ -281,11 +302,13 @@ def test_estimate_sigma_skips_empty_matchings_with_warning():
     m0 = np.zeros((2, 3))
     batch = ObservationBatch(PARTIAL, 2, 3, 0.0, [0], [0], [1.0], [0, 0, 1])  # period 0 empty
     with pytest.warns(EmptyMatchingWarning):
-        out = estimate_sigma(m0, m0, batch[:0], batch)
+        out = sigma_of(m0, m0, batch[:0], batch)
     assert out == pytest.approx(0.5)
     with pytest.raises(UndefinedVarianceError):
         with pytest.warns(EmptyMatchingWarning):
-            estimate_sigma(m0, m0, batch[:1], batch[:1])
+            sigma_of(m0, m0, batch[:1], batch[:1])
+    with pytest.raises(ArgumentError, match="from only 1 periods"):
+        estimate_sigma([np.ones(2)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,21 @@ def test_two_sided_rejects_nan_gamma():
                          ids=["one_to_one", "one_to_many", "two_sided"])
 @pytest.mark.parametrize("d1, d2", [(0, 0), (-3, 5), (3, 0)])
 def test_every_scheme_rejects_non_positive_dims(scheme, d1, d2):
-    for call in (scheme.feasible, scheme.nu, scheme.sampler):
+    for call in (scheme.feasible, scheme.nu, scheme.sampler,
+                 lambda d1, d2: Matching(d1, d2, [], [])):
         with pytest.raises(ArgumentError, match="dimensions must be positive"):
             call(d1, d2)
+
+
+@pytest.mark.parametrize("bad", ["one_to_one", None, OneToOne], ids=["str", "none", "class"])
+def test_batch_builders_refuse_a_scheme_that_is_not_a_matching_scheme(bad):
+    truth = generate_low_rank(2, 3, 1, 1.0, np.random.default_rng(0))
+    calls = (lambda: ObservationBatch(bad, 1, 2, 0.5, [0], [1], [1.0], [0, 1]),
+             lambda: observe(truth, bad, 3, 0.5, np.random.default_rng(1)),
+             lambda: sample_matching(bad, 2, 3, np.random.default_rng(1)))
+    for call in calls:
+        with pytest.raises(ArgumentError, match="scheme must be a matching scheme"):
+            call()
 
 
 def test_two_sided_untruncated_flagged_outside_theory():
