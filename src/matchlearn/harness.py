@@ -14,6 +14,7 @@ for the shared draws and ``default_rng([seed, 3, rep])`` for replication
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -125,26 +126,6 @@ _ENTRY_RE = re.compile(r"^entry\((\d+)\s*,\s*(\d+)\)$")
 _OTM_RE = re.compile(r"^random_otm\((\d+)\s*,\s*([0-9.eE+-]+)\)$")
 
 
-def _parse_q_spec(spec: str) -> tuple:
-    """Classify a q_spec string; returns a tag tuple, never draws."""
-    if not isinstance(spec, str) or not spec:
-        raise ArgumentError(f"q_spec must be a nonempty string, got {spec!r}")
-    m = _ENTRY_RE.match(spec)
-    if m:
-        return ("entry", int(m.group(1)), int(m.group(2)))
-    if spec == "random_oto":
-        return ("random_oto",)
-    if spec == "oto_difference":
-        return ("oto_difference",)
-    m = _OTM_RE.match(spec)
-    if m:
-        try:
-            return ("random_otm", OneToMany(int(m.group(1)), float(m.group(2))))
-        except ValueError as exc:
-            raise ArgumentError(f"q_spec {spec}: {exc}") from None
-    return ("file", spec)
-
-
 # Readers of RunConfig's fields by annotation, in the order their problems are reported.
 _READERS = {"int": _int, "float": _real, "str": _instance_of(str, "a string"),
             "bool": _instance_of(bool, "a boolean"),
@@ -166,13 +147,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if p:
         raise ConfigError(p)
     cfg = replace(cfg, **values)
-    dims_ok = False
+    addressable = min(cfg.d1, cfg.d2) >= 1 and cfg.d1 * cfg.d2 <= np.iinfo(np.intp).max // 8
     if cfg.d1 < 1 or cfg.d2 < cfg.d1:
         p.append(f"need 1 <= d1 <= d2, got d1={cfg.d1}, d2={cfg.d2}")
-    elif cfg.d1 * cfg.d2 > np.iinfo(np.intp).max // 8:
+    elif not addressable:
         p.append(f"a {cfg.d1}x{cfg.d2} float64 matrix is too large to address")
-    else:
-        dims_ok = True
     if not (1 <= cfg.r <= cfg.d1):
         p.append(f"need 1 <= r <= d1, got r={cfg.r}")
     k = 2 if cfg.study == "convergence" else 4  # two halves, each fit with m pairs
@@ -186,7 +165,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         p.append(f"replications must be nonnegative, got {cfg.replications}")
     if cfg.workers < 1:
         p.append(f"workers must be >= 1, got {cfg.workers}")
-    if dims_ok:
+    if addressable and cfg.d1 <= cfg.d2:
         try:
             cfg.scheme.feasible(cfg.d1, cfg.d2)
         except ArgumentError as exc:
@@ -202,20 +181,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
         p.append(f"need 0 < alpha < 1, got {cfg.alpha}")
     if cfg.study not in STUDIES:
         p.append(f"study must be one of {STUDIES}, got {cfg.study!r}")
-    try:
-        tag = _parse_q_spec(cfg.q_spec)
-    except ArgumentError as exc:
-        p.append(str(exc))
-    else:
-        if tag[0] == "entry" and (tag[1] >= cfg.d1 or tag[2] >= cfg.d2):
-            p.append(f"q_spec {cfg.q_spec} indexes outside {cfg.d1}x{cfg.d2}")
-        if tag[0] == "random_otm" and dims_ok:
-            try:
-                tag[1].feasible(cfg.d1, cfg.d2)
-            except ArgumentError as exc:
-                p.append(f"q_spec {cfg.q_spec}: {exc}")
-        if tag[0] == "file" and not Path(tag[1]).is_file():
-            p.append(f"q_spec file not found: {tag[1]}")
+    if addressable:  # any stream will do to check a spec; a malformed q file propagates
+        try:
+            resolve_q(cfg.q_spec, cfg.d1, cfg.d2, np.random.default_rng(0))
+        except (ArgumentError, ConfigError) as exc:
+            p.append(f"q_spec {cfg.q_spec}: {exc}")
     if p:
         raise ConfigError(p)
     return cfg
@@ -226,7 +196,8 @@ def parse_config(obj: dict) -> RunConfig:
 
     The keys are RunConfig's fields; those without a default are
     required.  Every violation is reported at once in the raised
-    ConfigError.
+    ConfigError; a ``q_spec`` file that is read but malformed raises
+    DataFormatError.
     """
     if not isinstance(obj, dict):
         raise ConfigError([f"config must be a JSON object, got {type(obj).__name__}"])
@@ -263,24 +234,31 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearForm:
-    """Materialize a q_spec; random specs consume from ``rng``."""
-    tag = _parse_q_spec(spec)
-    if tag[0] == "entry":
-        return LinearForm(d1, d2, [tag[1]], [tag[2]], [1.0])
-    if tag[0] in ("random_oto", "random_otm"):
-        scheme = tag[1] if tag[0] == "random_otm" else OneToOne()
-        return matching_to_linear_form(sample_matching(scheme, d1, d2, rng))
-    if tag[0] == "oto_difference":
-        q1 = matching_to_linear_form(sample_matching(OneToOne(), d1, d2, rng))
-        q2 = matching_to_linear_form(sample_matching(OneToOne(), d1, d2, rng))
-        return q1.subtract(q2)
+    """Materialize a q_spec; random specs consume from ``rng``.  The one reader of the
+    spec syntax: a spec that does not fit ``d1 x d2`` raises ArgumentError, a q file that
+    cannot be read ConfigError, and a malformed one DataFormatError."""
+    if not isinstance(spec, str) or not spec:
+        raise ArgumentError(f"a spec must be a nonempty string, got {spec!r}")
+    entry, otm = _ENTRY_RE.match(spec), _OTM_RE.match(spec)
+    if entry:
+        return LinearForm(d1, d2, [int(entry[1])], [int(entry[2])], [1.0])
+    if otm or spec in ("random_oto", "oto_difference"):
+        try:
+            scheme = OneToMany(int(otm[1]), float(otm[2])) if otm else OneToOne()
+        except ValueError as exc:
+            raise ArgumentError(str(exc)) from None
+
+        def draw() -> LinearForm:
+            return matching_to_linear_form(sample_matching(scheme, d1, d2, rng))
+        return draw().subtract(draw()) if spec == "oto_difference" else draw()
     try:
-        text = Path(tag[1]).read_text()
+        return LinearForm.from_json(Path(spec).read_text(), d1, d2)
     except OSError as exc:
-        raise ConfigError([f"cannot read q file {tag[1]}: {exc}"]) from None
+        raise ConfigError([f"q file not found or unreadable: {exc}"]) from None
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"q file {tag[1]} is not UTF-8 text: {exc}") from None
-    return LinearForm.from_json(text, d1, d2)
+        raise DataFormatError(f"q file {spec} is not UTF-8 text: {exc}") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"q file {spec}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +270,9 @@ def _estimator_config(cfg: RunConfig) -> EstimatorConfig:
     return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu)
 
 
-def _run_replication(payload) -> dict:
-    """One replication; returns a plain dict so it can cross processes."""
-    rep, cfg, ecfg, truth, q, target = payload
+def _run_replication(cfg, ecfg, truth, q, target, rep: int) -> dict:
+    """Replication ``rep``'s record, a plain dict so it can cross processes: its fit
+    ``trace`` (convergence), its ``z`` and interval (inference, policy), or its ``error``."""
     if truth is None:
         truth = generate_low_rank(
             cfg.d1, cfg.d2, cfg.r, cfg.scale,
@@ -304,12 +282,11 @@ def _run_replication(payload) -> dict:
     try:
         batch = observe(truth, cfg.scheme, cfg.T, cfg.sigma, rng)
         if cfg.study == "convergence":
-            _, trace = fit(batch, ecfg, truth=truth)
-            return {"rep": rep, "ok": True, "trace": trace}
+            return {"rep": rep, "trace": fit(batch, ecfg, truth=truth)[1]}
         artifacts = prepare_inference(batch, ecfg)
         if cfg.study == "inference":
             res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
-            estimand = q.inner(truth.values)
+            estimand = z_target = q.inner(truth.values)
             recovered = None
         else:  # policy
             mat_hat = optimal_one_to_one(artifacts.m_hat)
@@ -319,13 +296,9 @@ def _run_replication(payload) -> dict:
             # actually selected; coverage targets the true optimal reward.
             z_target = matching_to_linear_form(mat_hat).inner(truth.values)
             recovered = mat_hat.pairs == mat_true.pairs
-        z = (res.point - (z_target if cfg.study == "policy" else estimand)) / res.se
         return {
             "rep": rep,
-            "ok": True,
-            "z": float(z),
-            "point": res.point,
-            "se": res.se,
+            "z": float((res.point - z_target) / res.se),
             "ci_low": res.ci_low,
             "ci_high": res.ci_high,
             "estimand": float(estimand),
@@ -333,7 +306,7 @@ def _run_replication(payload) -> dict:
             "recovered": recovered,
         }
     except NumericalError as exc:
-        return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return {"rep": rep, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _policy_target(truth: RewardMatrix) -> tuple[Matching, float]:
@@ -370,17 +343,14 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     if truth is not None and config.study == "policy":
         target = _policy_target(truth)
 
-    payloads = [(rep, config, ecfg, truth, q, target)
-                for rep in range(config.replications)]
-    if config.workers == 1 or not payloads:
-        results = [_run_replication(p) for p in payloads]
+    run = functools.partial(_run_replication, config, ecfg, truth, q, target)
+    if config.workers == 1 or config.replications == 0:
+        records = list(map(run, range(config.replications)))
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_replication, payloads))
-    results.sort(key=lambda r: r["rep"])
+            records = list(pool.map(run, range(config.replications)))
 
-    ok = [r for r in results if r["ok"]]
-    failed = [r for r in results if not r["ok"]]
+    failed = [r for r in records if "error" in r]
     for r in failed:
         logger.warning("replication %d failed: %s", r["rep"], r["error"])
     if failed and len(failed) > MAX_FAILURE_FRACTION * config.replications:
@@ -389,18 +359,10 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
             f"(tolerance {MAX_FAILURE_FRACTION:.0%}); first: {failed[0]['error']}"
         )
 
-    if config.study == "convergence":
-        stats = np.empty(0)
-        traces = tuple(r["trace"] for r in ok)
-        coverage = float("nan")
-        recovery: int | None = None
-    else:
-        stats = np.array([r["z"] for r in ok])
-        traces = ()
-        coverage = float(np.mean([r["covered"] for r in ok])) if ok else float("nan")
-        recovery = None
-        if config.study == "policy":
-            recovery = int(sum(bool(r["recovered"]) for r in ok))
+    scored = [r for r in records if "z" in r]
+    stats = np.array([r["z"] for r in scored])
+    coverage = float(np.mean([r["covered"] for r in scored])) if scored else float("nan")
+    recovery = int(sum(bool(r["recovered"]) for r in scored)) if config.study == "policy" else None
     ks = ks_statistic(stats) if stats.size else float("nan")
     mean = float(stats.mean()) if stats.size else float("nan")
     sd = float(stats.std(ddof=1)) if stats.size > 1 else float("nan")
@@ -411,13 +373,13 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         coverage=coverage,
         mean=mean,
         sd=sd,
-        traces=traces,
+        traces=tuple(r["trace"] for r in records if "trace" in r),
         recovery_count=recovery,
-        n_success=len(ok),
+        n_success=len(records) - len(failed),
         n_failed=len(failed),
         failures=tuple(r["error"] for r in failed),
     )
-    _write_outputs(outdir, config, truth, q, ok, summary)
+    _write_outputs(outdir, config, truth, q, records, summary)
     return summary
 
 
@@ -433,20 +395,19 @@ def _aggregates(summary: ReplicationSummary) -> dict:
         k: _jsonable(getattr(summary, k)) for k in ("ks_distance", "coverage", "mean", "sd")}
 
 
-def _write_outputs(outdir, config, truth, q, ok, summary) -> None:
+def _write_outputs(outdir, config, truth, q, records, summary) -> None:
+    scored = [r for r in records if "z" in r]
     with open(outdir / "standardized_stats.csv", "w") as fh:
         fh.write("rep,z\n")
-        if config.study != "convergence":
-            for r in ok:
-                fh.write(f"{r['rep']},{r['z']!r}\n")
+        for r in scored:
+            fh.write(f"{r['rep']},{r['z']!r}\n")
     with open(outdir / "coverage.csv", "w") as fh:
         fh.write("rep,ci_low,ci_high,estimand,covered\n")
-        if config.study != "convergence":
-            for r in ok:
-                fh.write(
-                    f"{r['rep']},{r['ci_low']!r},{r['ci_high']!r},"
-                    f"{r['estimand']!r},{int(r['covered'])}\n"
-                )
+        for r in scored:
+            fh.write(
+                f"{r['rep']},{r['ci_low']!r},{r['ci_high']!r},"
+                f"{r['estimand']!r},{int(r['covered'])}\n"
+            )
     counts, edges = np.histogram(
         summary.standardized_stats, bins=HISTOGRAM_BINS, range=HISTOGRAM_RANGE
     )
@@ -454,8 +415,8 @@ def _write_outputs(outdir, config, truth, q, ok, summary) -> None:
         fh.write("bin_left,bin_right,count\n")
         for k in range(HISTOGRAM_BINS):
             fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{counts[k]}\n")
-    if config.study == "convergence":
-        for r in ok:
+    for r in records:
+        if "trace" in r:
             r["trace"].write_csv(outdir / f"trace_rep{r['rep']}.csv")
     # The echoed config omits where and how wide the study ran, so runs of
     # one study into any directory with any worker count give identical bytes.
@@ -658,29 +619,20 @@ def _cmd_nu(args) -> int:
     return 0
 
 
-def _print_error(exc: Exception) -> None:
-    doc = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ConfigError):
-        doc["problems"] = exc.problems
-    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+# Each error type the CLI reports, with its exit code; the first that matches applies.
+_EXIT_CODES = {ConfigError: 2, DataFormatError: 4, NumericalError: 3, ArgumentError: 2}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        _print_error(exc)
-        return 2
-    except DataFormatError as exc:
-        _print_error(exc)
-        return 4
-    except NumericalError as exc:
-        _print_error(exc)
-        return 3
-    except ArgumentError as exc:
-        _print_error(exc)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ConfigError):
+            doc["problems"] = exc.problems
+        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

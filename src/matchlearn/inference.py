@@ -237,6 +237,7 @@ def infer_linear_form(
     direction: str = "two-sided",
 ) -> InferenceResult:
     """CI and z test for one linear form of the reward matrix."""
+    alpha, null_value = _real(alpha, "alpha"), _real(null_value, "null_value")
     if q.dims != artifacts.m_hat.shape:
         raise ArgumentError("linear form dims must match the estimate")
     point = q.inner(artifacts.m_hat)

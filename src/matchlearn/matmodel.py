@@ -56,7 +56,7 @@ def _locked(a, dtype) -> np.ndarray:
 def _flat(a, dtype, name: str) -> np.ndarray:
     """``a`` as a flat read-only ``dtype`` view, copied only to convert: indices (np.int64)
     take integers, values (float) numbers, and a list is looked through for booleans."""
-    what, kinds = ("integers", "iu") if dtype is np.int64 else ("numbers", "iuf")
+    what, kinds = ("int64 integers", "iu") if dtype is np.int64 else ("numbers", "iuf")
     arr = np.asarray(a)
     if arr.size and (arr.dtype.kind not in kinds or not isinstance(a, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.array(a, dtype=object).ravel())):

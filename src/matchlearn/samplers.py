@@ -257,8 +257,12 @@ def scheme_from_json(obj) -> MatchingScheme:
     cls = _BY_KIND.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DataFormatError(f"unknown scheme kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = [str(k) for k in obj if k not in ("kind", *names)]
+    if unknown:
+        raise DataFormatError(f"unknown keys for scheme '{kind}': {', '.join(unknown)}")
     try:
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        return cls(**{name: obj[name] for name in names})
     except KeyError as exc:
         raise DataFormatError(f"bad parameters for scheme '{kind}': missing field {exc}") from None
     except ValueError as exc:

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchlearn import EstimatorConfig, OneToOne, generate_low_rank, inference, samplers
+from matchlearn import (EstimatorConfig, OneToOne, RunConfig, generate_low_rank, harness,
+                        inference, samplers)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -61,3 +62,21 @@ def test_smoke_workload_runs_and_passes_its_checks(tmp_path, name):
     workload.check_setup(checks)
     workload.check_op(workload.op(), checks)
     assert checks and [c for c in checks if not c[1]] == []
+
+
+@pytest.mark.parametrize("study, spans", [
+    ("inference", {"inference.infer_linear_form": 3, "policy.optimal_one_to_one": 0,
+                   "policy.evaluate_policy": 0}),
+    ("policy", {"inference.infer_linear_form": 3, "policy.optimal_one_to_one": 3 + 1,
+                "policy.evaluate_policy": 3}),
+])
+def test_a_study_reaches_each_layer_through_its_traced_name(tmp_path, study, spans):
+    # A study that stops calling a harness binding the tracer patches loses that layer's spans.
+    tracer = load_bench_module("tracer").Tracer()
+    config = RunConfig(d1=5, d2=8, r=1, scheme=OneToOne(), T=40, seed=3, m=2, sigma=0.2,
+                       scale=1.0, replications=3, study=study, outputs=str(tmp_path))
+    with tracer.patched():
+        harness.run_simulation(config)  # through the module, as the benchmark calls it
+    expected = {"harness.run_simulation": 1, "inference.prepare_inference": 3, **spans}
+    counted = Counter(span[0] for span in tracer.spans)
+    assert {name: counted[name] for name in expected} == expected

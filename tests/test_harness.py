@@ -16,6 +16,8 @@ import matchlearn.harness as harness_mod
 from matchlearn import (
     ArgumentError,
     ConfigError,
+    DataFormatError,
+    EstimationArtifacts,
     EstimatorConfig,
     LinearForm,
     Matching,
@@ -30,6 +32,7 @@ from matchlearn import (
     entrywise_probability,
     fit,
     generate_low_rank,
+    infer_linear_form,
     ks_statistic,
     load_batch,
     load_config,
@@ -147,6 +150,8 @@ def test_parse_config_aggregates_all_problems():
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key: d3"):
         parse_config(base_config_dict(d3=4))
+    with pytest.raises(ConfigError, match="bad scheme: unknown keys for scheme 'one_to_one'"):
+        parse_config(base_config_dict(scheme={"kind": "one_to_one", "K": 3, "p0": 0.5}))
 
 
 def test_parse_config_rejects_infeasible_one_to_many():
@@ -219,6 +224,23 @@ def test_parse_config_keys_are_run_config_fields():
 def test_parse_config_rejects_missing_q_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(base_config_dict(q_spec=str(tmp_path / "absent.json")))
+
+
+@pytest.mark.parametrize("text", ['[{"i": 99, "j": 0, "w": 1}]', '[{"i": 0, "j": 0, "w": "1"}]'],
+                         ids=["index_out_of_range", "string_weight"])
+def test_a_malformed_q_file_fails_before_any_output_exists(capsys, tmp_path, text):
+    q_path = tmp_path / "q.json"
+    q_path.write_text(text)
+    with pytest.raises(DataFormatError):
+        parse_config(base_config_dict(q_spec=str(q_path)))
+    out = tmp_path / "out"
+    with pytest.raises(DataFormatError):
+        run_simulation(dataclasses.replace(parse_config(base_config_dict()), q_spec=str(q_path),
+                                           outputs=str(out)))
+    cfg_path = write_config(tmp_path, q_spec=str(q_path))
+    code, _, err = run_cli(capsys, ["simulate", str(cfg_path), "--out", str(out)])
+    assert code == 4 and json.loads(err)["error"] == "DataFormatError"
+    assert not out.exists()
 
 
 def test_load_config_rejects_malformed_json(tmp_path):
@@ -367,10 +389,10 @@ def test_run_simulation_policy_study(tmp_path):
 def test_run_simulation_excludes_isolated_failures(tmp_path, monkeypatch):
     real = harness_mod._run_replication
 
-    def flaky(payload):
-        if payload[0] == 0:
-            return {"rep": 0, "ok": False, "error": "NumericalError: injected"}
-        return real(payload)
+    def flaky(*args):
+        if args[-1] == 0:
+            return {"rep": 0, "error": "NumericalError: injected"}
+        return real(*args)
 
     monkeypatch.setattr(harness_mod, "_run_replication", flaky)
     cfg = parse_config(
@@ -388,7 +410,7 @@ def test_run_simulation_aborts_on_widespread_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(
         harness_mod,
         "_run_replication",
-        lambda payload: {"rep": payload[0], "ok": False, "error": "boom"},
+        lambda *args: {"rep": args[-1], "error": "boom"},
     )
     cfg = parse_config(base_config_dict(outputs=str(tmp_path / "o")))
     with pytest.raises(ReplicationFailureError):
@@ -674,7 +696,8 @@ def test_cli_infer_rejects_non_integer_pairs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("d1", 3.0), ("d2", "4"), ("sigma", "0.0"),
-                                          ("seed", True)])
+                                          ("seed", True),
+                                          ("scheme", {"kind": "one_to_one", "K": 3})])
 def test_cli_infer_rejects_a_coerced_header_field(capsys, tmp_path, field, value):
     path = tmp_path / "header.jsonl"
     header = {"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": None}
@@ -689,7 +712,8 @@ def test_cli_infer_rejects_a_coerced_header_field(capsys, tmp_path, field, value
 
 
 @pytest.mark.parametrize("scheme", [{"kind": "one_to_many", "K": 2.9, "p0": 0.5},
-                                    {"kind": "one_to_many", "K": 1, "p0": "0.5"}])
+                                    {"kind": "one_to_many", "K": 1, "p0": "0.5"},
+                                    {"kind": "one_to_one", "K": 3, "p0": 0.5}])
 def test_cli_rejects_a_coerced_config_scheme_parameter(capsys, tmp_path, scheme):
     cfg_path = write_config(tmp_path, d2=30, scheme=scheme)
     code, _, err = run_cli(capsys, ["simulate", str(cfg_path)])
@@ -706,6 +730,11 @@ def test_parse_config_rejects_a_boolean_for_a_number():
 _TS = dict(p1=0.8, p2=0.8, c_r=0.3, c_s=0.3, gamma=0.2)
 _RUN = dict(d1=2, d2=4, r=1, T=8, seed=1, m=1, replications=0, workers=1,
             eta=0.5, sigma=0.5, scale=1.0, alpha=0.05)
+
+
+_ARTIFACTS = EstimationArtifacts(m_hat=np.eye(2), u_hat=np.eye(2)[:, :1], v_hat=np.eye(2)[:, :1],
+                                 sigma_hat_sq=1.0, t_used=4, nu=0.5)
+_Q00 = LinearForm(2, 2, [0], [0], [1.0])
 
 
 def _observed(**kwargs):
@@ -747,6 +776,8 @@ _SCALAR_ENTRY_POINTS = {
     "svd_r": (lambda **kw: svd_r(np.diag([3.0, 2.0, 1.0]), **kw), dict(r=1), ["r"], []),
     "confidence_interval": (lambda **kw: confidence_interval(0.0, 1.0, **kw), dict(alpha=0.05),
                             [], ["alpha"]),
+    "infer_linear_form": (lambda **kw: vars(infer_linear_form(_ARTIFACTS, _Q00, **kw)),
+                          dict(alpha=0.05, null_value=0.5), [], ["alpha", "null_value"]),
     "run_simulation": (_simulated, _RUN, [k for k, v in _RUN.items() if type(v) is int],
                        [k for k, v in _RUN.items() if type(v) is float]),
 }

@@ -422,6 +422,8 @@ def test_scheme_json_round_trip():
         scheme_from_json({"kind": "mystery"})
     with pytest.raises(DataFormatError):
         scheme_from_json({"kind": "one_to_many", "K": 2})
+    with pytest.raises(DataFormatError, match="unknown keys for scheme 'one_to_one': K, p0$"):
+        scheme_from_json({"kind": "one_to_one", "K": 3, "p0": 0.5})
 
 
 _TWO_SIDED = dict(kind="two_sided", p1=0.8, p2=0.8, c_r=0.5, c_s=0.5, gamma=0.2)
