@@ -133,9 +133,9 @@ _READERS = {"int": _int, "float": _real, "str": _instance_of(str, "a string"),
             "str | None": _instance_of((str, os.PathLike, type(None)), "a path")}
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    """``cfg`` with each field read by its annotation's reader, numbers as Python ones, else
-    ConfigError with every problem; the fields' types are checked before any comparison."""
+def _validate(cfg: RunConfig) -> tuple[RunConfig, LinearForm]:
+    """``cfg``, each field read by its annotation's reader (types first, numbers as Python
+    ones), and the form its ``q_spec`` gives from the study's stream; else ConfigError."""
     p, values = [], {}
     for type_name, read in _READERS.items():
         for f in fields(cfg):
@@ -181,14 +181,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         p.append(f"need 0 < alpha < 1, got {cfg.alpha}")
     if cfg.study not in STUDIES:
         p.append(f"study must be one of {STUDIES}, got {cfg.study!r}")
-    if addressable:  # any stream will do to check a spec; a malformed q file propagates
+    if addressable:  # a malformed q file propagates; a negative seed is a problem above
         try:
-            resolve_q(cfg.q_spec, cfg.d1, cfg.d2, np.random.default_rng(0))
+            q = resolve_q(cfg.q_spec, cfg.d1, cfg.d2,
+                          np.random.default_rng([max(cfg.seed, 0), _SALT_Q]))
         except (ArgumentError, ConfigError) as exc:
             p.append(f"q_spec {cfg.q_spec}: {exc}")
     if p:
         raise ConfigError(p)
-    return cfg
+    return cfg, q
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -212,7 +213,7 @@ def parse_config(obj: dict) -> RunConfig:
         scheme = scheme_from_json(obj["scheme"])
     except DataFormatError as exc:
         raise ConfigError([f"bad scheme: {exc}"]) from None
-    return _validate(RunConfig(**obj | {"scheme": scheme}))
+    return _validate(RunConfig(**obj | {"scheme": scheme}))[0]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -322,7 +323,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     the aggregates and reported; more than ``MAX_FAILURE_FRACTION`` of
     them failing aborts the run.
     """
-    config = _validate(config)
+    config, q = _validate(config)
     if config.outputs is None:
         raise ConfigError(["outputs directory is required to run a study"])
     outdir = Path(config.outputs)
@@ -334,8 +335,6 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
             config.d1, config.d2, config.r, config.scale,
             np.random.default_rng([config.seed, _SALT_MATRIX]),
         )
-    q = resolve_q(config.q_spec, config.d1, config.d2,
-                  np.random.default_rng([config.seed, _SALT_Q]))
     ecfg = _estimator_config(config)
 
     # A shared truth has one optimal matching: solve it once per study.

@@ -472,28 +472,84 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
 
 # Least file per parsing process: at 1 MiB a second process costs more than it saves.
 _SPLIT_BYTES = 2**20
-_PIECE = 2**20  # most bytes of a column in one message from a parsing child
+_SPLIT_ENTRIES = 2**15  # least entries per writing process: 2 ranges break even near 2**13
+_PIECE = 2**20  # most bytes of a column, or of record text, in one message from a child
+_TEXT_ENTRIES = 2**14  # entries whose record text is formatted at a time
+
+
+def _texts(values: np.ndarray, form: str) -> np.ndarray:
+    """``form.format(v)`` for each of ``values``, as an object array, made once per value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([form.format(v) for v in distinct.tolist()], dtype=object)[index]
+
+
+def _records(batch: ObservationBatch, a: int, b: int):
+    """The record lines of periods ``a..b-1``, as ``json.dumps(record, sort_keys=True)`` spells
+    them, in one bytes piece per run of periods that start in one ``_TEXT_ENTRIES`` block."""
+    offsets = batch.offsets
+    block = (offsets[a:b] - offsets[a]) // _TEXT_ENTRIES
+    firsts = (np.flatnonzero(np.diff(block, prepend=-1)) + a).tolist()
+    for c, d in zip(firsts, firsts[1:] + [b]):
+        part = batch[c:d]
+        ends = part.offsets.tolist()
+        # "[i, " then "j], " for each pair: a period's text is its run of them, less ", ".
+        texts = np.column_stack((_texts(part.rows, "[{}, "),
+                                 _texts(part.cols, "{}], "))).ravel().tolist()
+        yield "".join(f'{{"pairs": [{"".join(texts[2 * p : 2 * q])[:-2]}], "t": {t}, '
+                      f'"y": {json.dumps(part.y[p:q].tolist())}}}\n'
+                      for t, p, q in zip(range(c + 1, d + 1), ends, ends[1:])).encode()
+
+
+def _send_records(batch: ObservationBatch, a: int, b: int, sender) -> None:
+    """A writing child: format periods ``a..b-1`` whole, then send a piece count and pieces."""
+    pieces = [memoryview(text)[i : i + _PIECE] for text in _records(batch, a, b)
+              for i in range(0, len(text), _PIECE)]
+    sender.send(len(pieces))
+    for piece in pieces:
+        sender.send_bytes(piece)
+
+
+def _pieces(receiver):
+    """The pieces a writing child sends, then None if its pipe ends before the last."""
+    try:
+        for _ in range(receiver.recv()):
+            yield receiver.recv_bytes()
+    except (EOFError, OSError):
+        yield None
 
 
 def save_batch(batch: ObservationBatch, path: str | Path) -> None:
-    """Write a batch as UTF-8 JSON lines: one header line, then one record per t."""
-    header = {
-        "scheme": scheme_to_json(batch.scheme),
-        "d1": batch.d1,
-        "d2": batch.d2,
-        "sigma": batch.sigma,
-        "seed": batch.seed,
-    }
-    bounds = batch.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-            line = {
-                "t": t,
-                "pairs": np.column_stack((batch.rows[a:b], batch.cols[a:b])).tolist(),
-                "y": batch.y[a:b].tolist(),
-            }
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+    """Write a batch as UTF-8 JSON lines: one header line, then one record per t.
+
+    A batch of at least ``2 * _SPLIT_ENTRIES`` entries is cut at period ends into one range
+    per CPU this process may use, at most one per ``_SPLIT_ENTRIES``.  This process writes
+    the first range while a child forked from it formats each later one whole; the children's
+    text is written in period order.  A range whose child cannot be started or ends early is
+    formatted here, over any part of it written.  The bytes are the same for any number of
+    ranges, and no child outlives the call."""
+    header = {"scheme": scheme_to_json(batch.scheme), "d1": batch.d1, "d2": batch.d2,
+              "sigma": batch.sigma, "seed": batch.seed}
+    offsets, T = batch.offsets, len(batch)
+    n = max(1, min(_usable_cpus(), int(offsets[-1]) // _SPLIT_ENTRIES))
+    cuts = (np.searchsorted(offsets, offsets[-1] * np.arange(1, n) // n, side="right") - 1).tolist()
+    bounds = [0, *sorted(set(cuts) - {0, T}), T]
+    children = [None]  # each range's child and pipe; the first range is this process's
+    try:
+        with open(path, "wb") as fh:
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                _start(children, _send_records, batch, a, b)
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+            for a, b, child in zip(bounds, bounds[1:], children):
+                start = fh.tell()
+                for piece in _pieces(child[1]) if child else [None]:
+                    if piece is None:  # formatted here, over any part a child sent
+                        fh.seek(start)
+                        fh.truncate()
+                        fh.writelines(_records(batch, a, b))
+                    else:
+                        fh.write(piece)
+    finally:
+        _reap(children)
 
 
 def _append_record(line: str, columns: tuple[array, array, array]) -> int:
@@ -629,41 +685,46 @@ def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list
     return counts, line_of, k
 
 
-def _send_range(raw, start: int, stop: int | None, sender, receivers) -> None:
+def _send_range(raw, start: int, stop: int | None, sender) -> None:
     """A parsing child's work: send :func:`_parse_range`'s report on one byte range of the
     file open as ``raw``, then each column in pieces of at most ``_PIECE`` bytes; or send the
     exception that stopped it, for the parent to raise.
 
     The child reads the descriptor it inherited, not the file's path, which may name another
-    file by now.  It first closes the read ends it inherited, its own among them, so that a
-    write to a pipe whose parent end is closed fails, and the child ends, instead of waiting.
+    file by now.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    for receiver in receivers:
-        receiver.close()
     columns = tuple(array(code) for code in "qqd")
     try:
         report = _parse_range(_lines(raw, start, stop), columns)
     except (_Fault, OSError, UnicodeDecodeError) as exc:
         report = exc
+    sender.send(report)
+    if not isinstance(report, Exception):
+        for column in columns:
+            view = memoryview(column).cast("B")
+            for i in range(0, len(view), _PIECE):
+                sender.send_bytes(view[i : i + _PIECE])
+
+
+def _child(target, args: tuple, sender, receivers) -> None:
+    """A forked child: ``target(*args, sender)`` once it closes the read ends it inherited, its
+    own among them, so that a write to a pipe the parent closed fails instead of waiting."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for receiver in receivers:
+        receiver.close()
     try:
-        sender.send(report)
-        if not isinstance(report, Exception):
-            for column in columns:
-                view = memoryview(column).cast("B")
-                for i in range(0, len(view), _PIECE):
-                    sender.send_bytes(view[i : i + _PIECE])
+        target(*args, sender)
     except OSError:  # the parent stopped reading
         pass
 
 
-def _start(raw, start: int, stop: int | None, children: list) -> None:
-    """Append to ``children`` a forked child parsing one byte range of the file open as
-    ``raw``, with the read end of its pipe; or None when this process cannot start one.
+def _start(children: list, target, *args) -> None:
+    """Append to ``children`` a forked child running ``target(*args, sender)``, with the read
+    end of its pipe; or None when this process cannot start one.
 
     Forked, not spawned: a spawned child would start an interpreter and import numpy before
-    parsing a byte.  None while this process runs other Python threads, whose locks the
-    child would inherit, held or not.  The child calls no BLAS.
+    it could parse or format a byte.  None while this process runs other Python threads,
+    whose locks the child would inherit, held or not.  No child calls BLAS.
     """
     children.append(None)
     if multiprocessing.current_process().daemon or threading.active_count() > 1 \
@@ -676,8 +737,8 @@ def _start(raw, start: int, stop: int | None, children: list) -> None:
     try:
         receiver, sender = context.Pipe(duplex=False)
         with sender:  # the child's end: closed here once the child holds it
-            child = context.Process(target=_send_range, daemon=True,
-                                    args=(raw, start, stop, sender, [*receivers, receiver]))
+            child = context.Process(target=_child, daemon=True,
+                                    args=(target, args, sender, [*receivers, receiver]))
             try:
                 child.start()
             except OSError:
@@ -760,7 +821,7 @@ def load_batch(path: str | Path) -> ObservationBatch:
             except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for a, b in zip(bounds[1:-1], bounds[2:]):
-                _start(raw, a, b, children)
+                _start(children, _send_range, raw, a, b)
             base = 1  # lines before the range: the header's, then each range's
             for a, b, child in zip(bounds, bounds[1:], children):
                 try:

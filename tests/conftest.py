@@ -9,7 +9,8 @@ import pytest
 def no_child_left():
     """Fail a test that leaves a child process behind, running or not yet waited for.
 
-    ``load_batch`` forks parsing children for large files; each must be gone when it returns.
+    ``save_batch`` forks formatting children for large batches and ``load_batch`` parsing
+    children for large files; each must be gone when the call returns.
     """
     yield
     try:

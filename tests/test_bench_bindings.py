@@ -9,6 +9,7 @@ every workload through the benchmark's driver; these tests find it in
 well under a second, in process.
 """
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +81,19 @@ def test_a_study_reaches_each_layer_through_its_traced_name(tmp_path, study, spa
     expected = {"harness.run_simulation": 1, "inference.prepare_inference": 3, **spans}
     counted = Counter(span[0] for span in tracer.spans)
     assert {name: counted[name] for name in expected} == expected
+
+
+def test_a_random_q_spec_is_drawn_once_per_validation(tmp_path):
+    # run_simulation validates a config and studies the form validation drew; the CLI's
+    # simulate validates once more as it parses the config.
+    tracer = load_bench_module("tracer").Tracer()
+    config = RunConfig(d1=5, d2=8, r=1, scheme=OneToOne(), T=40, seed=3, m=2, sigma=0.2,
+                       scale=1.0, replications=1, q_spec="random_oto",
+                       outputs=str(tmp_path / "study"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(harness.config_to_dict(config)))
+    with tracer.patched():
+        harness.run_simulation(config)
+        study = tracer.counts["samplers.sample_matching_calls"]
+        assert harness.main(["simulate", str(path), "--out", str(tmp_path / "cli")]) == 0
+    assert (study, tracer.counts["samplers.sample_matching_calls"] - study) == (1, 2)

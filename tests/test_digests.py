@@ -10,7 +10,8 @@ theirs, ``simulate``'s for each study and ``nu``'s for each scheme.
 The temporary directory is replaced by ``<tmp>`` in the CLI's stdout
 before hashing.  One saved batch per scheme at 8x1400, T=300 is pinned as
 well: its (T, d2) permutation tile is 3.4 MB, so drawn in rows of 1 MB it
-spans four chunks, where the 10x30 runs span one.
+spans four chunks, where the 10x30 runs span one.  The saved batches are
+pinned again as written in two and in four ranges of periods.
 
 The digests depend on the floating-point build.  They were pinned with
 numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1 and Python 3.11.7 on
@@ -23,6 +24,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 import scipy
 
 from matchlearn import (
@@ -35,8 +37,11 @@ from matchlearn import (
     main,
     observe,
     run_simulation,
+    samplers,
     save_batch,
 )
+
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 D1, D2, T = 10, 30, 120
 STUDIES = {
@@ -170,6 +175,18 @@ def _cli_stdout(argv, tmp_path, capsys) -> str:
     return _sha(capsys.readouterr().out.replace(str(tmp_path), "<tmp>").encode())
 
 
+def saved_batches() -> dict:
+    """The pinned saved batches, by the key of their digest."""
+    truth = generate_low_rank(D1, D2, 2, 2.0, np.random.default_rng([23, 1]))
+    batches = {"batch.jsonl": observe(truth, OneToOne(), T, 0.5, np.random.default_rng([23, 2]),
+                                      seed=23)}
+    wide = generate_low_rank(8, 1400, 2, 2.0, np.random.default_rng([29, 1]))
+    for label, scheme in CHUNKED.items():
+        batches[f"chunked/{label}/batch.jsonl"] = observe(
+            wide, scheme, 300, 0.5, np.random.default_rng([29, 2]), seed=29)
+    return batches
+
+
 def run_digests(tmp_path, capsys) -> dict[str, str]:
     """Run every pinned study and command under ``tmp_path``; digest each output."""
     out = {}
@@ -188,12 +205,12 @@ def run_digests(tmp_path, capsys) -> dict[str, str]:
     for label, argv in NU.items():
         out[f"cli/nu/{label}/stdout"] = _cli_stdout(argv, tmp_path, capsys)
 
-    truth = generate_low_rank(D1, D2, 2, 2.0, np.random.default_rng([23, 1]))
-    batch = observe(truth, OneToOne(), T, 0.5, np.random.default_rng([23, 2]), seed=23)
     paths = {"tmp": str(tmp_path), "batch": str(tmp_path / "batch.jsonl"),
              "config": str(tmp_path / "config.json")}
-    save_batch(batch, paths["batch"])
-    out["batch.jsonl"] = _sha((tmp_path / "batch.jsonl").read_bytes())
+    for key, batch in saved_batches().items():
+        path = tmp_path / key.replace("/", "_")
+        save_batch(batch, path)
+        out[key] = _sha(path.read_bytes())
     (tmp_path / "config.json").write_text(json.dumps({
         "d1": D1, "d2": D2, "r": 2, "T": T, "m": 5, "seed": 23, "sigma": 0.5,
         "scheme": {"kind": "one_to_one"}}))
@@ -204,12 +221,6 @@ def run_digests(tmp_path, capsys) -> dict[str, str]:
     for sub in ("estimate", "infer", "policy"):
         for path in sorted((tmp_path / sub).iterdir()):
             out[f"cli/{sub}/{path.name}"] = _sha(path.read_bytes())
-
-    wide = generate_low_rank(8, 1400, 2, 2.0, np.random.default_rng([29, 1]))
-    for label, scheme in CHUNKED.items():
-        path = tmp_path / f"chunked_{label}.jsonl"
-        save_batch(observe(wide, scheme, 300, 0.5, np.random.default_rng([29, 2]), seed=29), path)
-        out[f"chunked/{label}/batch.jsonl"] = _sha(path.read_bytes())
     return out
 
 
@@ -220,3 +231,21 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
         f"{len(moved)} output digests differ from the pinned ones: {moved}; "
         f"running numpy {np.__version__}, scipy {scipy.__version__}, "
         f"Python {sys.version.split()[0]}")
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_saved_batches_match_their_pins_when_written_in_several_ranges(tmp_path, monkeypatch, n):
+    started, start = [], samplers._start
+
+    def start_and_count(children, *args):
+        start(children, *args)
+        started.append(children[-1])
+
+    monkeypatch.setattr(samplers, "_SPLIT_ENTRIES", 1)
+    monkeypatch.setattr(samplers, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(samplers, "_start", start_and_count)
+    for key, batch in saved_batches().items():
+        path = tmp_path / "batch.jsonl"
+        save_batch(batch, path)
+        assert _sha(path.read_bytes()) == PINNED[key], key
+    assert len(started) == 4 * (n - 1) and all(started)

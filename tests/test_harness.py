@@ -47,6 +47,8 @@ from matchlearn import (
     svd_r,
 )
 
+pytestmark = pytest.mark.usefixtures("no_child_left")
+
 
 def base_config_dict(**overrides) -> dict:
     obj = {
@@ -241,6 +243,18 @@ def test_a_malformed_q_file_fails_before_any_output_exists(capsys, tmp_path, tex
     code, _, err = run_cli(capsys, ["simulate", str(cfg_path), "--out", str(out)])
     assert code == 4 and json.loads(err)["error"] == "DataFormatError"
     assert not out.exists()
+
+
+def test_a_q_file_is_read_once_per_validation(tmp_path, monkeypatch):
+    q_path = tmp_path / "q.json"
+    q_path.write_text('[{"i": 0, "j": 1, "w": 2.0}]')
+    reads, from_json = [], LinearForm.from_json
+    monkeypatch.setattr(LinearForm, "from_json",
+                        lambda text, d1, d2: reads.append(text) or from_json(text, d1, d2))
+    cfg = parse_config(base_config_dict(q_spec=str(q_path), outputs=str(tmp_path / "o")))
+    assert len(reads) == 1
+    run_simulation(cfg)
+    assert len(reads) == 2
 
 
 def test_load_config_rejects_malformed_json(tmp_path):

@@ -35,7 +35,7 @@ from matchlearn import (
 from matchlearn import samplers
 from matchlearn.samplers import _CHUNK, _prefixes
 
-# load_batch forks parsing children for large files: none may outlive a test.
+# save_batch and load_batch fork children for large batches: none may outlive a test.
 pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
@@ -719,21 +719,28 @@ def failure(path) -> tuple[str, str]:
     return str(info.value), repr(info.value.__cause__)
 
 
-def split_into(monkeypatch, n: int) -> list:
-    """Make load_batch cut any file of 16 bytes or more into up to ``n`` ranges; the
-    returned list gains one entry per child started."""
+def count_children(monkeypatch) -> list:
+    """A list that gains one entry per child started from now on."""
     started = []
 
-    def start(raw, a, b, children):
-        start_child(raw, a, b, children)
+    def start(children, *args):
+        start_child(children, *args)
         if children[-1]:
             started.append(children[-1])
 
     start_child = samplers._start
-    monkeypatch.setattr(samplers, "_SPLIT_BYTES", 16)
-    monkeypatch.setattr(samplers, "_usable_cpus", lambda: n)
     monkeypatch.setattr(samplers, "_start", start)
     return started
+
+
+def split_into(monkeypatch, n: int) -> list:
+    """Make load_batch cut any file of 16 bytes or more, and save_batch any batch of one
+    entry or more, into up to ``n`` ranges; the returned list gains one entry per child
+    started."""
+    monkeypatch.setattr(samplers, "_SPLIT_BYTES", 16)
+    monkeypatch.setattr(samplers, "_SPLIT_ENTRIES", 1)
+    monkeypatch.setattr(samplers, "_usable_cpus", lambda: n)
+    return count_children(monkeypatch)
 
 
 def cut_at(monkeypatch, *cuts) -> None:
@@ -854,11 +861,11 @@ def test_a_saved_batch_loads_the_same_from_one_range_or_four(tmp_path, monkeypat
     assert len(started) == 3
 
 
-def _exit_without_a_report(raw, start, stop, sender, receivers):
+def _exit_without_a_report(raw, start, stop, sender):
     pass
 
 
-def _exit_within_the_columns(raw, start, stop, sender, receivers):
+def _exit_within_the_columns(raw, start, stop, sender):
     columns = tuple(array(code) for code in "qqd")
     sender.send(samplers._parse_range(samplers._lines(raw, start, stop), columns))
     sender.send_bytes(memoryview(columns[0]).cast("B")[:8])
@@ -966,7 +973,7 @@ def test_a_child_reads_its_range_without_moving_the_position_it_shares(tmp_path)
     with open(path, "rb", buffering=0) as raw:
         raw.seek(5)
         try:
-            samplers._start(raw, 32, None, children)
+            samplers._start(children, samplers._send_range, raw, 32, None)
             assert samplers._receive(children[0], columns) == ([1, 1], [1, 2], 2)
         finally:
             samplers._reap(children)
@@ -980,7 +987,7 @@ def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path):
     path.write_text("\n".join(['{"pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'] * 20000) + "\n")
     children = []
     with open(path, "rb", buffering=0) as raw:
-        samplers._start(raw, 0, None, children)
+        samplers._start(children, samplers._send_range, raw, 0, None)
     child, receiver = children[0]
     try:
         receiver.close()
@@ -990,3 +997,134 @@ def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path):
         if child.is_alive():
             child.kill()
         child.join()
+
+
+# ---------------------------------------------------------------------------
+# save_batch over several period ranges
+# ---------------------------------------------------------------------------
+
+
+def reference_bytes(batch: ObservationBatch) -> bytes:
+    """What save_batch writes, one ``json.dumps`` per line: the header, then each record."""
+    header = {"scheme": scheme_to_json(batch.scheme), "d1": batch.d1, "d2": batch.d2,
+              "sigma": batch.sigma, "seed": batch.seed}
+    records = [{"t": t, "pairs": np.column_stack((r.rows, r.cols)).tolist(), "y": r.y.tolist()}
+               for t, r in enumerate(batch.records, start=1)]
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [header, *records]).encode()
+
+
+def _draw(scheme, T: int, **seed) -> ObservationBatch:
+    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
+    return observe(truth, scheme, T, 0.5, np.random.default_rng(8), **seed)
+
+
+_WRITTEN = {
+    "one_to_one": _draw(OneToOne(), 300, seed=9),
+    "one_to_many": _draw(OneToMany(2, 0.6), 300, seed=9),
+    "two_sided": _draw(make_two_sided(), 300, seed=9),
+    "one_to_many_empty_periods": _draw(OneToMany(1, 0.1), 60, seed=9),
+    "two_sided_empty_periods": ObservationBatch(make_two_sided(), 3, 4, 0.0, [2, 0, 1],
+                                                [3, 0, 2], [1.5, -2e-7, 0.25], [0, 0, 2, 2, 3, 3]),
+    "one_period": _draw(OneToOne(), 1, seed=9),
+    "two_periods": _draw(OneToMany(2, 0.6), 2, seed=9),
+    "no_seed": _draw(OneToOne(), 40),
+    "no_period": ObservationBatch(OneToOne(), 2, 4, 0.5, [], [], [], [0]),
+}
+
+
+@pytest.mark.parametrize("name", _WRITTEN)
+def test_a_batch_is_written_the_same_in_any_number_of_ranges(tmp_path, monkeypatch, name):
+    batch, path = _WRITTEN[name], tmp_path / "batch.jsonl"
+    save_batch(batch, path)
+    assert path.read_bytes() == reference_bytes(batch)
+    for n in (2, 3, 4):
+        started = split_into(monkeypatch, n)
+        save_batch(batch, path)
+        assert path.read_bytes() == reference_bytes(batch), n
+        assert bool(started) == (len(batch) > 1), n
+
+
+def test_a_batch_below_two_splits_is_written_by_one_process(tmp_path, monkeypatch):
+    # A study's batch, 30,000 entries, stays in one process at any CPU count.
+    truth = generate_low_rank(50, 150, 2, 3.0, np.random.default_rng(7))
+    batch = observe(truth, OneToOne(), 600, 0.5, np.random.default_rng(8))
+    monkeypatch.setattr(samplers, "_usable_cpus", lambda: 4)
+    started = count_children(monkeypatch)
+    for least, children in ((samplers._SPLIT_ENTRIES, 0), (15001, 0), (15000, 1), (10000, 2)):
+        monkeypatch.setattr(samplers, "_SPLIT_ENTRIES", least)
+        save_batch(batch, tmp_path / "batch.jsonl")
+        assert len(started) == children, least
+        started.clear()
+
+
+def _send_no_text(batch, a, b, sender):
+    pass
+
+
+def _send_part_of_the_text(batch, a, b, sender):
+    sender.send(2)
+    sender.send_bytes(next(samplers._records(batch, a, b))[:10])
+
+
+@pytest.mark.parametrize("fault", ["no_fork", "eagain", "thread", "no_text", "part_text"])
+def test_a_range_without_a_working_child_is_written_by_the_parent(tmp_path, monkeypatch, fault):
+    batch, path = _WRITTEN["one_to_many"], tmp_path / "batch.jsonl"
+    started = split_into(monkeypatch, 3)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if fault == "no_fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif fault == "eagain":
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen",
+                            staticmethod(_fork_fails))
+    elif fault == "thread":
+        thread.start()
+    else:
+        monkeypatch.setattr(samplers, "_send_records", _send_no_text
+                            if fault == "no_text" else _send_part_of_the_text)
+    try:
+        save_batch(batch, path)
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join()
+    assert path.read_bytes() == reference_bytes(batch)
+    assert len(started) == (2 if fault.endswith("text") else 0)
+
+
+def test_an_interrupt_as_a_writing_child_starts_leaves_no_child(tmp_path, monkeypatch):
+    split_into(monkeypatch, 2)
+    fork, forked = multiprocessing.context.ForkProcess.start, []
+
+    def fork_then_interrupt(process):
+        fork(process)
+        forked.append(process)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        save_batch(_WRITTEN["one_to_one"], tmp_path / "batch.jsonl")
+    assert len(forked) == 1  # and no_child_left finds it reaped
+
+
+def test_an_interrupted_save_leaves_no_child(tmp_path, monkeypatch):
+    started = split_into(monkeypatch, 3)
+
+    def interrupt(receiver):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(samplers, "_pieces", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        save_batch(_WRITTEN["one_to_one"], tmp_path / "batch.jsonl")
+    assert len(started) == 2
+
+
+def test_a_path_that_cannot_be_opened_fails_before_any_child_starts(tmp_path, monkeypatch):
+    started = split_into(monkeypatch, 3)
+    for path in (tmp_path / "absent" / "batch.jsonl", tmp_path):
+        with pytest.raises(OSError) as expected:
+            open(path, "w", encoding="utf-8")  # how save_batch opened its file before
+        with pytest.raises(OSError) as info:
+            save_batch(_WRITTEN["one_to_one"], path)
+        assert (type(info.value), str(info.value)) == (expected.type, str(expected.value))
+    assert started == []
