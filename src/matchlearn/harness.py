@@ -14,6 +14,7 @@ for the shared draws and ``default_rng([seed, 3, rep])`` for replication
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -326,8 +327,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     config, q = _validate(config)
     if config.outputs is None:
         raise ConfigError(["outputs directory is required to run a study"])
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(config.outputs)
 
     truth = None
     if not config.regenerate_m:
@@ -378,8 +378,28 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         n_failed=len(failed),
         failures=tuple(r["error"] for r in failed),
     )
-    _write_outputs(outdir, config, truth, q, records, summary)
+    with _writing(outdir):
+        _write_outputs(outdir, config, truth, q, records, summary)
     return summary
+
+
+@contextlib.contextmanager
+def _writing(outdir: Path):
+    """An OSError while making or writing the output directory ``outdir`` becomes a
+    ConfigError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError([f"cannot write output directory {outdir}: {exc}"]) from None
+
+
+def _out_dir(out) -> Path | None:
+    """The output directory ``out`` names, made if absent; None if ``out`` is None."""
+    if out is None:
+        return None
+    with _writing(out):
+        Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
 
 
 def _jsonable(x: float):
@@ -535,15 +555,6 @@ def _load_batch_and_config(args, k: int):
     return batch, cfg
 
 
-def _resolve_out(args, cfg: RunConfig) -> Path:
-    out = args.out if args.out is not None else cfg.outputs
-    if out is None:
-        raise ConfigError(["no output directory: pass --out or set 'outputs'"])
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.out is not None:
@@ -555,10 +566,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     batch, cfg = _load_batch_and_config(args, 2)
-    outdir = _resolve_out(args, cfg)
+    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
+    if outdir is None:
+        raise ConfigError(["no output directory: pass --out or set 'outputs'"])
     m_init, trace = fit(batch, _estimator_config(cfg))
-    save_matrix_csv(m_init, outdir / "m_init.csv")
-    trace.write_csv(outdir / "trace.csv")
+    with _writing(outdir):
+        save_matrix_csv(m_init, outdir / "m_init.csv")
+        trace.write_csv(outdir / "trace.csv")
     print(json.dumps({
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
@@ -571,20 +585,20 @@ def _cmd_estimate(args) -> int:
 def _cmd_infer(args) -> int:
     batch, cfg = _load_batch_and_config(args, 4)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
+    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
     doc = dict(res.to_dict(), q_size=q.size, nu=artifacts.nu)
+    if outdir is not None:
+        with _writing(outdir):
+            (outdir / "inference.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))
-    if args.out is not None or cfg.outputs is not None:
-        outdir = _resolve_out(args, cfg)
-        (outdir / "inference.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        )
     return 0
 
 
 def _cmd_policy(args) -> int:
     batch, cfg = _load_batch_and_config(args, 4)
+    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
     res = evaluate_policy(artifacts, matching, alpha=cfg.alpha)
@@ -593,13 +607,12 @@ def _cmd_policy(args) -> int:
         "total_reward_estimate": res.point,
         "inference": res.to_dict(),
     }
+    if outdir is not None:
+        with _writing(outdir):
+            (outdir / "matching.json").write_text(matching_to_json(matching) + "\n")
+            (outdir / "evaluation.json").write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))
-    if args.out is not None or cfg.outputs is not None:
-        outdir = _resolve_out(args, cfg)
-        (outdir / "matching.json").write_text(matching_to_json(matching) + "\n")
-        (outdir / "evaluation.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        )
     return 0
 
 

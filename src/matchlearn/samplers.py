@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -175,7 +176,15 @@ class TwoSided:
             )
 
     def feasible(self, d1: int, d2: int) -> None:
-        self.arrival_pmf(d1, d2)
+        """O(1) at any dims: the truncation region holds a cell if and only if it holds
+        ``(d1, least B_s)`` or ``(least B_r, d2)``, the most of one side, the least of the other."""
+        _positive_dims(d1, d2)
+        least_r, least_s = math.ceil(self.c_r * d1), math.ceil(self.c_s * d2)
+        if not (d1 >= (1.0 + self.gamma) * least_s or d2 >= (1.0 + self.gamma) * least_r):
+            raise InfeasibleTruncationError(
+                f"no arrival counts (B_r, B_s) with d1={d1}, d2={d2} satisfy the "
+                f"truncation c_r={self.c_r}, c_s={self.c_s}, gamma={self.gamma}"
+            )
 
     @functools.lru_cache(maxsize=8, typed=True)  # typed: d1=4.0 misses d1=4's entry, and fails
     def nu(self, d1: int, d2: int) -> float:
@@ -193,18 +202,13 @@ class TwoSided:
         log space, so a region of tiny total mass does not underflow.
         Raises InfeasibleTruncationError, before any draw, when the
         region holds no cell.  The table is read-only and memoised per
-        ``(scheme, d1, d2)``, so ``feasible``, ``nu``, ``sampler`` and
-        every fit's ν check in a study share one build.
+        ``(scheme, d1, d2)``, so ``nu``, ``sampler`` and every fit's ν
+        check in a study share one build.
         """
-        _positive_dims(d1, d2)
+        self.feasible(d1, d2)
         b_r, b_s = np.arange(d1 + 1)[:, None], np.arange(d2 + 1)
         kept = (b_r >= self.c_r * d1) & (b_s >= self.c_s * d2) & (
             (b_r >= (1.0 + self.gamma) * b_s) | (b_s >= (1.0 + self.gamma) * b_r))
-        if not kept.any():
-            raise InfeasibleTruncationError(
-                f"no arrival counts (B_r, B_s) with d1={d1}, d2={d2} satisfy the "
-                f"truncation c_r={self.c_r}, c_s={self.c_s}, gamma={self.gamma}"
-            )
         log_pmf = np.where(kept, _binom_logpmf(d1, self.p1)[:, None]
                            + _binom_logpmf(d2, self.p2), -np.inf)
         return _locked(np.exp(log_pmf - logsumexp(log_pmf)), float)
@@ -374,7 +378,7 @@ class ObservationBatch:
     def __post_init__(self):
         _scheme(self.scheme, "scheme")
         _read_numbers(self)
-        _positive_dims(self.d1, self.d2)
+        self.scheme.feasible(self.d1, self.d2)
         _check_sigma(self.sigma)
         if self.seed is not None:
             vars(self)["seed"] = _int(self.seed, "seed")
@@ -500,22 +504,10 @@ def _records(batch: ObservationBatch, a: int, b: int):
                       for t, p, q in zip(range(c + 1, d + 1), ends, ends[1:])).encode()
 
 
-def _send_records(batch: ObservationBatch, a: int, b: int, sender) -> None:
-    """A writing child: format periods ``a..b-1`` whole, then send a piece count and pieces."""
-    pieces = [memoryview(text)[i : i + _PIECE] for text in _records(batch, a, b)
-              for i in range(0, len(text), _PIECE)]
-    sender.send(len(pieces))
-    for piece in pieces:
-        sender.send_bytes(piece)
-
-
-def _pieces(receiver):
-    """The pieces a writing child sends, then None if its pipe ends before the last."""
-    try:
-        for _ in range(receiver.recv()):
-            yield receiver.recv_bytes()
-    except (EOFError, OSError):
-        yield None
+def _formatted(batch: ObservationBatch, a: int, b: int) -> tuple[int, list]:
+    """A writing child's work: periods ``a..b-1`` formatted whole, as a head that is never
+    None (the range's period count) and the record text."""
+    return b - a, list(_records(batch, a, b))
 
 
 def save_batch(batch: ObservationBatch, path: str | Path) -> None:
@@ -523,10 +515,10 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
 
     A batch of at least ``2 * _SPLIT_ENTRIES`` entries is cut at period ends into one range
     per CPU this process may use, at most one per ``_SPLIT_ENTRIES``.  This process writes
-    the first range while a child forked from it formats each later one whole; the children's
-    text is written in period order.  A range whose child cannot be started or ends early is
-    formatted here, over any part of it written.  The bytes are the same for any number of
-    ranges, and no child outlives the call."""
+    the first range while a :func:`_child` formats each later one whole (:func:`_formatted`);
+    its text is written in period order.  A range whose child cannot start or ends early is
+    formatted here once the file is cut back to the range's start.  The bytes are the same
+    for any number of ranges, and no child outlives the call."""
     header = {"scheme": scheme_to_json(batch.scheme), "d1": batch.d1, "d2": batch.d2,
               "sigma": batch.sigma, "seed": batch.seed}
     offsets, T = batch.offsets, len(batch)
@@ -537,17 +529,14 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
     try:
         with open(path, "wb") as fh:
             for a, b in zip(bounds[1:-1], bounds[2:]):
-                _start(children, _send_records, batch, a, b)
+                _start(children, _formatted, batch, a, b)
             fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
             for a, b, child in zip(bounds, bounds[1:], children):
                 start = fh.tell()
-                for piece in _pieces(child[1]) if child else [None]:
-                    if piece is None:  # formatted here, over any part a child sent
-                        fh.seek(start)
-                        fh.truncate()
-                        fh.writelines(_records(batch, a, b))
-                    else:
-                        fh.write(piece)
+                if _receive(child, itertools.repeat(fh.write)) is None:
+                    fh.seek(start)  # formatted here, over any part a child sent
+                    fh.truncate()
+                    fh.writelines(_records(batch, a, b))
     finally:
         _reap(children)
 
@@ -685,42 +674,37 @@ def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list
     return counts, line_of, k
 
 
-def _send_range(raw, start: int, stop: int | None, sender) -> None:
-    """A parsing child's work: send :func:`_parse_range`'s report on one byte range of the
-    file open as ``raw``, then each column in pieces of at most ``_PIECE`` bytes; or send the
-    exception that stopped it, for the parent to raise.
-
-    The child reads the descriptor it inherited, not the file's path, which may name another
-    file by now.
-    """
+def _parsed(raw, start: int, stop: int | None) -> tuple[tuple, tuple[array, array, array]]:
+    """A parsing child's work: :func:`_parse_range`'s report on one byte range of the file
+    open as ``raw``, and the range's three columns.  The child reads the descriptor it
+    inherited, not the file's path, which may name another file by now."""
     columns = tuple(array(code) for code in "qqd")
-    try:
-        report = _parse_range(_lines(raw, start, stop), columns)
-    except (_Fault, OSError, UnicodeDecodeError) as exc:
-        report = exc
-    sender.send(report)
-    if not isinstance(report, Exception):
-        for column in columns:
-            view = memoryview(column).cast("B")
-            for i in range(0, len(view), _PIECE):
-                sender.send_bytes(view[i : i + _PIECE])
+    return _parse_range(_lines(raw, start, stop), columns), columns
 
 
-def _child(target, args: tuple, sender, receivers) -> None:
-    """A forked child: ``target(*args, sender)`` once it closes the read ends it inherited, its
+def _child(work, args: tuple, sender, receivers) -> None:
+    """A forked child: send ``work(*args)``'s head and its buffers' byte sizes, then each
+    buffer in pieces of at most ``_PIECE`` bytes.  Whatever stops it (a bad record, an
+    unreadable byte, a parent that stopped reading) ends it quietly, with nothing more sent;
+    the parent then does the range itself.  It first closes the read ends it inherited, its
     own among them, so that a write to a pipe the parent closed fails instead of waiting."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for receiver in receivers:
         receiver.close()
     try:
-        target(*args, sender)
-    except OSError:  # the parent stopped reading
+        head, buffers = work(*args)
+        views = [memoryview(buffer).cast("B") for buffer in buffers]
+        sender.send((head, [len(view) for view in views]))
+        for view in views:
+            for i in range(0, len(view), _PIECE):
+                sender.send_bytes(view[i : i + _PIECE])
+    except Exception:
         pass
 
 
-def _start(children: list, target, *args) -> None:
-    """Append to ``children`` a forked child running ``target(*args, sender)``, with the read
-    end of its pipe; or None when this process cannot start one.
+def _start(children: list, work, *args) -> None:
+    """Append to ``children`` a forked :func:`_child` doing ``work(*args)``, with the read end
+    of its pipe; or None when this process cannot start one.
 
     Forked, not spawned: a spawned child would start an interpreter and import numpy before
     it could parse or format a byte.  None while this process runs other Python threads,
@@ -738,7 +722,7 @@ def _start(children: list, target, *args) -> None:
         receiver, sender = context.Pipe(duplex=False)
         with sender:  # the child's end: closed here once the child holds it
             child = context.Process(target=_child, daemon=True,
-                                    args=(target, args, sender, [*receivers, receiver]))
+                                    args=(work, args, sender, [*receivers, receiver]))
             try:
                 child.start()
             except OSError:
@@ -751,23 +735,20 @@ def _start(children: list, target, *args) -> None:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _receive(child, columns: tuple[array, array, array]):
-    """A child's report, its columns appended to ``columns``, or the exception that stopped
-    the child raised; None, with nothing appended, when it exited without a whole report."""
-    receiver, sizes = child[1], [len(column) for column in columns]
+def _receive(child, sinks):
+    """The head a started child sends, each of its buffers fed piece by piece to the next of
+    ``sinks``; None if there is no child or it ended early, when the caller undoes what the
+    sinks took and does the range itself."""
     try:
-        report = receiver.recv()
-        if not isinstance(report, Exception):
-            entries = sum(report[0])
-            for column, size in zip(columns, sizes):
-                while len(column) < size + entries:
-                    column.frombytes(receiver.recv_bytes())
-            return report
+        head, sizes = child[1].recv() if child else (None, ())
+        for size, sink in zip(sizes, sinks):
+            while size:
+                piece = child[1].recv_bytes()
+                sink(piece)
+                size -= len(piece)
+        return head
     except (EOFError, OSError):
-        for column, size in zip(columns, sizes):
-            del column[size:]
         return None
-    raise report
 
 
 def _reap(children) -> None:
@@ -789,12 +770,12 @@ def load_batch(path: str | Path) -> ObservationBatch:
     holds without a copy: about 24 bytes per entry.  A file of at least
     ``2 * _SPLIT_BYTES`` bytes (2 MiB) is cut at line ends into one byte range per
     CPU this process may use, at most one per ``_SPLIT_BYTES``.  This process parses
-    the first range and a child forked from it each later one, all at once, from
-    the one open file; a child's columns come back in pieces of at most 1 MiB and
-    are appended in file order.  A range whose child cannot be started (while this
-    process runs other Python threads, none is) or exits without a whole report is
-    parsed here.  The batch, every message and its cause are the same for any
-    number of ranges: the first faulty line wins, and lines are counted from the
+    the first range and a :func:`_child` each later one (:func:`_parsed`), all at once,
+    from the one open file; a child's columns are appended in file order.  A range whose
+    child cannot start (while this process runs other Python threads, none does) or ends
+    early, as a bad record or byte ends it, is parsed here once the columns are cut back,
+    so the error is raised here.  The batch, every message and its cause are the same for
+    any number of ranges: the first faulty line wins, and lines are counted from the
     file's start, blank ones included.  No child outlives the call.
     """
     columns, counts, line_of = tuple(array(code) for code in "qqd"), [], []
@@ -815,23 +796,27 @@ def load_batch(path: str | Path) -> ObservationBatch:
             scheme = scheme_from_json(header["scheme"])
             try:
                 d1, d2 = _int(header["d1"], "d1"), _int(header["d2"], "d2")
+                scheme.feasible(d1, d2)
                 sigma = _real(header["sigma"], "sigma")
                 seed = header.get("seed")
                 seed = None if seed is None else _int(seed, "seed")
             except ValueError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for a, b in zip(bounds[1:-1], bounds[2:]):
-                _start(children, _send_range, raw, a, b)
+                _start(children, _parsed, raw, a, b)
             base = 1  # lines before the range: the header's, then each range's
             for a, b, child in zip(bounds, bounds[1:], children):
-                try:
-                    report = _receive(child, columns) if child else None
-                    if report is None:
+                sizes = [len(column) for column in columns]
+                report = _receive(child, [column.frombytes for column in columns])
+                if report is None:  # parsed here, over any part a child sent
+                    for column, size in zip(columns, sizes):
+                        del column[size:]
+                    try:
                         report = _parse_range(_lines(raw, a, b) if a else lines, columns)
-                except _Fault as fault:
-                    line, exc = fault.args
-                    raise DataFormatError(f"bad batch record on line {base + line}: {exc}") \
-                        from exc
+                    except _Fault as fault:
+                        line, exc = fault.args
+                        raise DataFormatError(f"bad batch record on line {base + line}: {exc}") \
+                            from exc
                 counts += report[0]
                 line_of += [base + line for line in report[1]]
                 base += report[2]

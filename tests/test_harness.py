@@ -952,6 +952,35 @@ def test_cli_policy_emits_matching(capsys, tmp_path, saved_batch):
     assert written == doc["matching"]
 
 
+# The first file each command writes in its output directory.
+_FIRST_OUTPUT = {"simulate": "standardized_stats.csv", "estimate": "m_init.csv",
+                 "infer": "inference.json", "policy": "matching.json"}
+
+
+@pytest.mark.parametrize("unusable", ["a_file", "under_a_file", "a_directory_in_the_way"])
+@pytest.mark.parametrize("command", list(_FIRST_OUTPUT))
+def test_cli_an_unusable_output_directory_is_a_config_error(
+        capsys, tmp_path, saved_batch, command, unusable):
+    # Made before any fit, written before anything is printed: one JSON line, exit 2.
+    _, batch_path, cfg_path = saved_batch
+    out = tmp_path / "out"
+    if unusable == "a_file":
+        out.write_text("")
+    elif unusable == "under_a_file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    else:
+        (out / _FIRST_OUTPUT[command]).mkdir(parents=True)
+    inputs = ([str(write_config(tmp_path, name="study.json"))] if command == "simulate"
+              else [str(batch_path), str(cfg_path)])
+    code, stdout, stderr = run_cli(capsys, [command, *inputs, "--out", str(out),
+                                            *(["--q", "entry(0,0)"] if command == "infer" else [])])
+    assert (code, stdout, len(stderr.splitlines())) == (2, "", 1)
+    diag = json.loads(stderr)
+    assert diag["error"] == "ConfigError"
+    assert diag["message"].startswith(f"cannot write output directory {out}: ")
+
+
 def test_cli_numerical_failure_exit_code(capsys, tmp_path):
     batch = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1, 0, 1], [0, 1, 1, 2], np.zeros(4),
                              [0, 2, 4])

@@ -5,9 +5,11 @@ import multiprocessing
 import os
 import signal
 import threading
+import warnings
 from array import array
 from fractions import Fraction
 from math import comb
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -45,17 +47,21 @@ def make_two_sided(**kwargs) -> TwoSided:
     return TwoSided(**params)
 
 
-def truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma) -> np.ndarray:
-    """Exact normalized pmf on the (d1+1) x (d2+1) grid, the test oracle."""
+def truncation_region(d1, d2, c_r, c_s, gamma) -> np.ndarray:
+    """The kept cells of the (d1+1) x (d2+1) grid of arrival counts, the test oracle."""
     k1 = np.arange(d1 + 1)[:, None]
     k2 = np.arange(d2 + 1)[None, :]
-    pmf = binom.pmf(k1, d1, p1) * binom.pmf(k2, d2, p2)
-    region = (
+    return (
         (k1 >= c_r * d1)
         & (k2 >= c_s * d2)
         & ((k1 >= (1 + gamma) * k2) | (k2 >= (1 + gamma) * k1))
     )
-    pmf = np.where(region, pmf, 0.0)
+
+
+def truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma) -> np.ndarray:
+    """Exact normalized pmf on the (d1+1) x (d2+1) grid, the test oracle."""
+    pmf = binom.pmf(np.arange(d1 + 1)[:, None], d1, p1) * binom.pmf(np.arange(d2 + 1), d2, p2)
+    pmf = np.where(truncation_region(d1, d2, c_r, c_s, gamma), pmf, 0.0)
     return pmf / pmf.sum()
 
 
@@ -225,6 +231,35 @@ def test_truncated_binomial_infeasible_region_errors():
     with pytest.raises(InfeasibleTruncationError):
         entrywise_probability(scheme, 10, 10)
     assert rng.bit_generator.state == state
+
+
+def test_two_sided_feasibility_is_the_emptiness_of_the_truncation_region():
+    # feasible decides from two corners in O(1); the oracle looks at every cell.
+    cs, gammas, dims = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99), (0.0, 0.2, 0.5, 1.0, 2.5), range(1, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutsideTheoryWarning)
+        schemes = [TwoSided(0.5, 0.5, c_r, c_s, gamma)
+                   for c_r in cs for c_s in cs for gamma in gammas]
+    verdicts = {True: 0, False: 0}
+    for scheme in schemes:
+        for d1 in dims:
+            for d2 in dims:
+                kept = truncation_region(d1, d2, scheme.c_r, scheme.c_s, scheme.gamma).any()
+                try:
+                    scheme.feasible(d1, d2)
+                    feasible = True
+                except InfeasibleTruncationError:
+                    feasible = False
+                assert feasible == kept, (scheme, d1, d2)
+                verdicts[feasible] += 1
+    assert min(verdicts.values()) > 1000  # both verdicts are well sampled
+
+
+def test_a_batch_holds_only_dims_its_scheme_can_hold():
+    for scheme, d1, d2 in [(OneToOne(), 3, 2), (OneToMany(3, 0.5), 2, 5),
+                           (TwoSided(0.8, 0.8, 0.999, 0.999, 1.0), 10, 10)]:
+        with pytest.raises(ArgumentError):
+            ObservationBatch(scheme, d1, d2, 0.5, [], [], [], [0])
 
 
 def test_arrival_table_is_read_only_and_shared_by_equal_schemes():
@@ -659,13 +694,23 @@ _EDGE_CASES = [
     # numpy cannot read a nested pair as an array; the loader names the rule it breaks.
     ([_ONE_TO_ONE_2x4, _GOOD_2x4, '{"pairs": [[0, [1]], [1, 2]], "y": [1.0, 2.0]}'],
      "bad batch record on line 3: pairs must be a list of [row, col] integer pairs"),
-    # The header's dims are at fault, with or without a record to blame.
-    ([_BAD_DIMS], "dimensions must be positive, got (-5, 0)"),
-    ([_BAD_DIMS, '{"pairs": [[0, 1]], "y": [1.0]}'], "dimensions must be positive, got (-5, 0)"),
+    # The header's dims are at fault, with or without a record to blame; so are dims its
+    # scheme cannot hold, though every record would fit them.
+    ([_BAD_DIMS], "bad batch header fields: dimensions must be positive, got (-5, 0)"),
+    ([_BAD_DIMS, '{"pairs": [[0, 1]], "y": [1.0]}'],
+     "bad batch header fields: dimensions must be positive, got (-5, 0)"),
+    (['{"scheme": {"kind": "one_to_many", "K": 3, "p0": 0.5}, "d1": 2, "d2": 5, "sigma": 0.5}',
+      '{"pairs": [[0, 0], [0, 1], [1, 4]], "y": [1.0, 2.0, 3.0]}'],
+     "bad batch header fields: one-to-many needs d2 >= K*d1, got d2=5 < 3*2"),
+    ([_TWO_SIDED_3x4.replace("0.3", "0.9").replace('"d2": 4', '"d2": 3'),
+      '{"pairs": [[0, 1]], "y": [1.0]}'],
+     "bad batch header fields: no arrival counts (B_r, B_s) with d1=3, d2=3 satisfy the "
+     "truncation c_r=0.9, c_s=0.9, gamma=0.2"),
 ]
 _EDGE_IDS = ["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
              "blank_line_good", "nan_y", "header_only", "nested_pair", "bad_dims_header_only",
-             "bad_dims_with_record"]
+             "bad_dims_with_record", "dims_one_to_many_cannot_hold",
+             "dims_two_sided_cannot_hold"]
 
 
 @pytest.mark.parametrize("lines, verdict", _EDGE_CASES, ids=_EDGE_IDS)
@@ -818,15 +863,26 @@ def test_a_line_end_split_across_reads_is_one_line_end(tmp_path):
             [8193, 8193, 8193, 8195, 8196]
 
 
-def test_a_bad_line_in_a_childs_range_is_named_by_its_line_in_the_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("bad, message, cause", [
+    ('{"pairs": [[0, 1]], "y": [true]}',
+     "bad batch record on line 42: y must be a list of one number per pair",
+     "ValueError('y must be a list of one number per pair')"),
+    (_NOT_UTF8, "cannot read batch file {path}: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte",
+     "UnicodeDecodeError('utf-8', b'\\xff\\n', 0, 1, 'invalid start byte')"),
+], ids=["bad_record", "not_utf8"])
+def test_a_bad_line_in_a_childs_range_is_named_by_its_line_in_the_file(
+        tmp_path, monkeypatch, capfd, bad, message, cause):
+    # The child that meets it ends quietly; the parent parses its range again and says why.
     path = tmp_path / "late.jsonl"
-    path.write_text("\n".join([_TWO_SIDED_3x4] + ["", '{"pairs": [[0, 1]], "y": [1.0]}'] * 20
-                              + ['{"pairs": [[0, 1]], "y": [true]}'] + [_RAGGED[1]] * 5) + "\n")
-    message = "bad batch record on line 42: y must be a list of one number per pair"
-    assert failure(path) == (message, "ValueError('y must be a list of one number per pair')")
+    lines = ([_TWO_SIDED_3x4] + ["", '{"pairs": [[0, 1]], "y": [1.0]}'] * 20 + [bad]
+             + [_RAGGED[1]] * 5)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    assert failure(path) == (message.format(path=path), cause)
     started = split_into(monkeypatch, 4)
-    assert failure(path) == (message, "ValueError('y must be a list of one number per pair')")
+    assert failure(path) == (message.format(path=path), cause)
     assert len(started) == 3
+    assert capfd.readouterr().err == ""
 
 
 def test_a_bad_line_in_the_parents_range_stops_a_child_blocked_on_a_full_pipe(
@@ -861,54 +917,8 @@ def test_a_saved_batch_loads_the_same_from_one_range_or_four(tmp_path, monkeypat
     assert len(started) == 3
 
 
-def _exit_without_a_report(raw, start, stop, sender):
-    pass
-
-
-def _exit_within_the_columns(raw, start, stop, sender):
-    columns = tuple(array(code) for code in "qqd")
-    sender.send(samplers._parse_range(samplers._lines(raw, start, stop), columns))
-    sender.send_bytes(memoryview(columns[0]).cast("B")[:8])
-
-
 def _fork_fails(process):
     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
-@pytest.mark.parametrize("fault", ["no_fork", "eagain", "no_report", "part_report"])
-def test_a_range_without_a_working_child_is_parsed_by_the_parent(tmp_path, monkeypatch, fault):
-    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
-    path = tmp_path / "batch.jsonl"
-    save_batch(observe(truth, OneToMany(2, 0.6), 60, 0.5, np.random.default_rng(8)), path)
-    one = loaded(path)
-    started = split_into(monkeypatch, 3)
-    if fault == "no_fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    elif fault == "eagain":
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen",
-                            staticmethod(_fork_fails))
-    else:
-        monkeypatch.setattr(samplers, "_send_range", _exit_without_a_report
-                            if fault == "no_report" else _exit_within_the_columns)
-    assert loaded(path) == one
-    assert len(started) == (0 if fault in ("no_fork", "eagain") else 2)
-
-
-def test_no_child_is_forked_beside_another_python_thread(tmp_path, monkeypatch):
-    path = tmp_path / "batch.jsonl"
-    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
-    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
-    one = loaded(path)
-    started = split_into(monkeypatch, 3)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert loaded(path) == one
-    finally:
-        done.set()
-        thread.join()
-    assert started == []
 
 
 def test_a_file_replaced_during_a_load_is_read_as_it_was_opened(tmp_path, monkeypatch):
@@ -931,40 +941,6 @@ def test_a_file_replaced_during_a_load_is_read_as_it_was_opened(tmp_path, monkey
     assert len(started) == 2
 
 
-def test_an_interrupt_as_a_child_starts_leaves_no_child(tmp_path, monkeypatch):
-    # The interrupt comes just after the fork; the load must still know the child to reap it.
-    path = tmp_path / "batch.jsonl"
-    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
-    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
-    split_into(monkeypatch, 2)
-    fork, forked = multiprocessing.context.ForkProcess.start, []
-
-    def fork_then_interrupt(process):
-        fork(process)
-        forked.append(process)
-        os.kill(os.getpid(), signal.SIGINT)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_then_interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        load_batch(path)
-    assert len(forked) == 1  # and no_child_left finds it reaped
-
-
-def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch):
-    path = tmp_path / "batch.jsonl"
-    truth = generate_low_rank(8, 24, 2, 3.0, np.random.default_rng(7))
-    save_batch(observe(truth, OneToOne(), 60, 0.5, np.random.default_rng(8)), path)
-    started = split_into(monkeypatch, 3)
-
-    def interrupt(child, columns):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(samplers, "_receive", interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        load_batch(path)
-    assert len(started) == 2
-
-
 def test_a_child_reads_its_range_without_moving_the_position_it_shares(tmp_path):
     # A forked child shares the file's position with the process parsing beside it.
     path = tmp_path / "batch.jsonl"
@@ -973,30 +949,13 @@ def test_a_child_reads_its_range_without_moving_the_position_it_shares(tmp_path)
     with open(path, "rb", buffering=0) as raw:
         raw.seek(5)
         try:
-            samplers._start(children, samplers._send_range, raw, 32, None)
-            assert samplers._receive(children[0], columns) == ([1, 1], [1, 2], 2)
+            samplers._start(children, samplers._parsed, raw, 32, None)
+            sinks = [column.frombytes for column in columns]
+            assert samplers._receive(children[0], sinks) == ([1, 1], [1, 2], 2)
         finally:
             samplers._reap(children)
         assert raw.tell() == 5
     assert columns[0].tolist() == [0, 0] and columns[2].tolist() == [1.0, 1.0]
-
-
-def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path):
-    # Its range's columns fill the pipe; the child must not wait on it for ever.
-    path = tmp_path / "batch.jsonl"
-    path.write_text("\n".join(['{"pairs": [[0, 1], [1, 2]], "y": [1.0, 2.0]}'] * 20000) + "\n")
-    children = []
-    with open(path, "rb", buffering=0) as raw:
-        samplers._start(children, samplers._send_range, raw, 0, None)
-    child, receiver = children[0]
-    try:
-        receiver.close()
-        child.join(timeout=30)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-        child.join()
 
 
 # ---------------------------------------------------------------------------
@@ -1057,18 +1016,53 @@ def test_a_batch_below_two_splits_is_written_by_one_process(tmp_path, monkeypatc
         started.clear()
 
 
-def _send_no_text(batch, a, b, sender):
-    pass
+def test_a_path_that_cannot_be_opened_fails_before_any_child_starts(tmp_path, monkeypatch):
+    started = split_into(monkeypatch, 3)
+    for path in (tmp_path / "absent" / "batch.jsonl", tmp_path):
+        with pytest.raises(OSError) as expected:
+            open(path, "w", encoding="utf-8")  # how save_batch opened its file before
+        with pytest.raises(OSError) as info:
+            save_batch(_WRITTEN["one_to_one"], path)
+        assert (type(info.value), str(info.value)) == (expected.type, str(expected.value))
+    assert started == []
 
 
-def _send_part_of_the_text(batch, a, b, sender):
-    sender.send(2)
-    sender.send_bytes(next(samplers._records(batch, a, b))[:10])
+# ---------------------------------------------------------------------------
+# The one child protocol, saving and loading
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fault", ["no_fork", "eagain", "thread", "no_text", "part_text"])
-def test_a_range_without_a_working_child_is_written_by_the_parent(tmp_path, monkeypatch, fault):
+def transfer(direction: str, batch: ObservationBatch, path):
+    """The bytes save_batch writes of ``batch`` at ``path`` (``"save"``), or what load_batch
+    makes of the file there (``"load"``)."""
+    if direction == "save":
+        save_batch(batch, path)
+        return path.read_bytes()
+    return loaded(path)
+
+
+def _work_exits(*args):
+    os._exit(0)
+
+
+def _work_raises(*args):
+    raise RuntimeError("a child's work failed")
+
+
+_WORK = {"save": "_formatted", "load": "_parsed"}
+_DIRECTIONS = pytest.mark.parametrize("direction", ["save", "load"])
+
+
+@pytest.mark.parametrize("fault", ["no_fork", "eagain", "thread", "exits", "raises", "one_piece"])
+@_DIRECTIONS
+def test_a_range_without_a_working_child_is_done_by_the_parent(
+        tmp_path, monkeypatch, capfd, direction, fault):
+    # A child that cannot start, or ends before its whole result, leaves its range to the
+    # parent, which first undoes any part it took; no child prints a traceback.
     batch, path = _WRITTEN["one_to_many"], tmp_path / "batch.jsonl"
+    path.write_bytes(reference_bytes(batch))
+    expected = reference_bytes(batch) if direction == "save" else [
+        getattr(batch, name).tobytes() for name in ("rows", "cols", "y", "offsets")]
     started = split_into(monkeypatch, 3)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
@@ -1079,20 +1073,33 @@ def test_a_range_without_a_working_child_is_written_by_the_parent(tmp_path, monk
                             staticmethod(_fork_fails))
     elif fault == "thread":
         thread.start()
+    elif fault == "one_piece":  # the head and the first of many pieces, then nothing
+        send_bytes = Connection.send_bytes
+
+        def send_then_exit(connection, *args):
+            send_bytes(connection, *args)
+            os._exit(0)
+
+        monkeypatch.setattr(Connection, "send_bytes", send_then_exit)
+        monkeypatch.setattr(samplers, "_PIECE", 64)
     else:
-        monkeypatch.setattr(samplers, "_send_records", _send_no_text
-                            if fault == "no_text" else _send_part_of_the_text)
+        monkeypatch.setattr(samplers, _WORK[direction],
+                            _work_exits if fault == "exits" else _work_raises)
     try:
-        save_batch(batch, path)
+        assert transfer(direction, batch, path) == expected
     finally:
         done.set()
         if thread.is_alive():
             thread.join()
-    assert path.read_bytes() == reference_bytes(batch)
-    assert len(started) == (2 if fault.endswith("text") else 0)
+    assert len(started) == (0 if fault in ("no_fork", "eagain", "thread") else 2)
+    assert capfd.readouterr().err == ""
 
 
-def test_an_interrupt_as_a_writing_child_starts_leaves_no_child(tmp_path, monkeypatch):
+@_DIRECTIONS
+def test_an_interrupt_as_a_child_starts_leaves_no_child(tmp_path, monkeypatch, direction):
+    # The interrupt comes just after the fork; the call must still know the child to reap it.
+    batch, path = _WRITTEN["one_to_one"], tmp_path / "batch.jsonl"
+    path.write_bytes(reference_bytes(batch))
     split_into(monkeypatch, 2)
     fork, forked = multiprocessing.context.ForkProcess.start, []
 
@@ -1103,28 +1110,40 @@ def test_an_interrupt_as_a_writing_child_starts_leaves_no_child(tmp_path, monkey
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
-        save_batch(_WRITTEN["one_to_one"], tmp_path / "batch.jsonl")
+        transfer(direction, batch, path)
     assert len(forked) == 1  # and no_child_left finds it reaped
 
 
-def test_an_interrupted_save_leaves_no_child(tmp_path, monkeypatch):
+@_DIRECTIONS
+def test_an_interrupt_while_receiving_leaves_no_child(tmp_path, monkeypatch, direction):
+    batch, path = _WRITTEN["one_to_one"], tmp_path / "batch.jsonl"
+    path.write_bytes(reference_bytes(batch))
     started = split_into(monkeypatch, 3)
 
-    def interrupt(receiver):
+    def interrupt(child, sinks):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(samplers, "_pieces", interrupt)
+    monkeypatch.setattr(samplers, "_receive", interrupt)
     with pytest.raises(KeyboardInterrupt):
-        save_batch(_WRITTEN["one_to_one"], tmp_path / "batch.jsonl")
+        transfer(direction, batch, path)
     assert len(started) == 2
 
 
-def test_a_path_that_cannot_be_opened_fails_before_any_child_starts(tmp_path, monkeypatch):
-    started = split_into(monkeypatch, 3)
-    for path in (tmp_path / "absent" / "batch.jsonl", tmp_path):
-        with pytest.raises(OSError) as expected:
-            open(path, "w", encoding="utf-8")  # how save_batch opened its file before
-        with pytest.raises(OSError) as info:
-            save_batch(_WRITTEN["one_to_one"], path)
-        assert (type(info.value), str(info.value)) == (expected.type, str(expected.value))
-    assert started == []
+@_DIRECTIONS
+def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path, direction):
+    # Its range's result fills the pipe; the child must not wait on it for ever.
+    batch, path = _draw(OneToOne(), 3000), tmp_path / "batch.jsonl"
+    path.write_bytes(reference_bytes(batch))
+    children = []
+    with open(path, "rb", buffering=0) as raw:
+        samplers._start(children, *((samplers._formatted, batch, 0, len(batch))
+                                    if direction == "save" else (samplers._parsed, raw, 0, None)))
+    child, receiver = children[0]
+    try:
+        receiver.close()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
