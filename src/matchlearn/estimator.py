@@ -11,7 +11,7 @@ underpins the downstream debiasing theory.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from .errors import (
     RemainderDroppedWarning,
     SingularCoreError,
 )
-from .matmodel import RewardMatrix, _check_orthonormal, _int, _read_numbers, _require_finite, svd_r
+from .matmodel import (RewardMatrix, _check_orthonormal, _int, _read_numbers, _require_finite,
+                       _write_csv, svd_r)
 from .samplers import ObservationBatch, entrywise_probability
 
 NU_CONSISTENCY_RTOL = 1e-9
@@ -97,14 +98,9 @@ class FitTrace:
         return self.rel_max_err_sq.size
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("batch,rel_max_err_sq,g_sigma_min,g_sigma_max,grad_norm\n")
-            for k in range(len(self)):
-                fh.write(
-                    f"{k + 1},{float(self.rel_max_err_sq[k])!r},"
-                    f"{float(self.g_sigma_min[k])!r},{float(self.g_sigma_max[k])!r},"
-                    f"{float(self.grad_norm[k])!r}\n"
-                )
+        names = [f.name for f in fields(self)]  # a column each, after the batch's number
+        _write_csv(path, ",".join(["batch", *names]),
+                   zip(range(1, len(self) + 1), *(getattr(self, n).tolist() for n in names)))
 
 
 def partition_batches(T: int, m: int) -> list[tuple[int, int]]:

@@ -44,6 +44,7 @@ from .matmodel import (
     _instance_of,
     _int,
     _real,
+    _write_csv,
     generate_low_rank,
     save_matrix_csv,
 )
@@ -327,7 +328,6 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     config, q = _validate(config)
     if config.outputs is None:
         raise ConfigError(["outputs directory is required to run a study"])
-    outdir = _out_dir(config.outputs)
 
     truth = None
     if not config.regenerate_m:
@@ -378,28 +378,22 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         n_failed=len(failed),
         failures=tuple(r["error"] for r in failed),
     )
-    with _writing(outdir):
+    with _writing(config.outputs) as outdir:
         _write_outputs(outdir, config, truth, q, records, summary)
     return summary
 
 
 @contextlib.contextmanager
-def _writing(outdir: Path):
-    """An OSError while making or writing the output directory ``outdir`` becomes a
-    ConfigError that names it."""
+def _writing(out):
+    """The output directory ``out`` names, made if absent (and only here), for the block to
+    write in; entered once the work has returned, so a run that fails leaves nothing on disk.
+    An OSError while making or writing it becomes a ConfigError that names it."""
     try:
-        yield
+        outdir = Path(out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield outdir
     except OSError as exc:
-        raise ConfigError([f"cannot write output directory {outdir}: {exc}"]) from None
-
-
-def _out_dir(out) -> Path | None:
-    """The output directory ``out`` names, made if absent; None if ``out`` is None."""
-    if out is None:
-        return None
-    with _writing(out):
-        Path(out).mkdir(parents=True, exist_ok=True)
-    return Path(out)
+        raise ConfigError([f"cannot write output directory {out}: {exc}"]) from None
 
 
 def _jsonable(x: float):
@@ -416,24 +410,15 @@ def _aggregates(summary: ReplicationSummary) -> dict:
 
 def _write_outputs(outdir, config, truth, q, records, summary) -> None:
     scored = [r for r in records if "z" in r]
-    with open(outdir / "standardized_stats.csv", "w") as fh:
-        fh.write("rep,z\n")
-        for r in scored:
-            fh.write(f"{r['rep']},{r['z']!r}\n")
-    with open(outdir / "coverage.csv", "w") as fh:
-        fh.write("rep,ci_low,ci_high,estimand,covered\n")
-        for r in scored:
-            fh.write(
-                f"{r['rep']},{r['ci_low']!r},{r['ci_high']!r},"
-                f"{r['estimand']!r},{int(r['covered'])}\n"
-            )
+    _write_csv(outdir / "standardized_stats.csv", "rep,z", ((r["rep"], r["z"]) for r in scored))
+    _write_csv(outdir / "coverage.csv", "rep,ci_low,ci_high,estimand,covered",
+               ((r["rep"], r["ci_low"], r["ci_high"], r["estimand"], int(r["covered"]))
+                for r in scored))
     counts, edges = np.histogram(
         summary.standardized_stats, bins=HISTOGRAM_BINS, range=HISTOGRAM_RANGE
     )
-    with open(outdir / "histogram.csv", "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for k in range(HISTOGRAM_BINS):
-            fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{counts[k]}\n")
+    _write_csv(outdir / "histogram.csv", "bin_left,bin_right,count",
+               zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     for r in records:
         if "trace" in r:
             r["trace"].write_csv(outdir / f"trace_rep{r['rep']}.csv")
@@ -534,9 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_batch_and_config(args, k: int):
-    """The batch and config of ``estimate`` (k=2) or ``infer``/``policy`` (k=4),
-    checked to agree and the batch to hold the ``k * m`` periods the command fits.
-    The config is read first: a bad one fails before a large batch is parsed."""
+    """The batch, config and output directory (``--out``, else ``outputs``) of ``estimate``
+    (k=2) or ``infer``/``policy`` (k=4), checked to agree and the batch to hold ``k * m``
+    periods.  The config is read first: a bad one fails before a large batch is parsed."""
     cfg = load_config(args.config)
     batch = load_batch(args.batch)
     problems = []
@@ -552,7 +537,7 @@ def _load_batch_and_config(args, k: int):
         problems.append("batch scheme differs from config scheme")
     if problems:
         raise ConfigError(problems)
-    return batch, cfg
+    return batch, cfg, args.out if args.out is not None else cfg.outputs
 
 
 def _cmd_simulate(args) -> int:
@@ -565,12 +550,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    batch, cfg = _load_batch_and_config(args, 2)
-    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
-    if outdir is None:
+    batch, cfg, out = _load_batch_and_config(args, 2)
+    if out is None:
         raise ConfigError(["no output directory: pass --out or set 'outputs'"])
     m_init, trace = fit(batch, _estimator_config(cfg))
-    with _writing(outdir):
+    with _writing(out) as outdir:
         save_matrix_csv(m_init, outdir / "m_init.csv")
         trace.write_csv(outdir / "trace.csv")
     print(json.dumps({
@@ -583,33 +567,32 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    batch, cfg = _load_batch_and_config(args, 4)
+    batch, cfg, out = _load_batch_and_config(args, 4)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
-    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
     doc = dict(res.to_dict(), q_size=q.size, nu=artifacts.nu)
-    if outdir is not None:
-        with _writing(outdir):
+    if out is not None:
+        with _writing(out) as outdir:
             (outdir / "inference.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_policy(args) -> int:
-    batch, cfg = _load_batch_and_config(args, 4)
-    outdir = _out_dir(args.out if args.out is not None else cfg.outputs)
+    batch, cfg, out = _load_batch_and_config(args, 4)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
     res = evaluate_policy(artifacts, matching, alpha=cfg.alpha)
+    text = matching_to_json(matching)
     doc = {
-        "matching": json.loads(matching_to_json(matching)),
+        "matching": json.loads(text),
         "total_reward_estimate": res.point,
         "inference": res.to_dict(),
     }
-    if outdir is not None:
-        with _writing(outdir):
-            (outdir / "matching.json").write_text(matching_to_json(matching) + "\n")
+    if out is not None:
+        with _writing(out) as outdir:
+            (outdir / "matching.json").write_text(text + "\n")
             (outdir / "evaluation.json").write_text(
                 json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(json.dumps(doc, sort_keys=True))

@@ -367,3 +367,11 @@ def projection_magnitude(u, v, q: LinearForm) -> float:
 def save_matrix_csv(values, path: str | Path) -> None:
     values = _as_float_matrix(values, "values")
     np.savetxt(path, values, delimiter=",", fmt="%.17g")
+
+
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    """Write ``header``, then each of ``rows`` as the ``repr`` of its Python numbers, which
+    reads back as the same float: the package's CSV outputs besides matrices."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

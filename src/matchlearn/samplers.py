@@ -34,7 +34,7 @@ import signal
 import threading
 import warnings
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, ClassVar, Union
 
@@ -649,17 +649,13 @@ def _bounds(raw) -> list:
     return [0, *cuts, None]
 
 
-class _Fault(Exception):
-    """A range's first bad record, ``(line, error)``: its line counted from 1 at the range's
-    start, and the error that rejects it."""
+def _parse_range(lines, columns: tuple[array, array, array], first: int) -> tuple[list, list, int]:
+    """The one record parser: append to ``columns`` the records of ``lines``, a byte range
+    that starts at line ``first`` of the file.
 
-
-def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list, int]:
-    """The one record parser: append the records of a byte range's ``lines`` to ``columns``.
-
-    Returns each record's entry count and line, and the range's number of lines, blank ones
-    included.  Raises _Fault at the first bad record, and OSError or UnicodeDecodeError at
-    the first byte that cannot be read.
+    Returns each record's entry count and line, counted from 1 at the range's start, and the
+    range's number of lines, blank ones included.  Raises DataFormatError naming the first bad
+    record by its line in the file, and OSError or UnicodeDecodeError at an unreadable byte.
     """
     counts, line_of, k = [], [], 0
     for k, line in enumerate(lines, start=1):
@@ -669,7 +665,7 @@ def _parse_range(lines, columns: tuple[array, array, array]) -> tuple[list, list
         try:
             counts.append(_append_record(line, columns))
         except (ValueError, RecursionError) as exc:
-            raise _Fault(k, exc)
+            raise DataFormatError(f"bad batch record on line {first + k - 1}: {exc}") from exc
         line_of.append(k)
     return counts, line_of, k
 
@@ -679,7 +675,7 @@ def _parsed(raw, start: int, stop: int | None) -> tuple[tuple, tuple[array, arra
     open as ``raw``, and the range's three columns.  The child reads the descriptor it
     inherited, not the file's path, which may name another file by now."""
     columns = tuple(array(code) for code in "qqd")
-    return _parse_range(_lines(raw, start, stop), columns), columns
+    return _parse_range(_lines(raw, start, stop), columns, 1), columns
 
 
 def _child(work, args: tuple, sender, receivers) -> None:
@@ -793,14 +789,14 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 raise DataFormatError(f"bad batch header: {exc}") from exc
             if not isinstance(header, dict) or not {"scheme", "d1", "d2", "sigma"} <= set(header):
                 raise DataFormatError("batch header must carry scheme, d1, d2, sigma")
+            unknown = [k for k in header if k not in ("scheme", "d1", "d2", "sigma", "seed")]
+            if unknown:
+                raise DataFormatError(f"unknown batch header keys: {', '.join(unknown)}")
             scheme = scheme_from_json(header["scheme"])
-            try:
-                d1, d2 = _int(header["d1"], "d1"), _int(header["d2"], "d2")
-                scheme.feasible(d1, d2)
-                sigma = _real(header["sigma"], "sigma")
-                seed = header.get("seed")
-                seed = None if seed is None else _int(seed, "seed")
-            except ValueError as exc:
+            try:  # the header's fields, read by the batch's own rules: a batch of no period
+                empty = ObservationBatch(scheme, header["d1"], header["d2"], header["sigma"],
+                                         [], [], [], [0], header.get("seed"))
+            except ArgumentError as exc:
                 raise DataFormatError(f"bad batch header fields: {exc}") from exc
             for a, b in zip(bounds[1:-1], bounds[2:]):
                 _start(children, _parsed, raw, a, b)
@@ -811,12 +807,7 @@ def load_batch(path: str | Path) -> ObservationBatch:
                 if report is None:  # parsed here, over any part a child sent
                     for column, size in zip(columns, sizes):
                         del column[size:]
-                    try:
-                        report = _parse_range(_lines(raw, a, b) if a else lines, columns)
-                    except _Fault as fault:
-                        line, exc = fault.args
-                        raise DataFormatError(f"bad batch record on line {base + line}: {exc}") \
-                            from exc
+                    report = _parse_range(_lines(raw, a, b) if a else lines, columns, base + 1)
                 counts += report[0]
                 line_of += [base + line for line in report[1]]
                 base += report[2]
@@ -825,9 +816,8 @@ def load_batch(path: str | Path) -> ObservationBatch:
     finally:
         _reap(children)
     rows, cols, y = (np.frombuffer(column, column.typecode) for column in columns)
-    offsets = np.cumsum([0] + counts)
     try:
-        return ObservationBatch(scheme, d1, d2, sigma, rows, cols, y, offsets, seed)
+        return replace(empty, rows=rows, cols=cols, y=y, offsets=np.cumsum([0] + counts))
     except ArgumentError as exc:
         where = "" if exc.period is None else f"record on line {line_of[exc.period]}: "
         raise DataFormatError(f"{where}{exc}") from exc

@@ -429,6 +429,7 @@ def test_run_simulation_aborts_on_widespread_failure(tmp_path, monkeypatch):
     cfg = parse_config(base_config_dict(outputs=str(tmp_path / "o")))
     with pytest.raises(ReplicationFailureError):
         run_simulation(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_simulation_regenerate_m(tmp_path):
@@ -961,7 +962,8 @@ _FIRST_OUTPUT = {"simulate": "standardized_stats.csv", "estimate": "m_init.csv",
 @pytest.mark.parametrize("command", list(_FIRST_OUTPUT))
 def test_cli_an_unusable_output_directory_is_a_config_error(
         capsys, tmp_path, saved_batch, command, unusable):
-    # Made before any fit, written before anything is printed: one JSON line, exit 2.
+    # Made once the work has returned, written before anything is printed: one JSON line,
+    # exit 2.
     _, batch_path, cfg_path = saved_batch
     out = tmp_path / "out"
     if unusable == "a_file":
@@ -981,18 +983,20 @@ def test_cli_an_unusable_output_directory_is_a_config_error(
     assert diag["message"].startswith(f"cannot write output directory {out}: ")
 
 
-def test_cli_numerical_failure_exit_code(capsys, tmp_path):
-    batch = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1, 0, 1], [0, 1, 1, 2], np.zeros(4),
-                             [0, 2, 4])
+@pytest.mark.parametrize("command", ["estimate", "infer", "policy"])
+def test_cli_numerical_failure_exit_code(capsys, tmp_path, command):
+    # A fit that fails leaves no output directory behind: none is made before the work returns.
+    batch = ObservationBatch(OneToOne(), 2, 3, 0.0, [0, 1] * 4, [0, 1, 1, 2, 2, 0, 1, 0],
+                             np.zeros(8), [0, 2, 4, 6, 8])
     path = tmp_path / "zero.jsonl"
     save_batch(batch, path)
-    cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=2, m=1, sigma=0.0,
+    cfg_path = write_config(tmp_path, d1=2, d2=3, r=1, T=4, m=1, sigma=0.0,
                             study="convergence")
-    code, _, err = run_cli(
-        capsys, ["estimate", str(path), str(cfg_path), "--out", str(tmp_path / "e")]
-    )
+    code, _, err = run_cli(capsys, [command, str(path), str(cfg_path), "--out", str(tmp_path / "e"),
+                                    *(["--q", "entry(0,0)"] if command == "infer" else [])])
     assert code == 3
     assert json.loads(err)["error"] == "DegenerateInitError"
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("command, k", [("estimate", 2), ("infer", 4), ("policy", 4)])

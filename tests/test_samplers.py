@@ -566,17 +566,19 @@ _STRICT_HEADER = {"scheme": {"kind": "one_to_one"}, "d1": 1, "d2": 2, "sigma": 0
 
 @pytest.mark.parametrize("field, value", [
     ("d1", 2.9), ("d1", 1.0), ("d1", True), ("d2", "2"), ("d2", None),
-    ("sigma", "1.0"), ("sigma", True), ("sigma", None), ("sigma", float("inf")),
-    ("seed", True), ("seed", 3.0), ("seed", "3"),
+    ("sigma", "1.0"), ("sigma", True), ("sigma", None), ("sigma", float("inf")), ("sigma", -0.5),
+    ("seed", True), ("seed", 3.0), ("seed", "3"), ("extra", 1),
 ])
 def test_load_batch_header_takes_only_json_integers_and_numbers(tmp_path, field, value):
+    # A field that breaks the batch's rules, or a key it has no field for, is the header's fault.
     path = tmp_path / "header.jsonl"
-    header = {**_STRICT_HEADER, field: value}
-    path.write_text(json.dumps(header) + '\n{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n')
-    with pytest.raises(DataFormatError, match=field):
+    record = '\n{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n'
+    path.write_text(json.dumps({**_STRICT_HEADER, field: value}) + record)
+    message = (f"bad batch header fields: {field} " if field in _STRICT_HEADER
+               else f"unknown batch header keys: {field}$")
+    with pytest.raises(DataFormatError, match=f"^{message}"):
         load_batch(path)
-    header[field] = _STRICT_HEADER[field]
-    path.write_text(json.dumps(header) + '\n{"t": 1, "pairs": [[0, 1]], "y": [1.0]}\n')
+    path.write_text(json.dumps(_STRICT_HEADER) + record)
     batch = load_batch(path)
     assert (batch.d1, batch.d2, batch.sigma, batch.seed) == (1, 2, 0.5, 3)
 
