@@ -518,26 +518,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_batch_and_config(args, k: int):
-    """The batch, config and output directory (``--out``, else ``outputs``) of ``estimate``
-    (k=2) or ``infer``/``policy`` (k=4), checked to agree and the batch to hold ``k * m``
-    periods.  The config is read first: a bad one fails before a large batch is parsed."""
-    cfg = load_config(args.config)
+def _checked_batch(args, cfg: RunConfig, k: int):
+    """The batch and output directory (``--out``, else ``outputs``) of ``estimate`` (k=2) or
+    ``infer``/``policy`` (k=4), checked against ``cfg`` and to hold ``k * m`` periods.  Commands
+    read their config, and ``infer`` its form, first: a bad one fails before the batch is parsed."""
     batch = load_batch(args.batch)
     problems = []
     if len(batch) < k * cfg.m:
         problems.append(f"{args.command} needs a batch of T >= {k}m periods, "
                         f"got T={len(batch)}, m={cfg.m}")
     if (batch.d1, batch.d2) != (cfg.d1, cfg.d2):
-        problems.append(
-            f"batch dims ({batch.d1}, {batch.d2}) != config dims "
-            f"({cfg.d1}, {cfg.d2})"
-        )
+        problems.append(f"batch dims ({batch.d1}, {batch.d2}) != config dims ({cfg.d1}, {cfg.d2})")
     if scheme_to_json(batch.scheme) != scheme_to_json(cfg.scheme):
         problems.append("batch scheme differs from config scheme")
     if problems:
         raise ConfigError(problems)
-    return batch, cfg, args.out if args.out is not None else cfg.outputs
+    return batch, args.out if args.out is not None else cfg.outputs
 
 
 def _cmd_simulate(args) -> int:
@@ -550,7 +546,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    batch, cfg, out = _load_batch_and_config(args, 2)
+    cfg = load_config(args.config)
+    batch, out = _checked_batch(args, cfg, 2)
     if out is None:
         raise ConfigError(["no output directory: pass --out or set 'outputs'"])
     m_init, trace = fit(batch, _estimator_config(cfg))
@@ -567,8 +564,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    batch, cfg, out = _load_batch_and_config(args, 4)
+    cfg = load_config(args.config)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
+    batch, out = _checked_batch(args, cfg, 4)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     res = infer_linear_form(artifacts, q, alpha=cfg.alpha)
     doc = dict(res.to_dict(), q_size=q.size, nu=artifacts.nu)
@@ -580,7 +578,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    batch, cfg, out = _load_batch_and_config(args, 4)
+    cfg = load_config(args.config)
+    batch, out = _checked_batch(args, cfg, 4)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
     matching = optimal_one_to_one(artifacts.m_hat)
     res = evaluate_policy(artifacts, matching, alpha=cfg.alpha)

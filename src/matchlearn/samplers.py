@@ -541,32 +541,71 @@ def save_batch(batch: ObservationBatch, path: str | Path) -> None:
         _reap(children)
 
 
+_PAIR = np.frombuffer(b"[, ], ", np.uint8)  # the bytes that are not digits, pair by pair
+_SPACED = str.maketrans("[]", "  ")
+
+
+def _saved_record(line: str):
+    """The ``(n, 2)`` pairs and parsed ``y`` of a line spelled as :func:`_records` spells it,
+    ``{"pairs": [[i, j], ...], "t": t, "y": [...]}``, each index and ``t`` 1 to 18 digits with
+    no leading zero and ``y`` flat; else None, never an error, so that JSON reads and faults
+    every other line.  The pairs are checked byte by byte and read in one numpy call."""
+    i = line.find('], "t": ')
+    j = line.find(', "y": ', i + 1)
+    pairs, t, y = line[11:i], line[i + 8 : j], line[j + 7 : line.rfind("}")]
+    # A nested y, with two "[" or any "{", is JSON's to read: its depth limit counts the record.
+    if not (line.isascii() and line.startswith('{"pairs": [') and 0 < i < j
+            and line.endswith(("}", "}\n")) and t.isdigit() and len(t) < 19
+            and (t[0] != "0" or t == "0") and "{" not in y and y.find("[") == y.rfind("[")):
+        return None
+    text = np.frombuffer((pairs + ", " if pairs else "").encode(), np.uint8)
+    marks = np.flatnonzero((text - ord("0")) > 9)  # the bytes that are not digits
+    if marks.size % 6:
+        return None
+    marks = marks.reshape(-1, 6)  # per pair: "[", ",", " ", "]", ",", " "
+    starts = marks[:, 0:3:2] + 1  # each index's first byte, after "[" and after " "
+    widths = marks[:, 1:4:2] - starts
+    if not (text[marks] == _PAIR).all() or widths.sum() != text.size - marks.size \
+            or widths.min(initial=1) < 1 or widths.max(initial=0) > 18 \
+            or ((text[starts] == ord("0")) & (widths > 1)).any():
+        return None
+    try:
+        values = json.loads(y)
+    except ValueError:
+        return None
+    return np.fromstring(pairs.translate(_SPACED), np.int64, sep=",").reshape(-1, 2), values
+
+
 def _append_record(line: str, columns: tuple[array, array, array]) -> int:
     """Append a record's integer ``pairs`` and numeric ``y`` to ``columns`` and return
-    its count, else ValueError with nothing appended.
-
-    numpy reads booleans mixed with numbers as 0/1, so they are looked for one
-    by one when the text spells a boolean.
+    its count, else ValueError with nothing appended.  A line that :func:`_saved_record`
+    declines is parsed by ``json.loads``; ``y`` meets the same rules either way.  numpy reads
+    booleans mixed with numbers as 0/1, so they are looked for one by one where the text may
+    spell one: ``true`` holds a ``u`` and ``false`` an ``l``, and no number or record key does.
     """
-    obj = json.loads(line)
-    if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
-        raise ValueError("missing pairs/y")
-    maybe_bool = "true" in line or "false" in line
-    try:
-        pairs = np.asarray(obj["pairs"])
-    except ValueError:  # ragged (a pair of another length, or holding a list): rejected below
-        pairs = np.asarray(None)
-    if pairs.shape == (0,):
-        pairs = pairs.reshape(0, 2).astype(np.int64)
-    if pairs.dtype.kind != "i" or pairs.shape[1:] != (2,) \
-            or maybe_bool and any(type(v) is bool for p in obj["pairs"] for v in p):
-        raise ValueError("pairs must be a list of [row, col] integer pairs")
-    y = np.asarray(obj["y"])
+    record = _saved_record(line)
+    maybe_bool = "u" in line or "l" in line
+    if record is None:
+        obj = json.loads(line)
+        if not isinstance(obj, dict) or "pairs" not in obj or "y" not in obj:
+            raise ValueError("missing pairs/y")
+        try:
+            pairs = np.asarray(obj["pairs"])
+        except ValueError:  # ragged (a pair of another length, or holding a list): rejected below
+            pairs = np.asarray(None)
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2).astype(np.int64)
+        if pairs.dtype.kind != "i" or pairs.shape[1:] != (2,) \
+                or maybe_bool and any(type(v) is bool for p in obj["pairs"] for v in p):
+            raise ValueError("pairs must be a list of [row, col] integer pairs")
+        record = pairs, obj["y"]
+    pairs, values = record
+    y = np.asarray(values)
     if y.dtype.kind not in "iuf" or y.shape != (len(pairs),) \
-            or maybe_bool and any(type(v) is bool for v in obj["y"]):
+            or maybe_bool and any(type(v) is bool for v in values):
         raise ValueError("y must be a list of one number per pair")
-    for column, values in zip(columns, (pairs[:, 0], pairs[:, 1], y.astype(float))):
-        column.frombytes(values.tobytes())
+    for column, part in zip(columns, (*pairs.T.copy(), y.astype(float))):
+        column.frombytes(part.view(np.uint8))  # contiguous: appended without a copy
     return len(y)
 
 
@@ -763,7 +802,9 @@ def load_batch(path: str | Path) -> ObservationBatch:
     """Inverse of :func:`save_batch`; DataFormatError names the first malformed line.
 
     Records stream onto three growable typed columns, which the batch then
-    holds without a copy: about 24 bytes per entry.  A file of at least
+    holds without a copy: about 24 bytes per entry.  A record in save_batch's own spelling
+    is read directly (:func:`_saved_record`), any other by ``json.loads``: the same batch,
+    or the same message, either way.  A file of at least
     ``2 * _SPLIT_BYTES`` bytes (2 MiB) is cut at line ends into one byte range per
     CPU this process may use, at most one per ``_SPLIT_BYTES``.  This process parses
     the first range and a :func:`_child` each later one (:func:`_parsed`), all at once,

@@ -674,6 +674,22 @@ def test_cli_reads_the_config_before_the_batch(capsys, tmp_path, command):
     assert json.loads(err)["error"] == "ConfigError" and "eta" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("q, error", [("entry(9999,0)", "ArgumentError"),
+                                      ("missing.json", "ConfigError")], ids=["entry", "file"])
+def test_cli_infer_reads_the_form_before_the_batch(capsys, tmp_path, monkeypatch, q, error):
+    # A form that does not fit the config's dims, or a q file that is not there, fails
+    # before the batch is parsed: the batch is never read.
+    def parse(path):
+        raise AssertionError(f"{path} was parsed")
+
+    monkeypatch.setattr(harness_mod, "load_batch", parse)
+    spec = str(tmp_path / q) if q.endswith(".json") else q
+    code, _, err = run_cli(capsys, ["infer", str(tmp_path / "batch.jsonl"),
+                                    str(write_config(tmp_path)), "--q", spec])
+    assert code == 2
+    assert json.loads(err)["error"] == error
+
+
 def write_one_to_one_batch(path, *records):
     """A 3x4 one-to-one batch file with the given records, written as text."""
     header = {"scheme": {"kind": "one_to_one"}, "d1": 3, "d2": 4, "sigma": 0.0, "seed": None}

@@ -13,6 +13,8 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from matchlearn import (
@@ -1149,3 +1151,186 @@ def test_a_child_ends_by_itself_once_the_parent_stops_reading(tmp_path, directio
         if child.is_alive():
             child.kill()
         child.join()
+
+
+# ---------------------------------------------------------------------------
+# The direct reader of save_batch's own record spelling
+# ---------------------------------------------------------------------------
+
+
+def read_as_json(monkeypatch) -> None:
+    """Make load_batch parse every record with ``json.loads``: the direct reader declines all."""
+    monkeypatch.setattr(samplers, "_saved_record", lambda line: None)
+
+
+def outcome(path):
+    """What load_batch makes of a file: the bytes of its arrays, else the message of its
+    DataFormatError and the repr of its cause."""
+    one = loaded(path)
+    return failure(path) if isinstance(one, str) else one
+
+
+def saved_spelling(lines: list[str]) -> list[str]:
+    """``lines`` with each record that JSON reads as an object of ``pairs``, ``y`` and maybe
+    ``t`` spelled as save_batch spells it: keys sorted, and ``t`` its line number if absent."""
+    out = []
+    for k, line in enumerate(lines):
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            obj = None
+        if isinstance(obj, dict) and {"pairs", "y"} <= set(obj) <= {"pairs", "t", "y"}:
+            line = json.dumps({"t": k, **obj}, sort_keys=True)
+        out.append(line)
+    return out
+
+
+@pytest.mark.parametrize("lines, verdict", _EDGE_CASES, ids=_EDGE_IDS)
+def test_edge_verdicts_hold_in_save_batchs_spelling(tmp_path, lines, verdict):
+    path = tmp_path / "edge.jsonl"
+    path.write_text("\n".join(saved_spelling(lines)) + "\n")
+    if isinstance(verdict, str):
+        with pytest.raises(DataFormatError) as info:
+            load_batch(path)
+        assert str(info.value) == verdict
+    else:
+        assert load_batch(path).offsets.tolist() == verdict
+
+
+@pytest.mark.parametrize("pairs, y", _MALFORMED_PAIRS, ids=_MALFORMED_PAIRS_IDS)
+def test_malformed_pairs_fail_alike_in_save_batchs_spelling(tmp_path, pairs, y):
+    lines = malformed_pairs_lines(pairs, y)
+    path, saved = tmp_path / "bad.jsonl", tmp_path / "saved.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    saved.write_text("\n".join(saved_spelling(lines)) + "\n")
+    assert saved.read_text() != path.read_text()
+    assert failure(saved) == failure(path)
+    assert "bad batch record on line 3: " in failure(saved)[0]
+
+
+@pytest.mark.parametrize("name", _WRITTEN)
+def test_every_record_save_batch_writes_takes_the_direct_reader(tmp_path, monkeypatch, name):
+    # The guard on save_batch's spelling: a change to it would send every load, silently,
+    # down the JSON path.
+    batch, path = _WRITTEN[name], tmp_path / "batch.jsonl"
+    save_batch(batch, path)
+    declined, read = [], samplers._saved_record
+
+    def spy(line):
+        record = read(line)
+        if record is None:
+            declined.append(line)
+        return record
+
+    monkeypatch.setattr(samplers, "_saved_record", spy)
+    assert loaded(path) == [getattr(batch, field).tobytes()
+                            for field in ("rows", "cols", "y", "offsets")]
+    assert declined == []
+
+
+@pytest.mark.parametrize("name", ["one_to_one", "one_to_many", "two_sided",
+                                  "one_to_many_empty_periods"])
+@pytest.mark.parametrize("ranges", [1, 4])
+def test_a_saved_batch_loads_bit_identical_with_and_without_the_direct_reader(
+        tmp_path, monkeypatch, name, ranges):
+    path = tmp_path / "batch.jsonl"
+    save_batch(_WRITTEN[name], path)
+    started = split_into(monkeypatch, ranges)
+    direct = loaded(path)
+    read_as_json(monkeypatch)
+    assert loaded(path) == direct
+    assert len(started) == 2 * (ranges - 1)
+
+
+# A two-sided 3 x 4 file whose second record, on line 3, is one of these near misses of the
+# spelling save_batch writes: each breaks one condition the direct reader checks, or none.
+_NEAR = '{"pairs": [[0, 1], [2, 3]], "t": 2, "y": [1.0, 2.0]}'
+_NEAR_MISSES = {
+    "as_saved": _NEAR,
+    "index_leading_zero": _NEAR.replace("[2, 3]", "[2, 03]"),
+    "index_18_digits": _NEAR.replace("[2, 3]", f"[2, {10**18 - 1}]"),
+    "index_19_digits": _NEAR.replace("[2, 3]", f"[2, {10**18}]"),
+    "index_2**63": _NEAR.replace("[2, 3]", f"[2, {2**63}]"),
+    "index_20_digits": _NEAR.replace("[2, 3]", f"[2, {10**19 + 3}]"),
+    "index_negative": _NEAR.replace("[2, 3]", "[2, -3]"),
+    "index_float": _NEAR.replace("[2, 3]", "[2, 1.0]"),
+    "index_exponent": _NEAR.replace("[2, 3]", "[2, 1e2]"),
+    "index_empty": _NEAR.replace("[2, 3]", "[2, ]"),
+    "index_outside_pair": _NEAR.replace("[2, 3]", "[2, 3]3"),
+    "no_space": _NEAR.replace("[2, 3]", "[2,3]"),
+    "colon_in_pair": _NEAR.replace("[2, 3]", "[2: 3]"),
+    "t_leading_zero": _NEAR.replace('"t": 2', '"t": 02'),
+    "t_string": _NEAR.replace('"t": 2', '"t": "2"'),
+    "t_arabic_digit": _NEAR.replace('"t": 2', '"t": \u0663'),
+    "t_5000_digits": _NEAR.replace('"t": 2', '"t": ' + "9" * 5000),
+    "y_nan": _NEAR.replace("2.0]", "NaN]"),
+    "y_infinity": _NEAR.replace("2.0]", "Infinity]"),
+    "y_true": _NEAR.replace("2.0]", "true]"),
+    "y_int": _NEAR.replace("2.0]", "2]"),
+    "y_huge_int": _NEAR.replace("2.0]", f"{10**400}]"),
+    "y_short": _NEAR.replace(", 2.0]", "]"),
+    "y_nested": _NEAR.replace("2.0]", "[2.0]]"),
+    "y_object": _NEAR.replace("[1.0, 2.0]", '{"a": 1.0}'),
+    "y_deep": _NEAR.replace("[1.0, 2.0]", "[" * 10**5 + "]" * 10**5),
+    "y_twice": _NEAR[:-1] + ', "y": [3.0, 4.0]}',
+    "key_after_y": _NEAR[:-1] + ', "x": 1}',
+    "two_closing_braces": _NEAR + "}",
+    "digit_after_the_object": _NEAR + "0",
+    "crlf_end": _NEAR + "\r",
+    "empty_period": '{"pairs": [], "t": 2, "y": []}',
+}
+
+
+@pytest.mark.parametrize("line", _NEAR_MISSES.values(), ids=_NEAR_MISSES)
+def test_near_misses_of_save_batchs_spelling_load_alike_with_and_without_the_direct_reader(
+        tmp_path, monkeypatch, line):
+    samplers._saved_record(line + "\n")  # it declines or reads the line, and never raises
+    path = tmp_path / "near.jsonl"
+    path.write_text("\n".join([_TWO_SIDED_3x4, _NEAR, line, _NEAR]) + "\n", encoding="utf-8")
+    direct = outcome(path)
+    read_as_json(monkeypatch)
+    assert outcome(path) == direct
+
+
+@pytest.mark.parametrize("y", ["[1.0, true]", "[false, 2.0]", "[1.0]", "[1.0, 2.0, 3.0]",
+                               '[1.0, "2.0"]'], ids=["true", "false", "short", "long", "string"])
+def test_rewards_that_break_a_rule_fail_alike_with_and_without_the_direct_reader(
+        tmp_path, monkeypatch, y):
+    path = tmp_path / "y.jsonl"
+    path.write_text("\n".join([_TWO_SIDED_3x4, _NEAR.replace("[1.0, 2.0]", y)]) + "\n")
+    expected = ("bad batch record on line 2: y must be a list of one number per pair",
+                "ValueError('y must be a list of one number per pair')")
+    assert failure(path) == expected
+    read_as_json(monkeypatch)
+    assert failure(path) == expected
+
+
+@pytest.fixture(scope="module")
+def saved_texts(tmp_path_factory) -> list[str]:
+    """The text save_batch writes of a four-period batch of each scheme."""
+    texts = []
+    for scheme in (OneToOne(), OneToMany(2, 0.6), make_two_sided()):
+        path = tmp_path_factory.mktemp("saved") / "batch.jsonl"
+        save_batch(_draw(scheme, 4, seed=9), path)
+        texts.append(path.read_text())
+    return texts
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.integers(0, 2), where=st.integers(0, 2**16),
+       edit=st.sampled_from(["insert", "delete", "substitute"]),
+       char=st.sampled_from(list('0123456789 [],.-e"tyx\r')))
+def test_one_character_edits_load_alike_with_and_without_the_direct_reader(
+        saved_texts, tmp_path, monkeypatch, scheme, where, edit, char):
+    # One edit in the records, never the header: a batch, or the same message and cause.
+    text = saved_texts[scheme]
+    start = text.index("\n") + 1
+    k = start + where % (len(text) - start)
+    path = tmp_path / "edited.jsonl"
+    path.write_text(text[:k] + ("" if edit == "delete" else char)
+                    + text[k + (edit != "insert"):], encoding="utf-8", newline="")
+    direct = outcome(path)
+    with monkeypatch.context() as patch:
+        read_as_json(patch)
+        assert outcome(path) == direct
