@@ -1,11 +1,12 @@
 """Rotation-calibrated gradient descent on Grassmannians with sample splitting.
 
 The fitting loop partitions the T observation periods into 2m contiguous
-batches.  Batch 1 feeds a spectral initializer, batch 2 the first core
-refit; each subsequent batch pair (2p+1, 2p+2) drives one calibrated
-gradient step on the factor subspaces followed by a fresh least-squares
-refit of the r-by-r core.  Every batch is consumed exactly once, which
-is what makes the batches' noise independent of the running iterate and
+batches and makes one pass per batch pair.  On pair 1, batch 1 feeds a
+spectral initializer and batch 2 the first core refit; on each later
+pair (2p+1, 2p+2), the first batch drives one calibrated gradient step
+on the factor subspaces and the second a fresh least-squares refit of
+the r-by-r core.  Every batch is consumed exactly once, which is what
+makes the batches' noise independent of the running iterate and
 underpins the downstream debiasing theory.
 """
 from __future__ import annotations
@@ -149,14 +150,14 @@ def solve_G(u: np.ndarray, v: np.ndarray, batch: ObservationBatch) -> np.ndarray
 
     Solved through its r^2 x r^2 normal equations, which stay tiny for
     the ranks this package targets.  The design must be well conditioned:
-    smallest eigenvalue >= ``MIN_G_SINGULAR`` times the largest.
+    smallest eigenvalue >= ``MIN_G_SINGULAR`` times the largest, else
+    RankDeficientDesignError.  A batch with no revealed entry has an
+    all-zero design, so it is rank deficient with condition ``inf``.
     """
     r = u.shape[1]
     if v.shape[1] != r:
         raise ArgumentError(f"factor widths differ: {r} and {v.shape[1]}")
     rows, cols, y = batch.rows, batch.cols, batch.y
-    if rows.size == 0:
-        raise ArgumentError("need at least one revealed entry to fit G")
     # Row k of the design is vec(u_i v_j^T): each entry one product, no broadcast temporaries.
     feats = np.einsum("ki,kj->kij", u.take(rows, axis=0), v.take(cols, axis=0)).reshape(
         rows.size, r * r)
@@ -261,6 +262,10 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
         The estimator ``U^(m) G^(m) V^(m)T``.
     trace : FitTrace
         One row per batch pair.
+
+    Pair 1 is the loop's first pass: the spectral start and a core refit.
+    Each later pass is :func:`gradient_step`.  An error raised on pair p
+    has its message prefixed ``batch pair p: ``, whatever its type.
     """
     nu = entrywise_probability(batch.scheme, batch.d1, batch.d2).nu
     if abs(config.nu - nu) > NU_CONSISTENCY_RTOL * nu:
@@ -272,32 +277,21 @@ def fit(batch: ObservationBatch, config: EstimatorConfig, truth: RewardMatrix | 
 
     lam_min_sq = float(truth.singular_values[-1] ** 2) if truth is not None else np.nan
     rows = []  # (rel_max_err_sq, g_sigma_min, g_sigma_max, grad_norm) per batch pair
-
-    def log_state(state: FactorState, grad_norm: float) -> None:
-        if truth is not None:
-            err = float(np.max(np.abs(state.estimate - truth.values)) ** 2 / lam_min_sq)
-        else:
-            err = np.nan
-        s_g = state.g_svd[1]
-        rows.append((err, float(s_g[-1]), float(s_g[0]), grad_norm))
-
-    try:
-        u, v = spectral_init(slices[0], config.r)
-        g = solve_G(u, v, slices[1])
-        state = FactorState(u, g, v)
-    except ArgumentError:
-        raise
-    except Exception as exc:
-        exc.args = (f"batch pair 1: {exc}",) + exc.args[1:]
-        raise
-    log_state(state, np.nan)
-
-    for p in range(1, config.m):
+    grad_norm = np.nan
+    for p, (first, second) in enumerate(zip(slices[::2], slices[1::2])):
         try:
-            state, grad_norm = gradient_step(state, slices[2 * p], slices[2 * p + 1], config.eta)
+            if p == 0:
+                u, v = spectral_init(first, config.r)
+                state = FactorState(u, solve_G(u, v, second), v)
+            else:
+                state, grad_norm = gradient_step(state, first, second, config.eta)
         except Exception as exc:
             exc.args = (f"batch pair {p + 1}: {exc}",) + exc.args[1:]
             raise
-        log_state(state, grad_norm)
+        err = np.nan
+        if truth is not None:
+            err = float(np.max(np.abs(state.estimate - truth.values)) ** 2 / lam_min_sq)
+        s_g = state.g_svd[1]
+        rows.append((err, float(s_g[-1]), float(s_g[0]), grad_norm))
 
     return state.estimate, FitTrace(*np.array(rows).T)

@@ -277,8 +277,6 @@ class LinearForm:
         m = _as_float_matrix(m, "m")
         if m.shape != self.dims:
             raise ArgumentError(f"matrix shape {m.shape} != form dims {self.dims}")
-        if self.size == 0:
-            return 0.0
         return float(np.dot(self.weights, m[self.rows, self.cols]))
 
     def subtract(self, other: "LinearForm") -> "LinearForm":
@@ -334,8 +332,6 @@ def projection_magnitude(u, v, q: LinearForm) -> float:
         )
     if u.shape[1] != v.shape[1]:
         raise ArgumentError("u and v must have the same number of columns")
-    if q.size == 0:
-        return 0.0
     r = u.shape[1]
     wu = q.weights[:, None] * u[q.rows]          # rows of u, weighted: (nnz, r)
     wv = q.weights[:, None] * v[q.cols]          # rows of v, weighted: (nnz, r)

@@ -115,11 +115,9 @@ def optimal_one_to_one(m_hat) -> Matching:
     to certify rows from its dual potentials (``_certificate``): a row
     on no cycle or path of near-tight edges keeps its optimal column in
     every tied optimum, so it takes that column with no further solve.
-    Only the other rows, and only when a smaller free column lies on a
-    near-tight edge, make a solve with their known optimal column
-    forbidden; if the result falls short of the optimum by more than
-    twice the tie slack, no other column can attain it.  Otherwise the
-    row scans those columns, one solve per candidate.  Raises
+    Each other row scans the free columns below its known optimal one
+    that lie on a near-tight edge, one solve per candidate, and takes
+    the first that still attains the optimum.  Raises
     NonFiniteResultError when the optimal total overflows.
     """
     m = np.asarray(m_hat, dtype=float)
@@ -146,30 +144,17 @@ def optimal_one_to_one(m_hat) -> Matching:
         # optimum for row i; only smaller free columns on near edges
         # need testing.  A row that cannot move has the same column in
         # every assignment within tol of the optimum, ref_cols among
-        # them.  Every candidate avoids the edge (i, ref_cols[0]), so
-        # the best assignment without that edge bounds them all.  The
-        # extra tol keeps the shortcut away from the scan's own
-        # threshold, so summation-order rounding cannot change the
-        # answer.
+        # them.
         candidates = [ref_cols[0]]
         if movable[i]:
             candidates = [j for j in remaining if j == ref_cols[0] or near[i, j]]
-        if candidates[0] != ref_cols[0]:
-            forbid = m[i:, remaining]
-            forbid[0, remaining.index(ref_cols[0])] = -np.inf
-            _, forbidden_total = _solve(forbid)
-            if fixed_total + forbidden_total < best_total - 2.0 * tol:
-                candidates = [ref_cols[0]]
         for j in candidates:
             if j == ref_cols[0]:
                 sub_cols = ref_cols[1:]
                 break
             free = [c for c in remaining if c != j]
-            if i + 1 < d1:
-                sub, sub_total = _solve(m[i + 1 :, :][:, free])
-                sub_cols = np.asarray(free, dtype=np.int64)[sub].tolist()
-            else:
-                sub_cols, sub_total = [], 0.0
+            sub, sub_total = _solve(m[i + 1 :, :][:, free])
+            sub_cols = np.asarray(free, dtype=np.int64)[sub].tolist()
             if fixed_total + m[i, j] + sub_total >= best_total - tol:
                 break
         chosen[i] = j

@@ -61,15 +61,13 @@ def _prefixes(rng: np.random.Generator, d: int, counts: np.ndarray) -> np.ndarra
     drawn ``max(1, _CHUNK // d)`` rows at a time into one output, which leaves the output and
     the generator's state the whole tile's, as ``rng.permuted`` shuffles row after row."""
     columns, step = np.arange(d), max(1, _CHUNK // d)
-    if counts.size > step:
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        out = np.empty(bounds[-1], dtype=columns.dtype)
-        for a in range(0, counts.size, step):
-            chunk = counts[a : a + step]
-            out[bounds[a] : bounds[a + chunk.size]] = _prefixes(rng, d, chunk)
-        return out
-    tile = rng.permuted(np.broadcast_to(columns, (counts.size, d)), axis=1)
-    return tile[columns < counts[:, None]]
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    out = np.empty(bounds[-1], dtype=columns.dtype)
+    for a in range(0, counts.size, step):
+        chunk = counts[a : a + step]
+        tile = rng.permuted(np.broadcast_to(columns, (chunk.size, d)), axis=1)
+        out[bounds[a] : bounds[a + chunk.size]] = tile[columns < chunk[:, None]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -417,8 +415,9 @@ class ObservationBatch:
         """Dense ``d1 x d2`` sums of one weight per revealed entry, each cell's in entry order."""
         index = self.rows * self.d2
         index += self.cols
-        return np.bincount(index, weights=weights,
-                           minlength=self.d1 * self.d2).reshape(self.d1, self.d2)
+        # On no entries bincount gives int64 zeros, whatever the weights' dtype.
+        return np.bincount(index, weights=weights, minlength=self.d1 * self.d2).astype(
+            float, copy=False).reshape(self.d1, self.d2)
 
     @property
     def records(self) -> tuple["ObservationBatch", ...]:

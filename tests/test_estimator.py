@@ -187,8 +187,10 @@ def test_solve_g_argument_validation():
     truth, batch = make_problem(4, 8, 2, 10, 0.0, seed=27)
     with pytest.raises(ArgumentError):
         solve_G(truth.left_factors[:, :1], truth.right_factors, batch)
-    with pytest.raises(ArgumentError):
+    # No revealed entry: the all-zero design is rank deficient, not a bad argument.
+    with pytest.raises(RankDeficientDesignError) as err:
         solve_G(truth.left_factors, truth.right_factors, batch[:0])
+    assert err.value.condition == float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,19 @@ def test_parse_config_rejects_unaddressable_dims():
         parse_config(base_config_dict(d1=_UNADDRESSABLE, d2=_UNADDRESSABLE))
 
 
-def test_parse_config_rejects_non_positive_workers():
-    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
-        parse_config(base_config_dict(workers=0))
+@pytest.mark.parametrize("field, value, problem", [
+    ("workers", 0, "workers must be >= 1, got 0"),
+    ("r", 0, "need 1 <= r <= d1, got r=0"),
+    ("r", 7, "need 1 <= r <= d1, got r=7"),
+    ("m", 0, "need m >= 1, got 0"),
+    ("replications", -1, "replications must be nonnegative, got -1"),
+    ("alpha", 0.0, "need 0 < alpha < 1, got 0.0"),
+    ("alpha", 1.0, "need 0 < alpha < 1, got 1.0"),
+], ids=["workers", "r_zero", "r_above_d1", "m", "replications", "alpha_zero", "alpha_one"])
+def test_parse_config_names_a_value_out_of_range(field, value, problem):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config_dict(**{field: value}))
+    assert problem in err.value.problems
 
 
 def test_parse_config_caps_the_seed_below_2_to_the_32():
@@ -478,6 +488,49 @@ def test_run_simulation_rejects_sigma_and_scale_before_making_outputs(tmp_path, 
     with pytest.raises(ConfigError, match=field):
         run_simulation(cfg)
     assert not out.exists()
+
+
+def sparse_study_dict(tmp_path, **overrides) -> dict:
+    """A 1x1 one-to-many study whose batch slices, two to four periods long, now and then
+    reveal no entry; a replication that draws such a slice fails on its own."""
+    return base_config_dict(d1=1, d2=1, scheme={"kind": "one_to_many", "K": 1, "p0": 0.5},
+                            T=16, m=1, sigma=0.5, scale=1.0, replications=10,
+                            outputs=str(tmp_path / "out")) | overrides
+
+
+@pytest.mark.filterwarnings("ignore::matchlearn.EmptyMatchingWarning")
+def test_a_study_at_the_failure_tolerance_reports_its_failed_replications(tmp_path):
+    # Replication 1's refit slice reveals no entry: 1 failure of 10, the 10% tolerance.
+    cfg = parse_config(sparse_study_dict(tmp_path, scheme={"kind": "one_to_many", "K": 1,
+                                                           "p0": 0.7}, T=12, seed=2))
+    summary = run_simulation(cfg)
+    (failure,) = summary.failures
+    assert failure.startswith("RankDeficientDesignError: batch pair 1: core design is rank "
+                              "deficient (condition inf)")
+    assert summary.n_failed == 1 and summary.n_success == 9
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert doc["failures"] == [failure] and doc["n_failed"] == 1 and doc["n_success"] == 9
+    # The aggregates cover the nine replications that succeeded, and only those.
+    stats = np.loadtxt(tmp_path / "out" / "standardized_stats.csv", delimiter=",", skiprows=1)
+    assert stats[:, 0].tolist() == [0, *range(2, 10)]
+    assert np.array_equal(stats[:, 1], summary.standardized_stats)
+    assert doc["mean"] == float(stats[:, 1].mean())
+    covered = np.loadtxt(tmp_path / "out" / "coverage.csv", delimiter=",", skiprows=1)[:, 4]
+    assert covered.size == 9 and doc["coverage"] == float(covered.mean())
+
+
+@pytest.mark.filterwarnings("ignore::matchlearn.EmptyMatchingWarning")
+def test_a_study_above_the_failure_tolerance_exits_3_naming_the_first_failure(capsys,
+                                                                               tmp_path):
+    # Replications 1, 6 and 9 fail: 3 of 10, above the 10% tolerance.
+    cfg_path = write_config(tmp_path, **sparse_study_dict(tmp_path, seed=4))
+    code, out, err = run_cli(capsys, ["simulate", str(cfg_path)])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ReplicationFailureError"
+    assert diag["message"].startswith("3 of 10 replications failed (tolerance 10%); first: "
+                                      "RankDeficientDesignError: batch pair 1: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_simulation_worker_pool_matches_serial(tmp_path):
@@ -907,6 +960,40 @@ def test_cli_infer_noiseless_entry(capsys, saved_batch):
     assert doc["point"] == pytest.approx(truth.values[0, 0], abs=1e-5)
     assert doc["ci_low"] <= doc["point"] <= doc["ci_high"]
     assert doc["q_size"] == 1
+
+
+def test_cli_infer_reads_a_batch_through_a_pipe(capsys, saved_batch):
+    # A pipe has no offsets to read at: the batch is read on from where the stream is.
+    _, batch_path, cfg_path = saved_batch
+    code, expected, _ = run_cli(capsys, ["infer", str(batch_path), str(cfg_path),
+                                         "--q", "entry(0,0)"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchlearn", "infer", "/dev/stdin", str(cfg_path),
+         "--q", "entry(0,0)"],
+        input=batch_path.read_text(), capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matchlearn.__file__).parents[1])},
+    )
+    assert code == 0 and proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def test_cli_infer_on_a_batch_with_an_empty_half_is_a_numerical_failure(capsys, tmp_path):
+    # Periods 0..39 reveal no entry.  Half 2 debiases half 1's fit by nothing, which leaves
+    # it as it was; fitting half 2 then has nothing to initialize from.
+    scheme = OneToMany(1, 0.5)
+    truth = generate_low_rank(4, 12, 1, 1.0, np.random.default_rng(5))
+    later = observe(truth, scheme, 80, 0.5, np.random.default_rng(6))[40:]
+    batch = ObservationBatch(scheme, 4, 12, 0.5, later.rows, later.cols, later.y,
+                             np.concatenate([np.zeros(40, np.int64), later.offsets]))
+    save_batch(batch, tmp_path / "batch.jsonl")
+    cfg_path = write_config(tmp_path, d1=4, d2=12, r=1, scheme=scheme_to_json(scheme), T=80,
+                            m=2, sigma=0.5)
+    code, out, err = run_cli(capsys, ["infer", str(tmp_path / "batch.jsonl"), str(cfg_path),
+                                      "--q", "entry(0,0)"])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag == {"error": "DegenerateInitError", "message": "batch pair 1: response "
+                    "aggregate is identically zero; cannot initialize factors"}
 
 
 def test_cli_infer_with_q_file(capsys, tmp_path, saved_batch):

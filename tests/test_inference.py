@@ -88,6 +88,14 @@ def test_debias_hand_computed_single_matching():
     np.testing.assert_allclose(est, expect, rtol=1e-15)
 
 
+def test_debias_by_a_half_with_no_entries_returns_the_estimate():
+    m_init = np.arange(6, dtype=float).reshape(2, 3)
+    half = ObservationBatch(OneToMany(1, 0.5), 2, 3, 0.0, [], [], [], [0, 0, 0])
+    assert half.scatter(half.y).dtype == np.float64
+    est = debias(m_init, half, held_out_residual(m_init, half))
+    assert est.dtype == np.float64 and np.array_equal(est, m_init)
+
+
 @pytest.mark.parametrize(
     "scheme,reps",
     [(OneToOne(), 500), (OneToMany(2, 0.7), 300), (TwoSided(0.8, 0.8, 0.3, 0.3, 0.2), 300)],
