@@ -92,7 +92,7 @@ class DegenerateSpectrumWarning(MatchlearnWarning):
 
 
 class RemainderDroppedWarning(MatchlearnWarning):
-    """Observations beyond the last full batch were dropped."""
+    """Trailing periods beyond the last of a split's equal parts were dropped."""
 
 
 class EmptyMatchingWarning(MatchlearnWarning):

@@ -107,19 +107,20 @@ class FitTrace:
 def partition_batches(T: int, m: int) -> list[tuple[int, int]]:
     """Split T periods into 2m contiguous equal ranges of size T // (2m).
 
-    Trailing periods beyond ``2m * N0`` are dropped with a warning; the
-    theory assumes exact divisibility and nothing downstream may peek at
-    the remainder.
+    Every equal-period split cuts here: ``fit``'s 2m batches and
+    ``prepare_inference``'s two halves (m = 1).  Trailing periods beyond
+    ``2m * N0`` are dropped with a warning; the theory assumes exact
+    divisibility and nothing downstream may peek at the remainder.
     """
     if _int(m, "m") < 1:
         raise ArgumentError(f"m must be >= 1, got {m}")
     if _int(T, "T") < 2 * m:
-        raise ArgumentError(f"need T >= 2m to form batches, got T={T}, m={m}")
+        raise ArgumentError(f"need at least {2 * m} periods to cut {2 * m} equal parts, got {T}")
     n0 = T // (2 * m)
     dropped = T - 2 * m * n0
     if dropped:
         warnings.warn(
-            f"dropping {dropped} trailing observation(s) beyond the last full batch",
+            f"dropping {dropped} trailing observation(s) to cut {2 * m} equal parts of periods",
             RemainderDroppedWarning,
             stacklevel=2,
         )

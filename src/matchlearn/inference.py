@@ -21,10 +21,9 @@ from .errors import (
     ArgumentError,
     DegenerateTestError,
     EmptyMatchingWarning,
-    RemainderDroppedWarning,
     UndefinedVarianceError,
 )
-from .estimator import EstimatorConfig, fit
+from .estimator import EstimatorConfig, fit, partition_batches
 from .matmodel import LinearForm, _real, _require_finite, projection_magnitude, svd_r
 from .samplers import ObservationBatch
 
@@ -201,8 +200,9 @@ def _half_projection(fitted: ObservationBatch, held_out: ObservationBatch,
 def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> EstimationArtifacts:
     """The split/fit/debias/project/average pipeline plus the noise variance.
 
-    Half 1 is periods ``t0..2*t0-1`` and half 2 ``0..t0-1``, ``t0 = T // 2``;
-    an odd last period is dropped with a RemainderDroppedWarning.
+    The halves are the two equal parts ``partition_batches(T, 1)`` cuts: half 1 is
+    the second and half 2 the first.  So an odd last period is dropped with its
+    RemainderDroppedWarning, and a batch of fewer than two periods is an ArgumentError.
     One pass per half, half 1 first: fit the gradient-descent estimator on it
     (``config.m`` batch pairs), gather the other half's residuals against that fit
     once, take their per-period mean squares, debias the fit with them, drop the fit
@@ -211,22 +211,17 @@ def prepare_inference(batch: ObservationBatch, config: EstimatorConfig) -> Estim
     variance adds both halves' period means.  Beyond the batch, at most two dense
     d1 x d2 matrices are held besides the running stage's arrays.
     """
-    t0 = len(batch) // 2
-    if t0 < 1:
-        raise ArgumentError(f"need at least two observations to split, got {len(batch)}")
-    if len(batch) % 2:
-        warnings.warn("dropping 1 trailing observation to form equal halves",
-                      RemainderDroppedWarning, stacklevel=2)
-    half1, half2 = batch[t0 : 2 * t0], batch[:t0]
+    half2, half1 = (batch[a:b] for a, b in partition_batches(len(batch), 1))
+    t_used = 2 * len(half1)
 
     means = []
     m_hat = _half_projection(half1, half2, config, means)
     m_hat += _half_projection(half2, half1, config, means)
     m_hat *= 0.5
-    sigma_hat_sq = estimate_sigma(means, 2 * t0)
+    sigma_hat_sq = estimate_sigma(means, t_used)
     u_hat, _, v_hat = svd_r(m_hat, config.r)
     return EstimationArtifacts(m_hat=m_hat, u_hat=u_hat, v_hat=v_hat,
-                               sigma_hat_sq=sigma_hat_sq, t_used=2 * t0, nu=batch.nu)
+                               sigma_hat_sq=sigma_hat_sq, t_used=t_used, nu=batch.nu)
 
 
 def infer_linear_form(

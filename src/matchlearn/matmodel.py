@@ -336,17 +336,15 @@ def projection_magnitude(u, v, q: LinearForm) -> float:
     wu = q.weights[:, None] * u[q.rows]          # rows of u, weighted: (nnz, r)
     wv = q.weights[:, None] * v[q.cols]          # rows of v, weighted: (nnz, r)
 
-    # ||u^T Q||_F^2: accumulate u^T Q column by column over the distinct
-    # columns that Q touches; untouched columns contribute nothing.
-    ucols, uinv = np.unique(q.cols, return_inverse=True)
-    acc_u = np.zeros((ucols.size, r))
-    np.add.at(acc_u, uinv, wu)
-    term_u = float(np.sum(acc_u * acc_u))
-
-    urows, rinv = np.unique(q.rows, return_inverse=True)
-    acc_v = np.zeros((urows.size, r))
-    np.add.at(acc_v, rinv, wv)
-    term_v = float(np.sum(acc_v * acc_v))
+    # ||u^T Q||_F^2, then ||Q v||_F^2: accumulate u^T Q over the distinct columns
+    # that Q touches, then Q v over its distinct rows; untouched ones contribute nothing.
+    terms = []
+    for index, weighted in ((q.cols, wu), (q.rows, wv)):
+        keys, inverse = np.unique(index, return_inverse=True)
+        acc = np.zeros((keys.size, r))
+        np.add.at(acc, inverse, weighted)
+        terms.append(float(np.sum(acc * acc)))
+    term_u, term_v = terms
 
     core = wu.T @ v[q.cols]                      # u^T Q v: (r, r)
     term_uv = float(np.sum(core * core))

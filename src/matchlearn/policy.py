@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ArgumentError
 from .inference import EstimationArtifacts, InferenceResult, infer_linear_form
-from .matmodel import LinearForm, _require_finite
+from .matmodel import LinearForm, _as_float_matrix, _require_finite
 from .samplers import Matching
 
 # Slack when deciding whether a candidate assignment still attains the
@@ -120,17 +120,14 @@ def optimal_one_to_one(m_hat) -> Matching:
     the first that still attains the optimum.  Raises
     NonFiniteResultError when the optimal total overflows.
     """
-    m = np.asarray(m_hat, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1:
-        raise ArgumentError(f"expected a nonempty matrix, got shape {m.shape}")
+    m = _as_float_matrix(m_hat, "m_hat")
     d1, d2 = m.shape
-    if d2 < d1:
-        raise ArgumentError(f"need d2 >= d1 for a full injection, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ArgumentError("reward matrix must be finite")
+    if not 1 <= d1 <= d2:
+        raise ArgumentError(f"a full injection needs 1 <= d1 <= d2, got shape {m.shape}")
 
     sigma, best_total = _solve(m)
-    tol = _TIE_RTOL * (1.0 + abs(best_total) + float(np.abs(m).max()))
+    # Scaled term by term: |best_total| + max|m| may pass the largest float.
+    tol = _TIE_RTOL + _TIE_RTOL * abs(best_total) + _TIE_RTOL * float(np.abs(m).max())
     movable, near = _certificate(m, sigma, tol)
 
     # Python ints: list.remove compares numpy scalars far more slowly.

@@ -13,10 +13,11 @@ Three mechanisms generate the per-period matchings:
   come from the table.
 
 Each mechanism is one class that owns all of its rules: ``kind`` (its
-JSON tag), ``feasible(d1, d2)``, ``nu(d1, d2)``, ``sampler(d1, d2)``
-(``draw(rng, T)``, all T periods at once from permuted ``T x d`` index
-tiles) and ``row_rule`` (the per-period row check of the batch
-validator).  Its dataclass fields are its JSON keys and its ``nu`` flags.
+JSON tag), ``feasible(d1, d2)``, ``nu(d1, d2)``, ``draw(d1, d2, rng, T)``
+(all T periods at once from permuted ``T x d`` index tiles: flat ``rows``
+and ``cols`` in period order, and each period's pair count) and
+``row_rule`` (the per-period row check of the batch validator).  Its
+dataclass fields are its JSON keys and its ``nu`` flags.
 
 All samplers are pure given an ``rng`` handle; each replication of a
 study draws from its own ``[seed, salt, rep]`` stream.
@@ -36,7 +37,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
@@ -51,8 +52,6 @@ from .matmodel import (RewardMatrix, _flat, _instance_of, _int, _locked, _positi
                        _read_numbers, _real)
 
 
-# draw(rng, T) -> (rows, cols, counts): flat pairs in period order, and each period's count.
-Draw = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 _CHUNK = 2**17  # index tile elements _prefixes permutes at a time: 1 MiB of int64
 
 
@@ -87,10 +86,9 @@ class OneToOne:
         self.feasible(d1, d2)
         return 1.0 / d2
 
-    def sampler(self, d1: int, d2: int) -> Draw:
+    def draw(self, d1: int, d2: int, rng: np.random.Generator, T: int) -> tuple:
         self.feasible(d1, d2)
-        return lambda rng, T: (np.tile(np.arange(d1), T), _prefixes(rng, d2, np.full(T, d1)),
-                               np.full(T, d1))
+        return np.tile(np.arange(d1), T), _prefixes(rng, d2, np.full(T, d1)), np.full(T, d1)
 
 
 @dataclass(frozen=True)
@@ -123,17 +121,14 @@ class OneToMany:
         self.feasible(d1, d2)
         return self.K * self.p0 / d2
 
-    def sampler(self, d1: int, d2: int) -> Draw:
+    def draw(self, d1: int, d2: int, rng: np.random.Generator, T: int) -> tuple:
         self.feasible(d1, d2)
-
-        def draw(rng, T):
-            degrees = rng.binomial(self.K, self.p0, size=(T, d1))
-            # Per period, one uniform draw of sum(degrees) distinct columns in
-            # random order, sliced to rows: a uniform partition given the degrees.
-            counts = degrees.sum(axis=1)
-            rows = np.repeat(np.tile(np.arange(d1), T), degrees.ravel())
-            return rows, _prefixes(rng, d2, counts), counts
-        return draw
+        degrees = rng.binomial(self.K, self.p0, size=(T, d1))
+        # Per period, one uniform draw of sum(degrees) distinct columns in
+        # random order, sliced to rows: a uniform partition given the degrees.
+        counts = degrees.sum(axis=1)
+        rows = np.repeat(np.tile(np.arange(d1), T), degrees.ravel())
+        return rows, _prefixes(rng, d2, counts), counts
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ class TwoSided:
         log space, so a region of tiny total mass does not underflow.
         Raises InfeasibleTruncationError, before any draw, when the
         region holds no cell.  The table is read-only and memoised per
-        ``(scheme, d1, d2)``, so ``nu``, ``sampler`` and every fit's ν
+        ``(scheme, d1, d2)``, so ``nu``, ``draw`` and every fit's ν
         check in a study share one build.
         """
         self.feasible(d1, d2)
@@ -211,25 +206,21 @@ class TwoSided:
                            + _binom_logpmf(d2, self.p2), -np.inf)
         return _locked(np.exp(log_pmf - logsumexp(log_pmf)), float)
 
-    def arrivals(self, d1: int, d2: int) -> Callable[[np.random.Generator, int], tuple]:
-        """The draw ``(rng, n) -> (B_r, B_s)``: n uniforms inverted through the cumulated
+    def arrivals(self, d1: int, d2: int, rng: np.random.Generator, n: int) -> tuple:
+        """n draws of ``(B_r, B_s)``: n uniforms inverted through the cumulated
         :meth:`arrival_pmf`; each row-major index (never a zero-mass cell) splits into counts."""
         cdf = np.cumsum(self.arrival_pmf(d1, d2))
         cdf = cdf / cdf[-1]
-        return lambda rng, n: np.divmod(np.searchsorted(cdf, rng.random(n), side="right"), d2 + 1)
+        return np.divmod(np.searchsorted(cdf, rng.random(n), side="right"), d2 + 1)
 
-    def sampler(self, d1: int, d2: int) -> Draw:
-        arrivals = self.arrivals(d1, d2)
-
-        def draw(rng, T):
-            n = np.minimum(*arrivals(rng, T))
-            # The rows ranked below n in a uniform permutation: a uniform
-            # n-subset, in ascending order, matched to n uniform distinct columns.
-            ranks = rng.permuted(np.broadcast_to(np.arange(d1), (T, d1)), axis=1)
-            # nonzero's columns are a strided view of one (N, 2) array: copied, so the
-            # batch holds 8 bytes per row index, not 16.
-            return np.nonzero(ranks < n[:, None])[1].copy(), _prefixes(rng, d2, n), n
-        return draw
+    def draw(self, d1: int, d2: int, rng: np.random.Generator, T: int) -> tuple:
+        n = np.minimum(*self.arrivals(d1, d2, rng, T))
+        # The rows ranked below n in a uniform permutation: a uniform
+        # n-subset, in ascending order, matched to n uniform distinct columns.
+        ranks = rng.permuted(np.broadcast_to(np.arange(d1), (T, d1)), axis=1)
+        # nonzero's columns are a strided view of one (N, 2) array: copied, so the
+        # batch holds 8 bytes per row index, not 16.
+        return np.nonzero(ranks < n[:, None])[1].copy(), _prefixes(rng, d2, n), n
 
 
 def _binom_logpmf(n: int, p: float) -> np.ndarray:
@@ -432,7 +423,7 @@ def sample_matching(scheme: MatchingScheme, d1: int, d2: int, rng: np.random.Gen
     the drawn arrival counts (degrees for one-to-many, (B_r, B_s) for
     two-sided).
     """
-    return Matching(d1, d2, *_scheme(scheme, "scheme").sampler(d1, d2)(rng, 1)[:2])
+    return Matching(d1, d2, *_scheme(scheme, "scheme").draw(d1, d2, rng, 1)[:2])
 
 
 @dataclass(frozen=True)
@@ -461,7 +452,7 @@ def observe(m: RewardMatrix, scheme: MatchingScheme, T: int, sigma: float,
         raise ArgumentError(f"T must be an integer >= 1, got {T!r}")
     _check_sigma(sigma)
     d1, d2 = m.shape
-    rows, cols, counts = scheme.sampler(d1, d2)(rng, T)
+    rows, cols, counts = scheme.draw(d1, d2, rng, T)
     y = rng.standard_normal(rows.size)
     y *= sigma
     y += m.values[rows, cols]

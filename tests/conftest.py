@@ -12,9 +12,9 @@ def _open_fds() -> set:
     return {fd for fd in os.listdir(_FDS) if os.path.exists(f"{_FDS}/{fd}")}
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def no_child_left():
-    """Fail a test that leaves a child process behind, running or not yet waited for, or a
+    """Fail any test that leaves a child process behind, running or not yet waited for, or a
     file descriptor open, where ``/proc/self/fd`` lists them.
 
     ``save_batch`` forks formatting children for large batches and ``load_batch`` parsing

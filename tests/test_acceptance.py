@@ -374,7 +374,7 @@ def test_oracle_equivalences():
     d1, p1, d2, p2, c_r, c_s, gamma = 6, 0.6, 10, 0.6, 0.3, 0.3, 0.3
     pmf = _truncated_pmf_grid(d1, p1, d2, p2, c_r, c_s, gamma)
     rng = np.random.default_rng([SEED, 66])
-    b1, b2 = TwoSided(p1, p2, c_r, c_s, gamma).arrivals(d1, d2)(rng, 50_000)
+    b1, b2 = TwoSided(p1, p2, c_r, c_s, gamma).arrivals(d1, d2, rng, 50_000)
     counts = np.zeros_like(pmf)
     np.add.at(counts, (b1, b2), 1)
     tv = 0.5 * float(np.abs(counts / 50_000 - pmf).sum())

@@ -41,9 +41,6 @@ from matchlearn import (
 )
 from matchlearn import samplers
 
-# load_batch forks parsing children for large files: none may outlive a test.
-pytestmark = pytest.mark.usefixtures("no_child_left")
-
 SCHEMES = {
     "one_to_one": OneToOne(),
     "one_to_many": OneToMany(3, 0.8),
@@ -60,8 +57,7 @@ def reference_periods(m, scheme, T, sigma, rng):
         degrees = [rng.binomial(scheme.K, scheme.p0, size=d1) for _ in range(T)]
         rows = [np.repeat(np.arange(d1), k) for k in degrees]
     else:
-        arrivals = scheme.arrivals(d1, d2)
-        sizes = [int(np.minimum(*arrivals(rng, 1))[0]) for _ in range(T)]
+        sizes = [int(np.minimum(*scheme.arrivals(d1, d2, rng, 1))[0]) for _ in range(T)]
         # A uniform k-subset of rows: the first k of an inverse permutation.
         rows = [np.sort(np.argsort(rng.permutation(d1))[:k]) for k in sizes]
     mats = [Matching(d1, d2, r, rng.permutation(d2)[:r.size]) for r in rows]
@@ -213,10 +209,11 @@ def test_scatter_adds_each_cell_in_entry_order_and_nu_is_the_schemes():
     assert batch[5:9].nu == batch.nu == SCHEMES["one_to_many"].nu(batch.d1, batch.d2)
 
 
-def entries(kind, rows=(0, 1), cols=(0, 1), values=(1.0, 2.0)):
-    """A 2x4 batch (one period), matching or linear form of these entries."""
+def entries(kind, rows=(0, 1), cols=(0, 1), values=(1.0, 2.0), offsets=(0, 2)):
+    """A 2x4 batch (one period unless ``offsets`` say otherwise), matching or linear form
+    of these entries."""
     if kind == "batch":
-        return ObservationBatch(OneToOne(), 2, 4, 0.5, rows, cols, values, [0, 2])
+        return ObservationBatch(OneToOne(), 2, 4, 0.5, rows, cols, values, offsets)
     if kind == "matching":
         return Matching(2, 4, rows, cols)
     return LinearForm(2, 4, rows, cols, values)
@@ -237,6 +234,28 @@ def test_entry_constructors_take_only_integer_indices_and_numeric_values(kind, f
     entries(kind)
     with pytest.raises(ArgumentError, match="must hold only"):
         entries(kind, **{field: value})
+
+
+_OFFSETS = "offsets must rise from 0"
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    pytest.param("batch", dict(offsets=(1, 2)), _OFFSETS, id="batch-offsets_from_1"),
+    pytest.param("batch", dict(offsets=(0, 2, 1)), _OFFSETS, id="batch-offsets_fall"),
+    pytest.param("batch", dict(offsets=(0, 1)), _OFFSETS, id="batch-offsets_short"),
+    pytest.param("batch", dict(rows=(0,)), _OFFSETS, id="batch-rows_short"),
+    pytest.param("matching", dict(rows=(0,)), "rows and cols must have equal length",
+                 id="matching-rows_short"),
+    pytest.param("form", dict(values=(1.0,)), "rows, cols, weights must have equal length",
+                 id="form-weights_short"),
+    pytest.param("form", dict(values=(1.0, np.inf)), "weights must be finite", id="form-inf"),
+    pytest.param("form", dict(values=(np.nan, 1.0)), "weights must be finite", id="form-nan"),
+])
+def test_entry_constructors_refuse_arrays_that_do_not_line_up_and_non_finite_weights(
+        kind, change, message):
+    entries(kind)
+    with pytest.raises(ArgumentError, match=message):
+        entries(kind, **change)
 
 
 def test_entry_constructors_take_empty_lists():

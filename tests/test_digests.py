@@ -41,8 +41,6 @@ from matchlearn import (
     save_batch,
 )
 
-pytestmark = pytest.mark.usefixtures("no_child_left")
-
 D1, D2, T = 10, 30, 120
 STUDIES = {
     "one_to_one": dict(scheme=OneToOne(), q_spec="oto_difference"),

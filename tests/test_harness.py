@@ -47,8 +47,6 @@ from matchlearn import (
     svd_r,
 )
 
-pytestmark = pytest.mark.usefixtures("no_child_left")
-
 
 def base_config_dict(**overrides) -> dict:
     obj = {
@@ -147,6 +145,17 @@ def test_parse_config_aggregates_all_problems():
             base_config_dict(d2=3, eta=2.0, study="bogus", q_spec="entry(99,0)")
         )
     assert len(err.value.problems) >= 4
+
+
+@pytest.mark.parametrize("obj", [[], "config", None, 3])
+def test_parse_config_rejects_a_value_that_is_not_an_object(obj):
+    with pytest.raises(ConfigError, match=f"must be a JSON object, got {type(obj).__name__}"):
+        parse_config(obj)
+
+
+def test_config_error_takes_one_problem_or_a_list():
+    assert ConfigError("bad d1").problems == ["bad d1"]
+    assert str(ConfigError(["bad d1", "bad d2"])) == "bad d1; bad d2"
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -948,6 +957,26 @@ def test_cli_estimate_rejects_dim_mismatch(capsys, tmp_path, saved_batch):
     code, _, err = run_cli(capsys, ["estimate", str(batch_path), str(other_cfg)])
     assert code == 2
     assert "dims" in json.loads(err)["message"]
+
+
+def test_cli_infer_rejects_a_batch_of_another_scheme(capsys, tmp_path, saved_batch):
+    _, batch_path, _ = saved_batch
+    other_cfg = write_config(tmp_path, name="other.json", d1=8, d2=12, r=2, T=4000, m=8,
+                             scheme={"kind": "one_to_many", "K": 1, "p0": 0.5})
+    code, _, err = run_cli(capsys, ["infer", str(batch_path), str(other_cfg),
+                                    "--q", "entry(0,0)"])
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"] == "batch scheme differs from config scheme"
+
+
+def test_cli_estimate_needs_an_output_directory(capsys, saved_batch):
+    _, batch_path, cfg_path = saved_batch  # the config sets no outputs
+    code, out, err = run_cli(capsys, ["estimate", str(batch_path), str(cfg_path)])
+    assert (code, out) == (2, "")
+    problem = "no output directory: pass --out or set 'outputs'"
+    assert json.loads(err) == {"error": "ConfigError", "message": problem, "problems": [problem]}
 
 
 def test_cli_infer_noiseless_entry(capsys, saved_batch):

@@ -63,7 +63,7 @@ def test_prepare_inference_odd_t_drops_the_last_period():
 def test_prepare_inference_needs_two_periods():
     truth, batch = make_problem(6, 12, 2, 1, 0.5, seed=92)
     cfg = EstimatorConfig(r=2, eta=0.7, m=1, nu=1.0 / 12)
-    with pytest.raises(ArgumentError, match="at least two observations"):
+    with pytest.raises(ArgumentError, match="at least 2 periods"):
         prepare_inference(batch, cfg)
 
 

@@ -205,6 +205,26 @@ def test_overflowing_optimal_total_raises_non_finite_result():
         optimal_one_to_one(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [[[0.0, 1.7e308, 1.7e308]],
+     [[1e307, 9e307, 9e307], [-9e307, 5e307, 0.0]],
+     [[-1.7e308, 1.7e308]]],
+    ids=["slack_terms_pass_the_largest_float", "two_rows", "non_finite_certificate_slack"],
+)
+def test_large_finite_rewards_match_exhaustive_search(m):
+    # |best total| + max|m| passes the largest float, yet the tie slack stays finite.
+    m = np.array(m)
+    assert np.array_equal(optimal_one_to_one(m).cols, brute_force_best(m)[0])
+
+
+def test_a_non_finite_certificate_slack_certifies_nothing():
+    m = np.array([[-1.7e308, 1.7e308]])  # the slack of (0, 0) is 1.7e308 + 1.7e308
+    sigma, _ = policy_mod._solve(m)
+    movable, near = policy_mod._certificate(m, sigma, 1.0)
+    assert movable.all() and near.all()
+
+
 def test_optimal_one_to_one_validation():
     with pytest.raises(ArgumentError):
         optimal_one_to_one(np.zeros((3, 2)))

@@ -39,9 +39,6 @@ from matchlearn import (
 from matchlearn import samplers
 from matchlearn.samplers import _CHUNK, _prefixes
 
-# save_batch and load_batch fork children for large batches: none may outlive a test.
-pytestmark = pytest.mark.usefixtures("no_child_left")
-
 
 def make_two_sided(**kwargs) -> TwoSided:
     params = dict(p1=0.8, p2=0.8, c_r=0.5, c_s=0.5, gamma=0.2)
@@ -86,7 +83,7 @@ def exact_truncated_moments(scheme: TwoSided, d1: int, d2: int) -> tuple[Fractio
 
 def draw_arrivals(scheme: TwoSided, d1: int, d2: int, n: int, rng) -> np.ndarray:
     """n (B_r, B_s) draws through the sampler's own inverse-CDF draw."""
-    return np.column_stack(scheme.arrivals(d1, d2)(rng, n))
+    return np.column_stack(scheme.arrivals(d1, d2, rng, n))
 
 
 def draw_matchings(scheme, d1: int, d2: int, n: int, rng, via: str) -> list:
@@ -430,7 +427,8 @@ def test_two_sided_rejects_nan_gamma():
                          ids=["one_to_one", "one_to_many", "two_sided"])
 @pytest.mark.parametrize("d1, d2", [(0, 0), (-3, 5), (3, 0)])
 def test_every_scheme_rejects_non_positive_dims(scheme, d1, d2):
-    for call in (scheme.feasible, scheme.nu, scheme.sampler,
+    for call in (scheme.feasible, scheme.nu,
+                 lambda d1, d2: scheme.draw(d1, d2, np.random.default_rng(0), 1),
                  lambda d1, d2: Matching(d1, d2, [], [])):
         with pytest.raises(ArgumentError, match="dimensions must be positive"):
             call(d1, d2)
@@ -1005,6 +1003,26 @@ def test_a_batch_is_written_the_same_in_any_number_of_ranges(tmp_path, monkeypat
         save_batch(batch, path)
         assert path.read_bytes() == reference_bytes(batch), n
         assert bool(started) == (len(batch) > 1), n
+
+
+def test_a_split_load_without_pread_reads_each_range_after_a_seek(tmp_path, monkeypatch):
+    # As where there is no os.pread, and so no fork (Windows): no child starts, and this
+    # process reads each range from where a seek leaves the file.
+    path = tmp_path / "batch.jsonl"
+    save_batch(_WRITTEN["one_to_many"], path)
+    one = loaded(path)
+    monkeypatch.delattr(os, "pread")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    started, offsets = split_into(monkeypatch, 4), []
+
+    class Window(samplers._Window):
+        def __init__(self, raw, start, stop):
+            super().__init__(raw, start, stop)
+            offsets.append(self._pos)
+
+    monkeypatch.setattr(samplers, "_Window", Window)
+    assert loaded(path) == one
+    assert offsets == [None] * 4 and started == []
 
 
 def test_a_batch_below_two_splits_is_written_by_one_process(tmp_path, monkeypatch):
