@@ -220,7 +220,7 @@ def parse_config(obj: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     try:
@@ -255,8 +255,8 @@ def resolve_q(spec: str, d1: int, d2: int, rng: np.random.Generator) -> LinearFo
             return matching_to_linear_form(sample_matching(scheme, d1, d2, rng))
         return draw().subtract(draw()) if spec == "oto_difference" else draw()
     try:
-        return LinearForm.from_json(Path(spec).read_text(), d1, d2)
-    except OSError as exc:
+        return LinearForm.from_json(Path(spec).read_text(encoding="utf-8"), d1, d2)
+    except (OSError, UnicodeEncodeError) as exc:
         raise ConfigError([f"q file not found or unreadable: {exc}"]) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"q file {spec} is not UTF-8 text: {exc}") from None
@@ -387,12 +387,15 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
 def _writing(out):
     """The output directory ``out`` names, made if absent (and only here), for the block to
     write in; entered once the work has returned, so a run that fails leaves nothing on disk.
-    An OSError while making or writing it becomes a ConfigError that names it."""
+    An empty ``out``, which would name the current directory, is a ConfigError, and so is an
+    OSError while making or writing it or a name the file system's encoding cannot spell."""
+    if not out:
+        raise ConfigError(["output directory path is empty"])
     try:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         yield outdir
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise ConfigError([f"cannot write output directory {out}: {exc}"]) from None
 
 

@@ -299,8 +299,8 @@ class LinearForm:
         if not isinstance(entries, list):
             raise DataFormatError("linear form JSON must be an array of objects")
         for k, e in enumerate(entries):
-            if not isinstance(e, dict) or not {"i", "j", "w"} <= set(e):
-                raise DataFormatError(f"linear form entry {k} missing i/j/w")
+            if not isinstance(e, dict) or set(e) != {"i", "j", "w"}:
+                raise DataFormatError(f"linear form entry {k} must have exactly the keys i, j, w")
             try:
                 i, j, _ = _int(e["i"], "i"), _int(e["j"], "j"), _real(e["w"], "w")
                 if not (-2**63 <= min(i, j) and max(i, j) < 2**63):

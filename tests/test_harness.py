@@ -290,6 +290,47 @@ def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
         load_config(path)
 
 
+def run_in_an_ascii_locale(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """``python -m matchlearn *argv`` in ``tmp_path``, where the locale's encoding, and so
+    Python's default one for text files and file names, is ASCII."""
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "matchlearn", *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(matchlearn.__file__).parents[1]),
+             "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+    )
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("outputs", "cannot write output directory résultats: "),
+    ("q_spec", "q_spec résultats: q file not found or unreadable: "),
+])
+def test_a_config_file_is_read_as_utf8_whatever_the_locale(tmp_path, field, problem):
+    # The name comes through whole, to be refused only where the file system cannot spell it.
+    (tmp_path / "config.json").write_text(json.dumps(
+        base_config_dict(outputs="out") | {field: "résultats"}, ensure_ascii=False),
+        encoding="utf-8")
+    proc = run_in_an_ascii_locale(tmp_path, "simulate", "config.json")
+    problem += ("'ascii' codec can't encode character '\\xe9' in position 1: "
+                "ordinal not in range(128)")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {"error": "ConfigError", "message": problem,
+                                       "problems": [problem]}
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_a_q_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # Its text is read, so the entry is what is refused; the batch is never reached.
+    write_config(tmp_path)
+    (tmp_path / "q.json").write_text('[{"i": 0, "j": 0, "w": "é"}]', encoding="utf-8")
+    proc = run_in_an_ascii_locale(tmp_path, "infer", "batch.jsonl", "config.json",
+                                  "--q", "q.json")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert json.loads(proc.stderr) == {
+        "error": "DataFormatError",
+        "message": "q file q.json: linear form entry 0: w must be a finite number, got 'é'"}
+
+
 # ---------------------------------------------------------------------------
 # resolve_q
 # ---------------------------------------------------------------------------
@@ -1113,6 +1154,29 @@ def test_cli_an_unusable_output_directory_is_a_config_error(
     diag = json.loads(stderr)
     assert diag["error"] == "ConfigError"
     assert diag["message"].startswith(f"cannot write output directory {out}: ")
+
+
+@pytest.mark.parametrize("via", ["--out", "outputs"])
+@pytest.mark.parametrize("command", list(_FIRST_OUTPUT))
+def test_cli_an_empty_output_path_is_a_config_error_that_writes_nothing(
+        capsys, tmp_path, monkeypatch, saved_batch, command, via):
+    # Path("") names the current directory; an unset shell variable in --out "$OUT" gives one.
+    _, batch_path, cfg_path = saved_batch
+    if command == "simulate":
+        cfg_path = write_config(tmp_path, name="study.json")
+    if via == "outputs":
+        cfg_path.write_text(json.dumps(json.loads(cfg_path.read_text()) | {"outputs": ""}))
+    inputs = [str(cfg_path)] if command == "simulate" else [str(batch_path), str(cfg_path)]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code, stdout, stderr = run_cli(capsys, [command, *inputs,
+                                            *(["--out", ""] if via == "--out" else []),
+                                            *(["--q", "entry(0,0)"] if command == "infer" else [])])
+    problem = "output directory path is empty"
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ConfigError", "message": problem,
+                                  "problems": [problem]}
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["estimate", "infer", "policy"])

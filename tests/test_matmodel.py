@@ -316,6 +316,8 @@ def test_linear_form_from_json_rejects_malformed():
         LinearForm.from_json('{"i": 0}', 3, 3)
     with pytest.raises(DataFormatError):
         LinearForm.from_json('[{"i": 0, "j": 9, "w": 1.0}]', 3, 3)
+    with pytest.raises(DataFormatError, match="^linear form entry 0 must have exactly the keys"):
+        LinearForm.from_json('[{"i": 0, "j": 1, "w": 1.5, "weight": 7}]', 2, 4)
 
 
 @pytest.mark.parametrize("entry", [

@@ -34,6 +34,13 @@ def brute_force_best(m: np.ndarray) -> tuple[np.ndarray, float]:
 # optimal_one_to_one
 # ---------------------------------------------------------------------------
 
+def tie_slack(best: float, m) -> float:
+    """optimal_one_to_one's tie slack for an optimum ``best`` of ``m`` (or of a matrix whose
+    largest magnitude is ``m``), formed term by term as it forms it."""
+    rtol = policy_mod._TIE_RTOL
+    return rtol + rtol * abs(best) + rtol * float(np.abs(m).max())
+
+
 def test_single_row_picks_largest_column():
     got = optimal_one_to_one(np.array([[1.0, 3.0]]))
     assert got.pairs == frozenset({(0, 1)})
@@ -135,7 +142,7 @@ def test_tie_slack_decides_between_near_optimal_assignments():
     # The identity (lexicographically smallest) totals 3; swapping rows 0
     # and 1 totals 3 + gap.  Within the slack the identity counts as
     # optimal; beyond it the swap must win.
-    tol = policy_mod._TIE_RTOL * (1.0 + 3.0 + 1.0)
+    tol = tie_slack(3.0, 1.0)
     for gap, expected in ((0.5 * tol, [0, 1, 2]), (1.5 * tol, [1, 0, 2]),
                           (10.0 * tol, [1, 0, 2])):
         m = np.array([[1.0, 1.0 + gap, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -145,7 +152,7 @@ def test_tie_slack_decides_between_near_optimal_assignments():
 def test_alternatives_just_inside_the_tie_slack_stay_candidates():
     # As above, with gaps the certificate's near edges (slack <= 2 tol)
     # must still admit: the identity is within tol of the swap.
-    tol = policy_mod._TIE_RTOL * (1.0 + 3.0 + 1.0)
+    tol = tie_slack(3.0, 1.0)
     for gap in (0.6 * tol, 0.9 * tol):
         m = np.array([[1.0, 1.0 + gap, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert optimal_one_to_one(m).cols.tolist() == [0, 1, 2]
@@ -158,7 +165,7 @@ def test_policy_size_200_by_600_reaches_the_assignment_optimum():
     assert np.unique(got.cols).size == 200
     rows, cols = linear_sum_assignment(m, maximize=True)
     best = float(m[rows, cols].sum())
-    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    tol = tie_slack(best, m)
     assert abs(float(m[np.arange(200), got.cols].sum()) - best) <= tol
 
 
@@ -178,7 +185,7 @@ def test_policy_size_500_by_1500_reaches_the_assignment_optimum():
     assert np.unique(got.cols).size == 500
     rows, cols = linear_sum_assignment(m, maximize=True)
     best = float(m[rows, cols].sum())
-    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    tol = tie_slack(best, m)
     assert abs(float(m[np.arange(500), got.cols].sum()) - best) <= tol
 
 
@@ -194,7 +201,7 @@ def test_rows_with_tied_alternatives_fall_back_to_the_scan(m, movable):
     # the last matrix, are not the lexicographically smallest ones.
     m = np.array(m)
     sigma, best = policy_mod._solve(m)
-    tol = policy_mod._TIE_RTOL * (1.0 + abs(best) + float(np.abs(m).max()))
+    tol = tie_slack(best, m)
     assert policy_mod._certificate(m, sigma, tol)[0].tolist() == movable
     assert np.array_equal(optimal_one_to_one(m).cols, brute_force_best(m)[0])
 

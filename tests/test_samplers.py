@@ -30,6 +30,7 @@ from matchlearn import (
     entrywise_probability,
     generate_low_rank,
     load_batch,
+    main,
     observe,
     sample_matching,
     save_batch,
@@ -844,25 +845,38 @@ def test_split_loads_agree_with_one_range_for_every_cut(tmp_path, monkeypatch, l
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_split_loads_count_lines_at_every_universal_newline(tmp_path, monkeypatch, newline):
+    # Lines end at "\n" alone, as in JSON Lines: a "\r" before it is whitespace to JSON.
+    # A lone "\r" ends no line, so that file is one line, a header followed by extra data.
     path = tmp_path / "newlines.jsonl"
     lines = _RAGGED + _RAGGED[1:] * 2 + ["", _BAD_LAST, '{"pairs": [], "y": []}']
     path.write_text("\n".join(lines) + "\n")
     expected = loaded(path)
     assert expected == "record on line 27: a column appears more than once in period 15"
     path.write_bytes(("\n".join(lines) + "\n").replace("\n", newline).encode())
+    if newline == "\r":
+        expected = (f"bad batch header: Extra data: line 1 column {len(lines[0]) + 2} "
+                    f"(char {len(lines[0]) + 1})")
     assert loaded(path) == expected
     for n in (2, 3, 4):
         started = split_into(monkeypatch, n)
         assert loaded(path) == expected
-        assert len(started) == n - 1
+        assert len(started) == (n - 1 if newline == "\r\n" else 0)
 
 
-def test_a_line_end_split_across_reads_is_one_line_end(tmp_path):
-    path = tmp_path / "lines.bin"
-    path.write_bytes(b"x" * 8191 + b"\r\n" + b"y\rz")
-    with open(path, "rb", buffering=0) as raw:
-        assert [samplers._line_end(raw, pos) for pos in (0, 8191, 8192, 8193, 8195)] == \
-            [8193, 8193, 8193, 8195, 8196]
+def test_the_cli_refuses_a_batch_file_whose_lines_end_in_a_lone_carriage_return(
+        tmp_path, capsys):
+    # save_batch's lines with each "\n" made a lone "\r": one line, which is no header.
+    truth = generate_low_rank(2, 4, 1, 3.0, np.random.default_rng(11))
+    path, config = tmp_path / "cr.jsonl", tmp_path / "config.json"
+    save_batch(observe(truth, OneToOne(), 40, 0.5, np.random.default_rng(12), seed=3), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    config.write_text(json.dumps(dict(d1=2, d2=4, r=1, scheme={"kind": "one_to_one"}, T=40,
+                                      seed=3, m=1, eta=0.7, sigma=0.5, scale=1.0,
+                                      replications=1, q_spec="entry(0,0)")))
+    message = "bad batch header: Extra data: line 1 column 79 (char 78)"
+    assert failure(path) == (message, "JSONDecodeError('Extra data: line 1 column 79 (char 78)')")
+    assert main(["infer", str(path), str(config), "--q", "entry(0,0)"]) == 4
+    assert json.loads(capsys.readouterr().err) == {"error": "DataFormatError", "message": message}
 
 
 @pytest.mark.parametrize("bad, message, cause", [
@@ -917,6 +931,37 @@ def test_a_saved_batch_loads_the_same_from_one_range_or_four(tmp_path, monkeypat
     started = split_into(monkeypatch, 4)
     assert loaded(path) == one
     assert len(started) == 3
+
+
+def test_records_longer_than_the_read_buffer_load_the_same_when_every_cut_is_inside_one(
+        tmp_path, monkeypatch):
+    # Five one-to-one periods at 3000 x 3000: each record is about 100 KB, longer than the
+    # 64 KiB the lines are read in.  Each quarter of the file ends inside records 2 to 4,
+    # and each cut is moved over reads to its record's end.
+    rng = np.random.default_rng(5)
+    batch = ObservationBatch(OneToOne(), 3000, 3000, 0.5, np.tile(np.arange(3000), 5),
+                             np.concatenate([rng.permutation(3000) for _ in range(5)]),
+                             rng.standard_normal(15000), np.arange(0, 15001, 3000), seed=1)
+    path = tmp_path / "long.jsonl"
+    save_batch(batch, path)
+    data = path.read_bytes()
+    line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    assert min(np.diff(line_ends)) > 2**16
+    one = loaded(path)
+    assert one == [getattr(batch, name).tobytes() for name in ("rows", "cols", "y", "offsets")]
+    started = split_into(monkeypatch, 4)
+    with open(path, "rb", buffering=0) as raw:
+        assert all(data[k * len(data) // 4 - 1] != ord("\n") for k in (1, 2, 3))
+        assert samplers._bounds(raw) == [0, *line_ends[2:5], None]
+    assert loaded(path) == one
+    assert len(started) == 3
+    last = data[line_ends[4]:].decode()
+    path.write_bytes(data[:line_ends[4]] + last.replace('"y": [', '"y": [true, ').encode())
+    message = ("bad batch record on line 6: y must be a list of one number per pair",
+               "ValueError('y must be a list of one number per pair')")
+    assert failure(path) == message
+    monkeypatch.undo()
+    assert failure(path) == message
 
 
 def _fork_fails(process):
@@ -1022,7 +1067,7 @@ def test_a_split_load_without_pread_reads_each_range_after_a_seek(tmp_path, monk
 
     monkeypatch.setattr(samplers, "_Window", Window)
     assert loaded(path) == one
-    assert offsets == [None] * 4 and started == []
+    assert offsets == [None] * 7 and started == []  # one per cut looked up, one per range
 
 
 def test_a_batch_below_two_splits_is_written_by_one_process(tmp_path, monkeypatch):
