@@ -167,6 +167,8 @@ def _validate(cfg: RunConfig) -> tuple[RunConfig, LinearForm]:
         p.append(f"replications must be nonnegative, got {cfg.replications}")
     if cfg.workers < 1:
         p.append(f"workers must be >= 1, got {cfg.workers}")
+    if cfg.outputs == "":  # Path("") would name the current directory
+        p.append("output directory path is empty")
     if addressable and cfg.d1 <= cfg.d2:
         try:
             cfg.scheme.feasible(cfg.d1, cfg.d2)
@@ -387,10 +389,8 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
 def _writing(out):
     """The output directory ``out`` names, made if absent (and only here), for the block to
     write in; entered once the work has returned, so a run that fails leaves nothing on disk.
-    An empty ``out``, which would name the current directory, is a ConfigError, and so is an
-    OSError while making or writing it or a name the file system's encoding cannot spell."""
-    if not out:
-        raise ConfigError(["output directory path is empty"])
+    An OSError while making or writing it is a ConfigError, and so is a name the file
+    system's encoding cannot spell; an empty ``out`` was refused before the work began."""
     try:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -524,7 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _checked_batch(args, cfg: RunConfig, k: int):
     """The batch and output directory (``--out``, else ``outputs``) of ``estimate`` (k=2) or
     ``infer``/``policy`` (k=4), checked against ``cfg`` and to hold ``k * m`` periods.  Commands
-    read their config, and ``infer`` its form, first: a bad one fails before the batch is parsed."""
+    read their config, and ``infer`` its form, first: a bad one, or an empty ``--out``, fails
+    before the batch is parsed."""
+    if args.out == "":
+        raise ConfigError(["output directory path is empty"])
     batch = load_batch(args.batch)
     problems = []
     if len(batch) < k * cfg.m:

@@ -34,14 +34,14 @@ def _as_float_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ArgumentError(f"{name} must be a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ArgumentError(f"{name} contains non-finite entries")
     return a
 
 
 def _require_finite(a, what: str):
     """``a`` itself, or NonFiniteResultError: a result computed from finite inputs overflowed."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteResultError(f"{what} overflowed to non-finite values")
     return a
 
@@ -169,11 +169,11 @@ def svd_r(a, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             u, v = v, u
         with np.errstate(over="ignore"):  # overflow reaches callers' finite checks
             s = np.ldexp(s[:r], exp)
-    # Sign convention: largest-|.| entry of each left vector is positive.
-    idx = np.argmax(np.abs(u), axis=0)
-    flip = u[idx, np.arange(r)] < 0.0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
+    # Sign convention: largest-|.| entry of each left vector is positive.  One multiply by
+    # +-1.0, which is exact: each column is flipped or kept bit for bit.
+    sign = np.where(u[np.abs(u).argmax(axis=0), np.arange(r)] < 0.0, -1.0, 1.0)
+    u *= sign
+    v *= sign
     return u, s, v
 
 

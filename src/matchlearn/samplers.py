@@ -269,7 +269,9 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
     range, a reward is not finite, a column repeats within a period, or a
     period's row multiplicities violate ``scheme``.  Time and memory are
     O(entries + periods) whatever ``d1`` and ``d2`` a file header claims; beyond
-    one boolean mask at a time, the only per-entry temporary is one int64 key array.
+    one boolean mask at a time, the only per-entry temporary is one key array,
+    ``period * width + index``: int32 while ``periods * width < 2**31``, else int64.
+    Keys already in order (a scheme's draws lay out rows so) are not sorted again.
     """
     n = offsets.size - 1
     counts = np.diff(offsets)
@@ -287,9 +289,11 @@ def _check_periods(d1, d2, rows, cols, offsets, scheme=None, y=None) -> None:
         width = int(index.max(initial=0)) + 1
         if n * width > np.iinfo(np.int64).max:
             fail_at("indices too large to validate", index == index.max())
-        keys = np.repeat(np.arange(n, dtype=np.int64) * width, counts)
+        keys = np.repeat(np.arange(n, dtype=np.int32 if n * width < 2**31 else np.int64) * width,
+                         counts)
         keys += index
-        keys.sort()
+        if (keys[1:] < keys[:-1]).any():
+            keys.sort()
         over = keys[limit:][keys[limit:] == keys[:-limit]]
         return over[0] // width if over.size else None
 
@@ -390,7 +394,8 @@ class ObservationBatch:
         if step != 1:
             raise ArgumentError("batch slices must be contiguous")
         lo, hi = self.offsets[start], self.offsets[max(start, stop)]
-        offsets = _flat(self.offsets[start : max(start, stop) + 1] - lo, np.int64, "offsets")
+        offsets = self.offsets[start : max(start, stop) + 1] - lo
+        offsets.flags.writeable = False
         # Parts of validated arrays: built without __init__, so not checked again.
         view = object.__new__(ObservationBatch)
         vars(view).update(vars(self), rows=self.rows[lo:hi], cols=self.cols[lo:hi],

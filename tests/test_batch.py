@@ -191,9 +191,12 @@ def test_slices_are_views_of_the_parent():
         assert np.shares_memory(getattr(inner, name), getattr(batch, name))
     lo = batch.offsets[15]
     assert inner.offsets[0] == 0 and inner.offsets[-1] == batch.offsets[18] - lo
+    assert inner.offsets.dtype == np.int64
     assert np.array_equal(inner.y, batch.y[lo : batch.offsets[18]])
     with pytest.raises(ValueError):
         view.y[0] = 0.0  # read-only, like the parent
+    with pytest.raises(ValueError):
+        inner.offsets[0] = 1
     for key in (3, "a", slice(0, 10, 2)):
         with pytest.raises(ArgumentError):
             batch[key]
@@ -287,6 +290,34 @@ def test_validator_names_the_period_that_violates_the_scheme(scheme, bad):
     with pytest.raises(ArgumentError, match="in period 2") as info:
         periods_batch(scheme, 3, 4, 0.0, [good, good, bad, good])
     assert info.value.period == 2
+
+
+@pytest.mark.parametrize("periods, message, period", [
+    # Keys out of order within the period: found only once the keys are sorted.
+    ([([0, 1, 2], [3, 2, 1]), ([2, 0, 2], [0, 1, 3]), ([0, 1, 2], [1, 2, 3])],
+     "row multiplicity exceeds K=1", 1),
+    ([([0, 1, 2], [3, 2, 1]), ([0, 1, 2], [3, 1, 3]), ([0, 1, 2], [1, 2, 3])],
+     "a column appears more than once", 1),
+    # An earlier repeat out of order wins over a later one in order.
+    ([([0, 1, 2], [3, 2, 1]), ([0, 1, 2], [3, 1, 3]), ([0, 1, 2], [0, 1, 2]),
+      ([0, 1, 2], [1, 1, 2])], "a column appears more than once", 1),
+], ids=["row_out_of_order", "column_out_of_order", "earlier_out_of_order_wins"])
+def test_validator_finds_a_repeat_whatever_the_order_of_its_keys(periods, message, period):
+    with pytest.raises(ArgumentError, match=f"{message} in period {period}") as info:
+        periods_batch(OneToMany(1, 0.5), 3, 4, 0.0,
+                      [(rows, cols, [0.0] * len(rows)) for rows, cols in periods])
+    assert info.value.period == period
+
+
+@pytest.mark.parametrize("d2, periods", [(2**31, 3), (2**31 - 1, 1)], ids=["int64", "int32"])
+def test_validator_keys_at_either_side_of_the_int32_limit(d2, periods):
+    # periods * (largest column + 1) is 3 * 2**31, past int32's keys, then 2**31 - 1 within them.
+    top = d2 - 1
+    batch = [([0, 1], [top, 0], [0.0, 0.0])] * periods
+    batch[periods // 2] = ([0, 1], [top, top], [0.0, 0.0])
+    with pytest.raises(ArgumentError, match="a column appears more than once") as info:
+        periods_batch(OneToOne(), 2, d2, 0.0, batch)
+    assert info.value.period == periods // 2
 
 
 def test_validator_names_the_period_of_a_bad_index_or_reward():

@@ -47,8 +47,9 @@ def test_prepare_inference_runs_every_stage_through_its_traced_name():
     batch = samplers.observe(truth, OneToOne(), 40, 0.5, np.random.default_rng(1))
     with tracer.patched():
         inference.prepare_inference(batch, EstimatorConfig(r=1, eta=0.7, m=2, nu=batch.nu))
+    # svd_r: 2 fits x (1 + 1 + 3(m - 1)) + 2 projections + the final one, at m = 2.
     stages = {"estimator.fit": 2, "inference.debias": 2, "inference.project_rank_r": 2,
-              "inference.estimate_sigma": 1}
+              "inference.estimate_sigma": 1, "matmodel.svd_r": 13}
     spans = Counter(span[0] for span in tracer.spans)
     assert {name: spans[name] for name in stages} == stages
 

@@ -1179,6 +1179,29 @@ def test_cli_an_empty_output_path_is_a_config_error_that_writes_nothing(
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("via", ["--out", "outputs"])
+@pytest.mark.parametrize("command", list(_FIRST_OUTPUT))
+def test_cli_refuses_an_empty_output_path_before_any_work(
+        capsys, tmp_path, monkeypatch, command, via):
+    # The path is known from the arguments: no replication runs and no batch is read first.
+    def work(*args):
+        pytest.fail(f"{command} worked before refusing an empty output path")
+
+    monkeypatch.setattr(harness_mod, "_run_replication", work)
+    monkeypatch.setattr(harness_mod, "load_batch", work)
+    cfg_path = write_config(tmp_path, **({"outputs": ""} if via == "outputs" else {}))
+    inputs = [str(cfg_path)] if command == "simulate" else [str(tmp_path / "batch.jsonl"),
+                                                             str(cfg_path)]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code, stdout, stderr = run_cli(capsys, [command, *inputs,
+                                            *(["--out", ""] if via == "--out" else []),
+                                            *(["--q", "entry(0,0)"] if command == "infer" else [])])
+    assert (code, stdout, json.loads(stderr)["problems"]) == (
+        2, "", ["output directory path is empty"])
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("command", ["estimate", "infer", "policy"])
 def test_cli_numerical_failure_exit_code(capsys, tmp_path, command):
     # A fit that fails leaves no output directory behind: none is made before the work returns.

@@ -124,6 +124,33 @@ def test_svd_r_sign_convention_pins_factors():
     assert np.array_equal(u, u2) and np.array_equal(s, s2) and np.array_equal(v, v2)
 
 
+def _signed_dense_svd(a):
+    """np.linalg.svd(a) with the sign rule written out column by column: the left vector's
+    largest-|.| entry (the first on ties) is made positive, and the right one flipped with
+    it.  Also returns which columns were flipped."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    v, flipped = vt.T.copy(), []
+    for c in range(u.shape[1]):
+        magnitudes = np.abs(u[:, c]).tolist()
+        flipped.append(bool(u[magnitudes.index(max(magnitudes)), c] < 0.0))
+        if flipped[-1]:
+            u[:, c], v[:, c] = -u[:, c], -v[:, c]
+    return u, s, v, flipped
+
+
+@pytest.mark.parametrize("shape", [(150, 2), (50, 2), (2, 2)])
+def test_svd_r_full_rank_is_the_dense_svd_with_the_sign_rule_bit_for_bit(shape):
+    # The first input drawn on which the rule flips one column and keeps the other.
+    for seed in range(100):
+        a = np.random.default_rng([seed, *shape]).standard_normal(shape)
+        u, s, v, flipped = _signed_dense_svd(a)
+        if sorted(flipped) == [False, True]:
+            break
+    assert sorted(flipped) == [False, True]
+    got = svd_r(a, 2)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in (u, s, v)]
+
+
 def test_svd_r_rejects_bad_rank_and_nonfinite():
     with pytest.raises(ArgumentError):
         svd_r(np.ones((3, 4)), 4)
