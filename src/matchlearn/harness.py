@@ -74,8 +74,6 @@ logger = logging.getLogger("matchlearn.harness")
 
 STUDIES = ("inference", "convergence", "policy")
 MAX_FAILURE_FRACTION = 0.1
-HISTOGRAM_BINS = 50
-HISTOGRAM_RANGE = (-4.0, 4.0)
 
 # Salts: the shared (or per-replication) matrix, the shared q, each replication's batch.
 _SALT_MATRIX, _SALT_Q, _SALT_REPLICATION = 1, 2, 3
@@ -345,7 +343,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
         target = _policy_target(truth)
 
     run = functools.partial(_run_replication, config, ecfg, truth, q, target)
-    if config.workers == 1 or config.replications == 0:
+    if config.workers == 1:
         records = list(map(run, range(config.replications)))
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -417,11 +415,6 @@ def _write_outputs(outdir, config, truth, q, records, summary) -> None:
     _write_csv(outdir / "coverage.csv", "rep,ci_low,ci_high,estimand,covered",
                ((r["rep"], r["ci_low"], r["ci_high"], r["estimand"], int(r["covered"]))
                 for r in scored))
-    counts, edges = np.histogram(
-        summary.standardized_stats, bins=HISTOGRAM_BINS, range=HISTOGRAM_RANGE
-    )
-    _write_csv(outdir / "histogram.csv", "bin_left,bin_right,count",
-               zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     for r in records:
         if "trace" in r:
             r["trace"].write_csv(outdir / f"trace_rep{r['rep']}.csv")
@@ -436,9 +429,7 @@ def _write_outputs(outdir, config, truth, q, records, summary) -> None:
         "q_size": q.size,
         "truth_value": _jsonable(q.inner(truth.values)) if truth is not None else None,
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (outdir / "summary.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +515,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _checked_batch(args, cfg: RunConfig, k: int):
     """The batch and output directory (``--out``, else ``outputs``) of ``estimate`` (k=2) or
     ``infer``/``policy`` (k=4), checked against ``cfg`` and to hold ``k * m`` periods.  Commands
-    read their config, and ``infer`` its form, first: a bad one, or an empty ``--out``, fails
-    before the batch is parsed."""
+    read their config, and ``infer`` its form, first: a bad one, an empty ``--out``, or no
+    output directory for ``estimate``, fails before the batch is parsed."""
     if args.out == "":
         raise ConfigError(["output directory path is empty"])
     batch = load_batch(args.batch)
@@ -535,7 +526,7 @@ def _checked_batch(args, cfg: RunConfig, k: int):
                         f"got T={len(batch)}, m={cfg.m}")
     if (batch.d1, batch.d2) != (cfg.d1, cfg.d2):
         problems.append(f"batch dims ({batch.d1}, {batch.d2}) != config dims ({cfg.d1}, {cfg.d2})")
-    if scheme_to_json(batch.scheme) != scheme_to_json(cfg.scheme):
+    if batch.scheme != cfg.scheme:
         problems.append("batch scheme differs from config scheme")
     if problems:
         raise ConfigError(problems)
@@ -553,9 +544,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = load_config(args.config)
-    batch, out = _checked_batch(args, cfg, 2)
-    if out is None:
+    if args.out is None and cfg.outputs is None:
         raise ConfigError(["no output directory: pass --out or set 'outputs'"])
+    batch, out = _checked_batch(args, cfg, 2)
     m_init, trace = fit(batch, _estimator_config(cfg))
     with _writing(out) as outdir:
         save_matrix_csv(m_init, outdir / "m_init.csv")

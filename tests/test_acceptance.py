@@ -29,6 +29,7 @@ from matchlearn import (
     LinearForm,
     OneToMany,
     OneToOne,
+    RunConfig,
     TwoSided,
     batch_loss,
     batch_loss_gradient,
@@ -45,6 +46,7 @@ from matchlearn import (
     prepare_inference,
     project_rank_r,
     projection_magnitude,
+    run_simulation,
     sample_matching,
     solve_G,
 )
@@ -94,44 +96,33 @@ def _exact_nu_two_sided(scheme: TwoSided, d1: int, d2: int) -> float:
     return float((pmf * np.minimum(k1, k2)).sum() / (d1 * d2))
 
 
-def _nu_for(name: str) -> float:
-    if name == "one_to_one":
-        return 1.0 / D2
-    if name == "one_to_many":
-        return 3 * 0.8 / D2
-    return _exact_nu_two_sided(SCHEMES["two_sided"], D1, D2)
-
-
 @pytest.fixture(scope="module")
 def shared_truth():
     return generate_low_rank(D1, D2, R, SCALE, np.random.default_rng([SEED, 1]))
 
 
 @pytest.fixture(scope="module")
-def convergence_runs(shared_truth):
-    """100-replication error traces for every scheme at two step sizes.
+def convergence_runs(tmp_path_factory):
+    """100-replication error traces for every scheme at two step sizes, from ``simulate``'s
+    own convergence study: its truth is ``shared_truth`` (stream ``[SEED, 1]``) and
+    replication rep's batch comes from ``[SEED, 3, rep]``.
 
-    Runs with debug checks on, so every retraction's orthonormality is
-    asserted inside the fit itself; the orthonormality acceptance test
-    consumes the fit count from here.
+    Every retraction's orthonormality is asserted inside the fit itself;
+    the orthonormality acceptance test consumes the fit count from here.
     """
     start = time.time()
     medians = {}
     n_fits = 0
     for name, scheme in SCHEMES.items():
-        nu = _nu_for(name)
         for eta in (0.5, 0.7):
-            rows = []
-            for rep in range(100):
-                batch = observe(
-                    shared_truth, scheme, T, SIGMA,
-                    np.random.default_rng([SEED, 3, rep]),
-                )
-                config = EstimatorConfig(r=R, eta=eta, m=10, nu=nu)
-                _, trace = fit(batch, config, truth=shared_truth)
-                rows.append(trace.rel_max_err_sq)
-                n_fits += 1
-            medians[(name, eta)] = np.median(np.array(rows), axis=0)
+            summary = run_simulation(RunConfig(
+                d1=D1, d2=D2, r=R, scheme=scheme, T=T, seed=SEED, m=10, eta=eta,
+                sigma=SIGMA, scale=SCALE, replications=100, study="convergence",
+                outputs=str(tmp_path_factory.mktemp(f"convergence_{name}_{eta}"))))
+            assert summary.n_failed == 0, summary.failures
+            medians[(name, eta)] = np.median(
+                np.array([trace.rel_max_err_sq for trace in summary.traces]), axis=0)
+            n_fits += len(summary.traces)
     return {"medians": medians, "elapsed": time.time() - start, "n_fits": n_fits}
 
 
@@ -158,7 +149,6 @@ def inference_cells(shared_truth):
     }
     cells = {}
     for name, scheme in SCHEMES.items():
-        nu = _nu_for(name)
         zs = {k: [] for k in qs}
         hits = {k: 0 for k in qs}
         for rep in range(300):
@@ -166,7 +156,7 @@ def inference_cells(shared_truth):
                 shared_truth, scheme, T, SIGMA,
                 np.random.default_rng([SEED, 4, rep]),
             )
-            config = EstimatorConfig(r=R, eta=0.7, m=M_BY_SCHEME[name], nu=nu)
+            config = EstimatorConfig(r=R, eta=0.7, m=M_BY_SCHEME[name], nu=batch.nu)
             artifacts = prepare_inference(batch, config)
             for key, q in qs.items():
                 res = infer_linear_form(artifacts, q, alpha=0.05)

@@ -332,7 +332,8 @@ def test_validator_names_the_period_of_a_bad_index_or_reward():
 
 @pytest.mark.parametrize("kind", ["one_to_one", "one_to_many"])
 def test_loading_and_validating_a_batch_hold_little_beyond_its_columns(kind, tmp_path):
-    """Each entry is held once while loading, and validation adds one 8-byte key per entry.
+    """Each entry is held once while loading, and validation adds one key per entry: 4 bytes
+    at this size, where ``periods * width < 2**31``, else 8.
 
     Peaks are traced allocations, against the bytes of the rows, cols and y returned.
     """

@@ -73,32 +73,24 @@ Q_FILE = '[{"i": 0, "j": 3, "w": 1.5}, {"i": 9, "j": 29, "w": -0.25}, {"i": 4, "
 PINNED = {
     "one_to_one/coverage.csv":
         "fb245b80cf43a7093c0f0c2cf63534273ccaeffaaf9228bb2ca21cb6e77cf840",
-    "one_to_one/histogram.csv":
-        "7052d3a63229ec6133b7a14a42c2c38e928f7176fa9606d0116c5ca963358798",
     "one_to_one/standardized_stats.csv":
         "69708cd17d05a74f48c77f32bda8734410b8b4735b47c3035934b7abdb13ea2e",
     "one_to_one/summary.json":
         "3cb9729c96982ae63805448f7cdd3ab8448de32b531761f2646ef205e0b97e6a",
     "one_to_many/coverage.csv":
         "8e97f397dd42ec99b69bd7b53721a1a05e91af095c92ea417912f05f176d0333",
-    "one_to_many/histogram.csv":
-        "1431e655d064b2ee300c6b8c9046204c5b71dbec28b1a58efe615e6356e5c4d0",
     "one_to_many/standardized_stats.csv":
         "291cc6d81b6d9add59fd43bcb751505a3b4b5c349b8950aabc43b791d0504578",
     "one_to_many/summary.json":
         "d3ce8952fea415cb2665ab5dc7808a70187632ff917d6bc3be08314ab79cd288",
     "two_sided/coverage.csv":
         "feaba66da94da9c82e408046db5d0ab5459b9d74b4a664931448c3ae012fc10b",
-    "two_sided/histogram.csv":
-        "cbf480cb964434179efa0b8855bb02107d31546c8d3a9a5fd187aa35603c1896",
     "two_sided/standardized_stats.csv":
         "a5f8febedfac0983e5eaf6ccfddd4978dc5a5b519afa9a4881d65d37a5814a8b",
     "two_sided/summary.json":
         "f82bc382f5ad940a4ec5a2020f3432b319dc8cdc25bdaf75ba95275818c150d0",
     "convergence/coverage.csv":
         "20eedb7ea99557fb5e911b012627a9ea040875a34c455acafbde4432f14d7202",
-    "convergence/histogram.csv":
-        "3a7bed77dd5949efd9ec813f0dd09fc4bdd7f8cc6b7db61db1a703d3664076e0",
     "convergence/standardized_stats.csv":
         "0dcd3a8d6eeaf020be48c28bcfa47a5b848288dbd674d66dda6bd6f7e97d39b8",
     "convergence/summary.json":
@@ -111,8 +103,6 @@ PINNED = {
         "a3e2d6aa116274e7a946c1f5eca145804b80877b185255a619080ee5b8fd84ca",
     "policy/coverage.csv":
         "e0a568119a552f8f9ef37ab0d0f685d6d066641280fac96082d0cde847939b96",
-    "policy/histogram.csv":
-        "f7cfa2822aeb065a5af841babe4b4c74054c9d6f654d7f6140d5e984512d51fb",
     "policy/standardized_stats.csv":
         "425f38eca93dfe54f4d37ef3a6bd52846911efc247fbb83bab6b0d816661ef4e",
     "policy/summary.json":

@@ -76,6 +76,8 @@ def test_partition_survey_scale():
 def test_partition_too_few_observations():
     with pytest.raises(ArgumentError):
         partition_batches(3, 2)
+    with pytest.raises(ArgumentError, match="m must be >= 1, got 0"):
+        partition_batches(8, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,10 @@ def test_factor_state_validates_inputs():
     v = np.linalg.qr(rng.standard_normal((8, 2)))[0]
     with pytest.raises(ArgumentError):
         FactorState(u * 1.5, np.eye(2), v)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="factor widths"):
         FactorState(u, np.eye(3), v)
+    with pytest.raises(ArgumentError, match="G must be square"):
+        FactorState(u, np.ones((2, 3)), v)
     state = FactorState(u, np.diag([3.0, 2.0]), v)
     np.testing.assert_allclose(state.g_svd[1], [3.0, 2.0], rtol=1e-15)
 

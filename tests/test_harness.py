@@ -1,6 +1,7 @@
 """Tests for the replication harness, summaries, config, and CLI."""
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -366,6 +367,12 @@ def test_resolve_q_from_file(tmp_path):
     assert (q.rows.tolist(), q.cols.tolist(), q.weights.tolist()) == ([0, 3], [1, 5], [2.0, -1.0])
 
 
+@pytest.mark.parametrize("spec", [None, 3, ""])
+def test_resolve_q_needs_a_nonempty_string(spec):
+    with pytest.raises(ArgumentError, match="a spec must be a nonempty string"):
+        resolve_q(spec, 4, 6, np.random.default_rng(0))
+
+
 def test_resolve_q_is_deterministic():
     a = resolve_q("random_oto", 6, 9, np.random.default_rng([3, 2]))
     b = resolve_q("random_oto", 6, 9, np.random.default_rng([3, 2]))
@@ -376,8 +383,13 @@ def test_resolve_q_is_deterministic():
 # run_simulation
 # ---------------------------------------------------------------------------
 
-def test_run_simulation_zero_replications(tmp_path):
-    cfg = parse_config(base_config_dict(replications=0, outputs=str(tmp_path / "o")))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_simulation_zero_replications(tmp_path, monkeypatch, workers):
+    # A pool given no replication submits nothing, so it starts no process.
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: pytest.fail("a process was started"))
+    cfg = parse_config(base_config_dict(replications=0, workers=workers,
+                                        outputs=str(tmp_path / "o")))
     summary = run_simulation(cfg)
     assert summary.n_success == 0 and summary.n_failed == 0
     assert np.isnan(summary.ks_distance) and np.isnan(summary.coverage)
@@ -395,8 +407,6 @@ def test_run_simulation_inference_study(tmp_path):
     assert summary.recovery_count is None and summary.traces == ()
     stats_lines = (tmp_path / "o" / "standardized_stats.csv").read_text().splitlines()
     assert len(stats_lines) == 6 and stats_lines[0] == "rep,z"
-    hist_lines = (tmp_path / "o" / "histogram.csv").read_text().splitlines()
-    assert len(hist_lines) == 51
     assert not list((tmp_path / "o").glob("trace_rep*.csv"))
     doc = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert doc["n_success"] == 5
@@ -405,8 +415,7 @@ def test_run_simulation_inference_study(tmp_path):
 
 
 def test_run_simulation_outputs_are_deterministic(tmp_path):
-    files = ("summary.json", "standardized_stats.csv", "coverage.csv",
-             "histogram.csv")
+    files = ("summary.json", "standardized_stats.csv", "coverage.csv")
     contents = []
     for sub in ("a", "b"):
         cfg = parse_config(base_config_dict(outputs=str(tmp_path / sub)))
@@ -761,7 +770,8 @@ def test_cli_simulate_writes_outputs(capsys, tmp_path):
 def test_cli_missing_batch_file_is_data_error(capsys, tmp_path):
     cfg_path = write_config(tmp_path)
     code, _, err = run_cli(
-        capsys, ["estimate", str(tmp_path / "none.jsonl"), str(cfg_path)]
+        capsys, ["estimate", str(tmp_path / "none.jsonl"), str(cfg_path), "--out",
+                 str(tmp_path / "e")]
     )
     assert code == 4
     assert json.loads(err)["error"] == "DataFormatError"
@@ -995,7 +1005,8 @@ def test_cli_estimate_emits_files(capsys, tmp_path, saved_batch):
 def test_cli_estimate_rejects_dim_mismatch(capsys, tmp_path, saved_batch):
     _, batch_path, _ = saved_batch
     other_cfg = write_config(tmp_path, name="other.json", d1=6, d2=9)
-    code, _, err = run_cli(capsys, ["estimate", str(batch_path), str(other_cfg)])
+    code, _, err = run_cli(capsys, ["estimate", str(batch_path), str(other_cfg),
+                                    "--out", str(tmp_path / "e")])
     assert code == 2
     assert "dims" in json.loads(err)["message"]
 
@@ -1012,8 +1023,13 @@ def test_cli_infer_rejects_a_batch_of_another_scheme(capsys, tmp_path, saved_bat
     assert doc["message"] == "batch scheme differs from config scheme"
 
 
-def test_cli_estimate_needs_an_output_directory(capsys, saved_batch):
+@pytest.mark.parametrize("batch_is_read", [True, False], ids=["a_valid_batch", "before_the_batch"])
+def test_cli_estimate_needs_an_output_directory(capsys, monkeypatch, saved_batch, batch_is_read):
     _, batch_path, cfg_path = saved_batch  # the config sets no outputs
+    if not batch_is_read:  # the missing directory is known from the arguments alone
+        monkeypatch.setattr(harness_mod, "load_batch",
+                            lambda *args: pytest.fail("estimate read the batch first"))
+        batch_path = batch_path.with_name("missing.jsonl")
     code, out, err = run_cli(capsys, ["estimate", str(batch_path), str(cfg_path)])
     assert (code, out) == (2, "")
     problem = "no output directory: pass --out or set 'outputs'"

@@ -10,6 +10,7 @@ from matchlearn import (
     DegenerateTestError,
     EmptyMatchingWarning,
     EstimatorConfig,
+    InferenceResult,
     LinearForm,
     NonFiniteResultError,
     ObservationBatch,
@@ -437,6 +438,16 @@ def test_infer_linear_form_is_self_consistent(fitted_artifacts):
     assert res.ci_high - res.point == pytest.approx(1.95996398 * res.se, rel=1e-6)
     assert res.z == pytest.approx(res.point / res.se, rel=1e-12)
     assert 0.0 <= res.p_value <= 1.0
+
+
+@pytest.mark.parametrize("se, ci_low, ci_high, problem",
+                         [(-1.0, -1.0, 1.0, "se must be nonnegative"),
+                          (1.0, 0.5, 2.0, "interval must contain the point estimate")])
+def test_inference_result_keeps_its_invariants(se, ci_low, ci_high, problem):
+    with pytest.raises(ArgumentError, match=problem):
+        InferenceResult(q=LinearForm(1, 1, [0], [0], [1.0]), point=0.0, sigma_hat_sq=1.0,
+                        proj_mag_hat=1.0, se=se, ci_low=ci_low, ci_high=ci_high, z=0.0,
+                        p_value=1.0, alpha=0.05)
 
 
 def test_infer_rejects_mismatched_dims(fitted_artifacts):

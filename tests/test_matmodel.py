@@ -10,6 +10,7 @@ from matchlearn import (
     ArgumentError,
     DataFormatError,
     DegenerateSpectrumWarning,
+    InternalConsistencyError,
     LinearForm,
     RewardMatrix,
     generate_low_rank,
@@ -267,6 +268,8 @@ def test_linear_form_basic_accessors():
     assert q.dims == (3, 4)
     m = np.arange(12, dtype=float).reshape(3, 4)
     assert q.inner(m) == pytest.approx(2.0 * m[0, 1] - 1.5 * m[2, 3])
+    with pytest.raises(ArgumentError, match="matrix shape"):
+        q.inner(m.T)
 
 
 def test_linear_form_rejects_duplicates_and_out_of_range():
@@ -290,6 +293,8 @@ def test_linear_form_subtract_cancels_shared_entries():
     d = q1.subtract(q2)
     entries = dict(zip(zip(d.rows.tolist(), d.cols.tolist()), d.weights.tolist()))
     assert entries == {(0, 0): 1.0, (2, 3): -1.0}
+    with pytest.raises(ArgumentError, match="different dims"):
+        q1.subtract(LinearForm(4, 3, [1], [2], [1.0]))
 
 
 def dict_subtract(q1: LinearForm, q2: LinearForm) -> dict:
@@ -458,3 +463,11 @@ def test_projection_magnitude_dim_mismatch():
     v = random_orthonormal(5, 2, rng)
     with pytest.raises(ArgumentError):
         projection_magnitude(u, v, LinearForm(5, 5, [0], [0], [1.0]))
+    with pytest.raises(ArgumentError, match="same number of columns"):
+        projection_magnitude(u, random_orthonormal(5, 1, rng), LinearForm(4, 5, [0], [0], [1.0]))
+
+
+def test_projection_magnitude_refuses_factors_that_are_not_orthonormal():
+    # With u = v = [[2]] the radicand is 4 + 4 - 16 = -8, below its floor.
+    with pytest.raises(InternalConsistencyError, match="radicand -8.000e[+]00"):
+        projection_magnitude([[2.0]], [[2.0]], LinearForm(1, 1, [0], [0], [1.0]))

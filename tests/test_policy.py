@@ -225,10 +225,15 @@ def test_large_finite_rewards_match_exhaustive_search(m):
     assert np.array_equal(optimal_one_to_one(m).cols, brute_force_best(m)[0])
 
 
-def test_a_non_finite_certificate_slack_certifies_nothing():
-    m = np.array([[-1.7e308, 1.7e308]])  # the slack of (0, 0) is 1.7e308 + 1.7e308
-    sigma, _ = policy_mod._solve(m)
-    movable, near = policy_mod._certificate(m, sigma, 1.0)
+@pytest.mark.parametrize(
+    "m, sigma, tol",
+    [([[-1.7e308, 1.7e308]], [1], 1.0),  # the slack of (0, 0) is 1.7e308 + 1.7e308
+     ([[1.0, 0.0], [0.0, 1.0]], [1, 0], 1e-9),  # a worst matching: the sweeps never settle
+     ([[0.0, 5.0]], [0], 1e-9)],  # the sweeps settle, but the excess 5 exceeds tol
+    ids=["non_finite_slack", "sweeps_never_settle", "excess_above_tol"],
+)
+def test_a_certificate_that_cannot_hold_certifies_nothing(m, sigma, tol):
+    movable, near = policy_mod._certificate(np.array(m), np.array(sigma), tol)
     assert movable.all() and near.all()
 
 
