@@ -176,15 +176,6 @@ def solve_G(u: np.ndarray, v: np.ndarray, batch: ObservationBatch) -> np.ndarray
     return _require_finite(g, "core refit").reshape(r, r)
 
 
-def _check_invertible(state: FactorState) -> None:
-    s_g = state.g_svd[1]
-    if s_g[0] <= 0.0 or s_g[-1] < MIN_G_SINGULAR * s_g[0]:
-        raise SingularCoreError(
-            f"core spectrum ({s_g[-1]:.3e} .. {s_g[0]:.3e}) is numerically "
-            "singular; SNR too low or rank over-specified"
-        )
-
-
 def batch_loss(m_dense: np.ndarray, batch: ObservationBatch) -> float:
     """Squared-error loss of a dense candidate over a batch's revealed entries."""
     resid = m_dense[batch.rows, batch.cols] - batch.y
@@ -223,8 +214,12 @@ def gradient_step(
     """
     if len(step_batch) == 0:
         raise ArgumentError("need a nonempty step batch")
-    _check_invertible(state)
-    l_g, _, r_g = state.g_svd
+    l_g, s_g, r_g = state.g_svd
+    if s_g[0] <= 0.0 or s_g[-1] < MIN_G_SINGULAR * s_g[0]:
+        raise SingularCoreError(
+            f"core spectrum ({s_g[-1]:.3e} .. {s_g[0]:.3e}) is numerically "
+            "singular; SNR too low or rank over-specified"
+        )
     coef = eta / (2.0 * len(step_batch) * step_batch.nu)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = batch_loss_gradient(state.estimate, step_batch)

@@ -273,14 +273,17 @@ def _estimator_config(cfg: RunConfig) -> EstimatorConfig:
     return EstimatorConfig(r=cfg.r, eta=cfg.eta, m=cfg.m, nu=nu)
 
 
+def _truth(cfg: RunConfig, *rep: int) -> RewardMatrix:
+    """The study's truth: one shared matrix, or replication ``rep``'s own when given."""
+    return generate_low_rank(cfg.d1, cfg.d2, cfg.r, cfg.scale,
+                             np.random.default_rng([cfg.seed, _SALT_MATRIX, *rep]))
+
+
 def _run_replication(cfg, ecfg, truth, q, target, rep: int) -> dict:
     """Replication ``rep``'s record, a plain dict so it can cross processes: its fit
     ``trace`` (convergence), its ``z`` and interval (inference, policy), or its ``error``."""
     if truth is None:
-        truth = generate_low_rank(
-            cfg.d1, cfg.d2, cfg.r, cfg.scale,
-            np.random.default_rng([cfg.seed, _SALT_MATRIX, rep]),
-        )
+        truth = _truth(cfg, rep)
     rng = np.random.default_rng([cfg.seed, _SALT_REPLICATION, rep])
     try:
         batch = observe(truth, cfg.scheme, cfg.T, cfg.sigma, rng)
@@ -329,12 +332,7 @@ def run_simulation(config: RunConfig) -> ReplicationSummary:
     if config.outputs is None:
         raise ConfigError(["outputs directory is required to run a study"])
 
-    truth = None
-    if not config.regenerate_m:
-        truth = generate_low_rank(
-            config.d1, config.d2, config.r, config.scale,
-            np.random.default_rng([config.seed, _SALT_MATRIX]),
-        )
+    truth = None if config.regenerate_m else _truth(config)
     ecfg = _estimator_config(config)
 
     # A shared truth has one optimal matching: solve it once per study.
@@ -480,24 +478,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="fit one batch, emit estimate and trace")
-    p.add_argument("batch")
-    p.add_argument("config")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("infer", help="fit one batch and test a linear form")
-    p.add_argument("batch")
-    p.add_argument("config")
-    p.add_argument("--q", required=True, help="q_spec string or linear-form file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("policy", help="estimate the optimal matching on one batch")
-    p.add_argument("batch")
-    p.add_argument("config")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_policy)
+    for name, func, text in [
+        ("estimate", _cmd_estimate, "fit one batch, emit estimate and trace"),
+        ("infer", _cmd_infer, "fit one batch and test a linear form"),
+        ("policy", _cmd_policy, "estimate the optimal matching on one batch"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("batch")
+        p.add_argument("config")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+    sub.choices["infer"].add_argument("--q", required=True,
+                                      help="q_spec string or linear-form file")
 
     p = sub.add_parser("nu", help="print the entrywise observation probability")
     p.add_argument("--scheme", required=True,
@@ -533,16 +525,15 @@ def _checked_batch(args, cfg: RunConfig, k: int):
     return batch, args.out if args.out is not None else cfg.outputs
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = replace(cfg, outputs=args.out)
     summary = run_simulation(cfg)
-    print(json.dumps({"out": cfg.outputs, **_aggregates(summary)}, sort_keys=True))
-    return 0
+    return {"out": cfg.outputs, **_aggregates(summary)}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> dict:
     cfg = load_config(args.config)
     if args.out is None and cfg.outputs is None:
         raise ConfigError(["no output directory: pass --out or set 'outputs'"])
@@ -551,16 +542,15 @@ def _cmd_estimate(args) -> int:
     with _writing(out) as outdir:
         save_matrix_csv(m_init, outdir / "m_init.csv")
         trace.write_csv(outdir / "trace.csv")
-    print(json.dumps({
+    return {
         "out": str(outdir),
         "files": ["m_init.csv", "trace.csv"],
         "nu": batch.nu,
         "batches": len(trace),
-    }, sort_keys=True))
-    return 0
+    }
 
 
-def _cmd_infer(args) -> int:
+def _cmd_infer(args) -> dict:
     cfg = load_config(args.config)
     q = resolve_q(args.q, cfg.d1, cfg.d2, np.random.default_rng([cfg.seed, _SALT_Q]))
     batch, out = _checked_batch(args, cfg, 4)
@@ -570,11 +560,10 @@ def _cmd_infer(args) -> int:
     if out is not None:
         with _writing(out) as outdir:
             (outdir / "inference.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return doc
 
 
-def _cmd_policy(args) -> int:
+def _cmd_policy(args) -> dict:
     cfg = load_config(args.config)
     batch, out = _checked_batch(args, cfg, 4)
     artifacts = prepare_inference(batch, _estimator_config(cfg))
@@ -591,11 +580,10 @@ def _cmd_policy(args) -> int:
             (outdir / "matching.json").write_text(text + "\n")
             (outdir / "evaluation.json").write_text(
                 json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return doc
 
 
-def _cmd_nu(args) -> int:
+def _cmd_nu(args) -> dict:
     cls = _BY_KIND[_NU_ALIASES.get(args.scheme, args.scheme)]
     names = [f.name for f in fields(cls)]
     problems = [f"unknown {cls.kind} flag: {_flag(f.name)}" for c in _BY_KIND.values()
@@ -606,8 +594,7 @@ def _cmd_nu(args) -> int:
     if problems:
         raise ConfigError(problems)
     scheme = cls(**{n: getattr(args, n) for n in names})
-    print(json.dumps({"nu": entrywise_probability(scheme, args.d1, args.d2).nu}))
-    return 0
+    return {"nu": entrywise_probability(scheme, args.d1, args.d2).nu}
 
 
 # Each error type the CLI reports, with its exit code; the first that matches applies.
@@ -617,13 +604,15 @@ _EXIT_CODES = {ConfigError: 2, DataFormatError: 4, NumericalError: 3, ArgumentEr
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        doc = args.func(args)
     except tuple(_EXIT_CODES) as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             doc["problems"] = exc.problems
         print(json.dumps(doc, sort_keys=True), file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    print(json.dumps(doc, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

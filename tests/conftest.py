@@ -32,3 +32,12 @@ def no_child_left():
     if before is not None:
         left = [os.readlink(f"{_FDS}/{fd}") for fd in _open_fds() - before]
         assert not left, f"descriptors left open after the test: {left}"
+
+
+@pytest.fixture
+def no_process_started(monkeypatch):
+    """Fail the test the moment any process starts.  ``no_child_left`` sees only children
+    still running or unreaped when the test ends, so a pool that starts workers and joins
+    them passes it; this one shows that a path starts none."""
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: pytest.fail("a process was started"))

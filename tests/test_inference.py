@@ -53,9 +53,12 @@ def make_problem(d1, d2, r, T, sigma, seed, scale=1.0, scheme=OneToOne()):
 def test_prepare_inference_odd_t_drops_the_last_period():
     truth, batch = make_problem(6, 12, 2, 41, 0.5, seed=92)
     cfg = EstimatorConfig(r=2, eta=0.7, m=3, nu=1.0 / 12)
-    with pytest.warns(RemainderDroppedWarning, match="dropping 1 trailing observation"):
+    # The halves drop period 41; fit then cuts each 20-period half into 6 parts of 3.
+    with pytest.warns(RemainderDroppedWarning, match="dropping 2 trailing observation"), \
+            pytest.warns(RemainderDroppedWarning, match="dropping 1 trailing observation"):
         art = prepare_inference(batch, cfg)
-    even = prepare_inference(batch[:40], cfg)
+    with pytest.warns(RemainderDroppedWarning, match="dropping 2 trailing observation"):
+        even = prepare_inference(batch[:40], cfg)
     assert art.t_used == even.t_used == 40
     assert np.array_equal(art.m_hat, even.m_hat)
     assert art.sigma_hat_sq == even.sigma_hat_sq
@@ -160,7 +163,8 @@ def test_debias_overflow_is_a_numerical_error():
         residual = held_out_residual(m0, batch)
     with pytest.raises(NonFiniteResultError, match="debiased estimate"):
         debias(m0, batch, residual)
-    with pytest.raises(NonFiniteResultError):
+    with pytest.warns(DegenerateSpectrumWarning, match="rank-1 subspace is not well determined"), \
+            pytest.raises(NonFiniteResultError):
         prepare_inference(batch, EstimatorConfig(r=1, eta=0.5, m=1, nu=0.25))
 
 

@@ -460,6 +460,9 @@ def test_scheme_json_round_trip():
         scheme_from_json({"kind": "one_to_many", "K": 2})
     with pytest.raises(DataFormatError, match="unknown keys for scheme 'one_to_one': K, p0$"):
         scheme_from_json({"kind": "one_to_one", "K": 3, "p0": 0.5})
+    for obj in ("one_to_one", None, ["one_to_one"], {"K": 3, "p0": 0.5}):
+        with pytest.raises(DataFormatError, match="^scheme must be an object with a 'kind', got "):
+            scheme_from_json(obj)
 
 
 _TWO_SIDED = dict(kind="two_sided", p1=0.8, p2=0.8, c_r=0.5, c_s=0.5, gamma=0.2)
@@ -709,11 +712,13 @@ _EDGE_CASES = [
       '{"pairs": [[0, 1]], "y": [1.0]}'],
      "bad batch header fields: no arrival counts (B_r, B_s) with d1=3, d2=3 satisfy the "
      "truncation c_r=0.9, c_s=0.9, gamma=0.2"),
+    (['{"scheme": {"K": 3, "p0": 0.5}, "d1": 2, "d2": 4, "sigma": 0.5}', _GOOD_2x4],
+     "scheme must be an object with a 'kind', got {'K': 3, 'p0': 0.5}"),
 ]
 _EDGE_IDS = ["pair_2**63", "row_-2**63", "empty_two_sided", "array_record", "blank_lines_bad",
              "blank_line_good", "nan_y", "header_only", "nested_pair", "bad_dims_header_only",
              "bad_dims_with_record", "dims_one_to_many_cannot_hold",
-             "dims_two_sided_cannot_hold"]
+             "dims_two_sided_cannot_hold", "scheme_without_kind"]
 
 
 @pytest.mark.parametrize("lines, verdict", _EDGE_CASES, ids=_EDGE_IDS)
